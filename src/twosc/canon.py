@@ -14,9 +14,17 @@ vertex-transitive) from exploding into factorially many states.
 
 Each state carries, per unplaced vertex, the bit pattern of its
 adjacencies to the placed prefix, so extending a state costs one
-shift-or per vertex instead of a rescan.  For at most 8 vertices (the
-enumeration hot path) all patterns of a state are packed into 8-bit
-lanes of a single integer.
+shift-or per vertex instead of a rescan.  For at most 8 vertices all
+patterns of a state are packed into 8-bit lanes of a single integer.
+
+The packed search also takes, per level, a mask of the vertices that
+level may place, and returns the maximal code along with the order.
+The canonical form allows every vertex at every level.  The generator
+deduplicates its candidates by ``partition_code``, the same search
+restricted to orders that respect an isomorphism-invariant ordered
+partition: far fewer orders tie, so it costs a fraction of the full
+search, and it is still a complete invariant.  The generator then
+computes the canonical form once per class.
 """
 
 from __future__ import annotations
@@ -26,28 +34,34 @@ from typing import Sequence
 from .core import Graph, bits
 
 
-def _canonical_order_packed(adj: Sequence[int], n: int) -> tuple[int, ...]:
-    """Pattern-packed search; needs n <= 8 so each pattern fits one byte."""
-    rng = range(n)
-    row_exp = []
-    for v in rng:
-        e = 0
-        for u in bits(adj[v]):
-            e |= 1 << (u << 3)
-        row_exp.append(e)
-    low7 = int.from_bytes(b"\x7f" * n, "little")
-    states: dict[tuple[int, int], tuple[tuple[int, ...], int, int, int]] = {}
-    for v in rng:
-        pats = row_exp[v]  # byte u holds adj(u, v); byte v is already 0
-        states.setdefault((1 << v, pats), ((v,), 1 << v, pats, 0xFF << (v << 3)))
-    pool = list(states.values())
-    for _ in range(1, n):
+# For each byte-sized mask: its vertex ids, ascending, and the mask
+# spread to one bit per byte lane (bit u -> bit 8u).
+_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
+_LANES = tuple(sum(1 << (v << 3) for v in vs) for vs in _BITS)
+
+
+def _canonical_order_packed(
+    adj: Sequence[int], n: int, allowed: Sequence[int]
+) -> tuple[int, tuple[int, ...]]:
+    """Pattern-packed search; needs n <= 8 so each pattern fits one byte.
+
+    Level i may place only the vertices in the bitmask ``allowed[i]``.
+    Returns the maximal code over those orders, the per-level maxima
+    packed into one int after a leading 1 bit (so graphs of different
+    sizes get different codes), and an order attaining it.
+    """
+    bits_of = _BITS
+    # byte u of row_exp[v] holds adj(u, v); byte v is already 0
+    row_exp = [_LANES[m] for m in adj]
+    low7 = 0x7F7F7F7F7F7F7F7F  # lanes past n hold no bits
+    pool = [((v,), 1 << v, row_exp[v], 0xFF << (v << 3)) for v in bits_of[allowed[0]]]
+    code = 1
+    for level in range(1, n):
+        allow = allowed[level]
         best = -1
         grown: list[tuple[tuple[int, ...], int, int, int]] = []
         for order, mask, pats, pb in pool:
-            for v in rng:
-                if mask >> v & 1:
-                    continue
+            for v in bits_of[allow & ~mask]:
                 p = pats >> (v << 3) & 0xFF
                 if p < best:
                     continue
@@ -55,13 +69,14 @@ def _canonical_order_packed(adj: Sequence[int], n: int) -> tuple[int, ...]:
                     best = p
                     grown = []
                 grown.append((order + (v,), mask | 1 << v, pats, pb | 0xFF << (v << 3)))
-        states = {}
+        code = code << level | best
+        states: dict[tuple[int, int], tuple[tuple[int, ...], int, int, int]] = {}
         for order, mask, pats, pb in grown:
             v = order[-1]
             new_pats = (((pats & low7) << 1) | row_exp[v]) & ~pb
             states.setdefault((mask, new_pats), (order, mask, new_pats, pb))
         pool = list(states.values())
-    return pool[0][0]
+    return code, pool[0][0]
 
 
 def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
@@ -102,8 +117,35 @@ def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
     if n <= 1:
         return tuple(range(n))
     if n <= 8:
-        return _canonical_order_packed(adj, n)
+        return _canonical_order_packed(adj, n, ((1 << n) - 1,) * n)[1]
     return _canonical_order_wide(adj, n)
+
+
+def partition_code(adj: Sequence[int]) -> int:
+    """A complete isomorphism invariant of a graph on 1..8 vertices, as an int.
+
+    The maximal code of the packed search, taken only over vertex orders
+    that place the cells of an isomorphism-invariant ordered partition
+    one after another.  A vertex's rank is its degree, then the sum of
+    its neighbours' degrees (``deg * 64 + sum``; the sum stays below 64
+    for n <= 8), and cells go in descending rank.  Isomorphic graphs
+    admit the same orders up to relabelling, and the code determines
+    the graph, so two graphs share a code iff they are isomorphic.  It
+    is the generator's dedupe key, not the canonical form.
+    """
+    bits_of = _BITS
+    deg = [m.bit_count() for m in adj]
+    cells: dict[int, int] = {}
+    for v, m in enumerate(adj):
+        r = deg[v] << 6
+        for u in bits_of[m]:
+            r += deg[u]
+        cells[r] = cells.get(r, 0) | 1 << v
+    allowed: list[int] = []
+    for r in sorted(cells, reverse=True):
+        cell = cells[r]
+        allowed += [cell] * cell.bit_count()
+    return _canonical_order_packed(adj, len(adj), allowed)[0]
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:

@@ -1,10 +1,14 @@
 """Exhaustive small-graph generation, one representative per isomorphism class.
 
-Graphs on k+1 vertices are produced by attaching a new vertex with every
-possible neighborhood to every k-vertex class representative, keeping
-one canonical form per class.  The published class counts are pinned
-here and checked by the test suite; connected counts additionally get a
-record-for-record cross-check against an externally generated catalog.
+Graphs on k+1 vertices are produced by attaching a new vertex to every
+k-vertex class representative, with every neighborhood that leaves the
+new vertex of minimum degree (every graph arises so).  The candidates
+are deduplicated by ``partition_code``, a complete invariant much
+cheaper than the canonical form, and the canonical form is computed only
+for the first candidate of each new class.  The published class counts
+are pinned here and checked by the test suite; connected counts
+additionally get a record-for-record cross-check against an externally
+generated catalog, and the output is pinned byte for byte by digest.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator
 
-from .canon import canonical_masks
+from .canon import canonical_masks, partition_code
 from .core import Graph, GraphError, component_masks
 
 GENERATOR_MAX = 8
@@ -33,14 +37,25 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got {n}")
     if n == 1:
         return (Graph((0,)),)
-    seen: dict[tuple[int, ...], None] = {}
+    seen: dict[int, tuple[int, ...]] = {}
     for parent in graph_classes(n - 1):
         base = parent.adj
+        # Every graph is its minimum-degree vertex attached to a parent
+        # class, so only candidates whose new vertex has minimum degree
+        # are needed: at most one more than the parent's minimum, and
+        # then adjacent to every parent vertex of that minimum degree.
+        low = min(m.bit_count() for m in base)
+        lowest = sum(1 << v for v, m in enumerate(base) if m.bit_count() == low)
         for mask in range(1 << (n - 1)):
+            d = mask.bit_count()
+            if d > low + 1 or (d == low + 1 and lowest & ~mask):
+                continue
             adj = [m | ((mask >> v & 1) << (n - 1)) for v, m in enumerate(base)]
             adj.append(mask)
-            seen.setdefault(canonical_masks(adj), None)
-    return tuple(Graph(masks) for masks in sorted(seen))
+            key = partition_code(adj)
+            if key not in seen:
+                seen[key] = canonical_masks(adj)
+    return tuple(Graph(masks) for masks in sorted(seen.values()))
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from twosc.canon import are_isomorphic, canonical_graph, canonical_masks, canonical_order
+from twosc.canon import (
+    are_isomorphic,
+    canonical_graph,
+    canonical_masks,
+    canonical_order,
+    partition_code,
+)
 from twosc.core import Graph
 from twosc.enumeration import graph_classes
 from twosc.graphs import complete_bipartite, cycle_graph, path_graph, petersen_graph
@@ -42,6 +48,31 @@ def test_invariant_under_relabeling(g, rng):
     order = list(range(g.n))
     rng.shuffle(order)
     assert canonical_masks(g.relabel(order).adj) == canonical_masks(g.adj)
+
+
+def test_partition_code_is_a_complete_invariant_exhaustively():
+    # over every labelled graph with n <= 5: equal codes iff isomorphic
+    canon_of_code: dict[int, tuple[int, ...]] = {}
+    code_of_canon: dict[tuple[int, ...], int] = {}
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for packed in range(1 << len(pairs)):
+            adj = [0] * n
+            for i, (u, v) in enumerate(pairs):
+                if packed >> i & 1:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+            code, canon = partition_code(adj), canonical_masks(adj)
+            assert canon_of_code.setdefault(code, canon) == canon
+            assert code_of_canon.setdefault(canon, code) == code
+    assert len(canon_of_code) == sum(len(graph_classes(n)) for n in range(1, 6))
+
+
+@given(graphs(max_n=8), st.randoms(use_true_random=False))
+def test_partition_code_invariant_under_relabeling(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    assert partition_code(g.relabel(order).adj) == partition_code(g.adj)
 
 
 @given(graphs(min_n=9, max_n=11), st.randoms(use_true_random=False))

@@ -13,11 +13,19 @@ from twosc.enumeration import (
 from twosc.graphs import complete_graph, cycle_graph, path_graph, capped_k33
 from twosc.io import write_graph6, ingest_graph6, graph6_encode
 
+from conftest import GENERATOR_DIGESTS, graph6_digest
+
 
 def test_counts_up_to_seven():
     for n in range(1, 8):
         assert len(graph_classes(n)) == ALL_GRAPH_COUNTS[n - 1]
         assert len(connected_classes(n)) == CONNECTED_GRAPH_COUNTS[n - 1]
+
+
+def test_output_is_pinned_byte_for_byte_up_to_seven():
+    for n in range(1, 8):
+        got = (graph6_digest(graph_classes(n)), graph6_digest(connected_classes(n)))
+        assert got == GENERATOR_DIGESTS[n], n
 
 
 def test_three_vertex_classes_by_hand():

@@ -84,6 +84,7 @@ from .recognition import (
 )
 from .reduction import (
     EdgeNotInTriangleError,
+    InvalidStepError,
     NoCriticalEndpointError,
     ReductionStep,
     ReductionTrace,

@@ -63,20 +63,25 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.adj)
+        adj = self.adj
+        n = len(adj)
         if n > MAX_VERTICES:
             raise VertexLimitError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
         full = (1 << n) - 1
-        for v, m in enumerate(self.adj):
+        for v, m in enumerate(adj):
             if m & ~full:
                 raise GraphError(f"neighbor mask of {v} references vertices outside 0..{n - 1}")
             if m >> v & 1:
                 raise LoopError(f"self-loop at vertex {v}")
-        for u in range(n):
-            au = self.adj[u]
-            for v in range(u + 1, n):
-                if (au >> v & 1) != (self.adj[v] >> u & 1):
-                    raise GraphError(f"adjacency not symmetric on pair ({u}, {v})")
+        # symmetry in O(m): every set bit uv needs its mirror vu
+        for u, m in enumerate(adj):
+            bit = 1 << u
+            while m:
+                low = m & -m
+                v = low.bit_length() - 1
+                if not adj[v] & bit:
+                    raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
+                m ^= low
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -115,9 +120,11 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for u, m in enumerate(self.adj):
-            rest = m >> (u + 1) << (u + 1)
-            for v in bits(rest):
-                out.append((u, v))
+            m = m >> (u + 1) << (u + 1)
+            while m:
+                low = m & -m
+                out.append((u, low.bit_length() - 1))
+                m ^= low
         return out
 
     @property
@@ -169,22 +176,20 @@ class DistanceProfile:
 
 
 def _bfs_row(adj: Sequence[int], n: int, src: int) -> list[int]:
-    inf = n
-    dist = [inf] * n
-    dist[src] = 0
-    frontier = 1 << src
-    seen = frontier
+    dist = [n] * n
+    frontier = seen = 1 << src
     d = 0
     while frontier:
-        d += 1
         nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        nxt &= ~seen
-        seen |= nxt
-        for u in bits(nxt):
+        while frontier:
+            low = frontier & -frontier
+            u = low.bit_length() - 1
             dist[u] = d
-        frontier = nxt
+            nxt |= adj[u]
+            frontier ^= low
+        d += 1
+        frontier = nxt & ~seen
+        seen |= frontier
     return dist
 
 
@@ -221,8 +226,10 @@ def component_masks(adj: Sequence[int], n: int) -> list[int]:
         frontier = comp
         while frontier:
             nxt = 0
-            for u in bits(frontier):
-                nxt |= adj[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
@@ -261,18 +268,26 @@ def is_star(g: Graph, component: Iterable[int]) -> bool:
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All unordered vertex triples with all three edges present."""
+    adj = g.adj
     out = []
     for u, v in g.edges():
-        common_above = (g.adj[u] & g.adj[v]) >> (v + 1) << (v + 1)
-        for w in bits(common_above):
-            out.append((u, v, w))
+        common = (adj[u] & adj[v]) >> (v + 1) << (v + 1)
+        while common:
+            low = common & -common
+            out.append((u, v, low.bit_length() - 1))
+            common ^= low
     return out
 
 
 def has_triangle(g: Graph) -> bool:
-    for u, v in g.edges():
-        if g.adj[u] & g.adj[v]:
-            return True
+    adj = g.adj
+    for m in adj:
+        rest = m
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & m:
+                return True
+            rest ^= low
     return False
 
 

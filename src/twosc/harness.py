@@ -315,8 +315,16 @@ def verify_all(
     return _merge(parts, time.perf_counter() - start)
 
 
+def _ran(rep: VerificationReport) -> str:
+    return f"n = {rep.n_min}..{rep.n_max}" if rep.examined else "never ran"
+
+
 def render_table(result: BatteryResult) -> str:
-    """Human-readable summary of the reports and the counting table."""
+    """Human-readable summary of the reports and the counting table.
+
+    Names every theorem that stopped below the table's largest n, so the
+    summary lines claim only the ranges that were checked.
+    """
     lines = []
     width = max(len(name) for name in THEOREMS)
     lines.append(f"{'theorem':<{width}}  {'range':>7}  {'examined':>8}  {'passes':>8}  {'fails':>5}")
@@ -333,6 +341,10 @@ def render_table(result: BatteryResult) -> str:
             f"{row['edge_maximal']:>7}  {row['triangle_free_two_sc']:>12}"
         )
     lines.append("")
+    top = max(result.counting, default=0)
+    short = [rep for rep in result.reports if rep.n_max < top]
+    if short:
+        lines.append(f"checked below n = {top} only: " + ", ".join(f"{r.theorem} ({_ran(r)})" for r in short))
     if result.zero_l_divergences:
         lines.append(f"zero-l rule readings diverge on {len(result.zero_l_divergences)} graph(s): "
                      + " ".join(result.zero_l_divergences))
@@ -341,6 +353,13 @@ def render_table(result: BatteryResult) -> str:
     if result.order_dependence:
         lines.append(f"reduction order notes: {result.order_dependence}")
     else:
-        lines.append("reduction order notes: deterministic order never failed")
-    lines.append(f"total counterexamples: {result.counterexample_total()}")
+        classified = next(r for r in result.reports if r.theorem == "triangle_classification")
+        note = f"deterministic order never failed ({_ran(classified)})" if classified.examined else "none ran"
+        lines.append(f"reduction order notes: {note}")
+    total = f"total counterexamples: {result.counterexample_total()}"
+    if result.counting:
+        total += f" over n = {min(result.counting)}..{top}"
+    if short:
+        total += f", {len(short)} of {len(result.reports)} theorems checked below n = {top} only"
+    lines.append(total)
     return "\n".join(lines)

@@ -20,7 +20,6 @@ from .core import (
     connected_components,
     complement,
     distance_profile,
-    edit,
     has_triangle,
     is_star,
 )
@@ -315,42 +314,42 @@ def check_triangle_free_lemma(g: Graph) -> bool:
 def greedy_edge_minimal(g: Graph) -> Graph:
     """An edge-minimal 2-self-centered spanning subgraph of g.
 
-    Deletes edges in lexicographic order, restarting after every
-    successful deletion, until no removal preserves the property.
+    Tries each edge of g once, in lexicographic order, and deletes it
+    when the property survives.  One pass is enough: removing edges only
+    shrinks degrees and common neighbourhoods, so a deletion that fails
+    keeps failing after later deletions, and the result equals that of
+    restarting the scan after every successful deletion.
     """
     _require_two_sc(g)
-    current = g
-    while True:
-        for u, v in current.edges():
-            candidate = edit(current, remove=(u, v))
-            if conditions_ok(candidate.adj, candidate.n):
-                current = candidate
-                break
-        else:
-            return current
+    adj, n = list(g.adj), g.n
+    for u, v in g.edges():
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+        if not conditions_ok(adj, n):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return Graph(tuple(adj))
 
 
 def greedy_edge_maximal(g: Graph) -> Graph:
     """An edge-maximal 2-self-centered spanning supergraph of g.
 
-    Adds absent edges in lexicographic order, restarting after every
-    successful addition, until no addition preserves the property.
+    Tries each absent edge of g once, in lexicographic order, and adds it
+    when the property survives.  One pass is enough: on a 2-self-centered
+    graph an addition fails only when an endpoint already has degree
+    n - 2, and degrees only grow, so an addition that fails keeps failing
+    after later additions, and the result equals that of restarting the
+    scan after every successful addition.
     """
     _require_two_sc(g)
-    current = g
-    while True:
-        n = current.n
-        for u in range(n):
-            found = None
-            for v in range(u + 1, n):
-                if current.has_edge(u, v):
-                    continue
-                candidate = edit(current, add=(u, v))
-                if conditions_ok(candidate.adj, candidate.n):
-                    found = candidate
-                    break
-            if found is not None:
-                current = found
-                break
-        else:
-            return current
+    adj, n = list(g.adj), g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] >> v & 1:
+                continue
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            if not conditions_ok(adj, n):
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+    return Graph(tuple(adj))

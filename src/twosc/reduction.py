@@ -3,9 +3,11 @@
 The step removes one triangle edge uv and reconnects directly every pair
 that depended on the removed edge: whenever u was the unique common
 neighbor of v and some w, the edge vw is added (and symmetrically for v).
-A 2-self-centered graph stays 2-self-centered under the step; on
-edge-minimal inputs the triangle count strictly decreases, which is what
-drives the classification.
+A step is valid when it creates no triangle and keeps the graph
+2-self-centered; a valid step strictly lowers the triangle count, which
+is what drives the classification.  Not every triangle edge of an
+edge-minimal graph gives a valid step: on ``G}aHOs`` the step on (0, 1)
+creates the triangle (1, 4, 5), while another order of steps succeeds.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ class NoCriticalEndpointError(GraphError):
 
 class TriangleFreeInputError(GraphError):
     """The operation requires at least one triangle."""
+
+
+class InvalidStepError(GraphError):
+    """A star step created a triangle or broke the 2-self-centered property."""
 
 
 def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
@@ -95,21 +101,36 @@ def _raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
     return Graph(tuple(adj)), step
 
 
+def _step_fault(tris: list[tuple[int, int, int]], result: Graph) -> tuple[str | None, list[tuple[int, int, int]]]:
+    """Why a step from a graph with triangles ``tris`` to ``result`` is invalid.
+
+    A valid step creates no triangle and keeps the graph 2-self-centered;
+    it then strictly lowers the triangle count, because the removed edge
+    lay on a triangle.  Returns the first violation (None if valid) with
+    the triangles of ``result``.
+    """
+    after = triangles(result)
+    if set(after) - set(tris):
+        return "step created a new triangle", after
+    if not conditions_ok(result.adj, result.n):
+        return "step broke the 2-self-centered property", after
+    return None, after
+
+
 def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
     """Apply one star rewriting step to the triangle edge uv.
 
     Requires that at least one endpoint be critical for the other
-    endpoint and some vertex.  Debug runs assert the guaranteed
-    postconditions: the result is 2-self-centered, no triangle is
-    created, and the triangle count strictly drops.
+    endpoint and some vertex.  Raises InvalidStepError when the step is
+    not valid for this edge: it creates a triangle (so the triangle count
+    need not drop) or breaks the 2-self-centered property.
     """
     result, step = _raw_step(g, u, v)
-    if __debug__:
-        assert condition_verdict(result).is_2sc, f"step on ({u}, {v}) broke the property"
-        before = set(triangles(g))
-        after = set(triangles(result))
-        assert not after - before, f"step on ({u}, {v}) created triangles {sorted(after - before)}"
-        assert len(after) < len(before), f"step on ({u}, {v}) did not reduce the triangle count"
+    tris = triangles(g)
+    fault, after = _step_fault(tris, result)
+    if fault is not None:
+        created = sorted(set(after) - set(tris))
+        raise InvalidStepError(f"{fault} on edge ({u}, {v})" + (f": {created}" if created else ""))
     return result, step
 
 
@@ -142,19 +163,16 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     graph, triangle-free.
     """
     current = g
-    count = len(triangles(current))
+    tris = triangles(current)
     for step in trace.steps:
         nxt, redo = _raw_step(current, step.u, step.v)
         if redo.added_edges != step.added_edges:
             return False
-        before = set(triangles(current))
-        after = set(triangles(nxt))
-        if after - before or not len(after) < count:
+        fault, tris = _step_fault(tris, nxt)
+        if fault is not None:
             return False
-        if not conditions_ok(nxt.adj, nxt.n):
-            return False
-        current, count = nxt, len(after)
-    return not triangles(current) and current == trace.final
+        current = nxt
+    return not tris and current == trace.final
 
 
 def _pick_edge(g: Graph, tris: list[tuple[int, int, int]]) -> tuple[int, int] | None:
@@ -171,8 +189,9 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     """Iterate the star step until no triangle remains.
 
     Fails (succeeded=False) when no triangle edge has a critical endpoint
-    or when a step violates a guaranteed invariant, which only happens
-    off the edge-minimal inputs the classification targets.
+    or when the step on the first qualifying edge is invalid.  The second
+    also happens on some edge-minimal inputs (``G}aHOs``), where another
+    edge order succeeds.
     """
     if not condition_verdict(g).is_2sc:
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
@@ -183,16 +202,11 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
         choice = _pick_edge(current, tris)
         if choice is None:
             return ReductionTrace(tuple(steps), current, False, "no triangle edge has a critical endpoint")
-        nxt, step = _raw_step(current, *choice)
-        new_tris = triangles(nxt)
+        current, step = _raw_step(current, *choice)
         steps.append(step)
-        if set(new_tris) - set(tris):
-            return ReductionTrace(tuple(steps), nxt, False, "step created a new triangle")
-        if len(new_tris) >= len(tris):
-            return ReductionTrace(tuple(steps), nxt, False, "step did not reduce the triangle count")
-        if not conditions_ok(nxt.adj, nxt.n):
-            return ReductionTrace(tuple(steps), nxt, False, "step broke the 2-self-centered property")
-        current, tris = nxt, new_tris
+        fault, tris = _step_fault(tris, current)
+        if fault is not None:
+            return ReductionTrace(tuple(steps), current, False, fault)
     return ReductionTrace(tuple(steps), current, True)
 
 

@@ -1,9 +1,11 @@
 import hashlib
+import random
 
 import hypothesis.strategies as st
 
 from twosc.core import Graph
 from twosc.io import graph6_encode
+from twosc.recognition import conditions_ok
 
 # sha256 of the generator's graph6 output, one record per line, per n:
 # (graph_classes(n), connected_classes(n)).  Any change to the set of
@@ -64,3 +66,20 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
                 adj[v] |= 1 << u
             pos += 1
     return Graph(tuple(adj))
+
+
+@st.composite
+def two_sc_graphs(draw, min_n: int = 4, max_n: int = 14):
+    """Labeled 2-self-centered graphs: G(n, p) redrawn from a seed until 2sc."""
+    n = draw(st.integers(max(min_n, 4), max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((0.35, 0.5, 0.65)))
+    while True:
+        adj = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        if conditions_ok(adj, n):
+            return Graph(tuple(adj))

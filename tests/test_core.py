@@ -1,7 +1,11 @@
+from collections import deque
+
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from twosc.core import (
+    MAX_VERTICES,
     EdgeAbsentError,
     EdgePresentError,
     Graph,
@@ -47,6 +51,66 @@ def floyd_warshall(g: Graph) -> list[list[int]]:
                 if alt < row_i[j]:
                     row_i[j] = alt
     return [[min(d, inf) for d in row] for row in dist]
+
+
+def naive_bfs(g: Graph, src: int) -> list[int]:
+    """Reference single-source BFS over has_edge; g.n marks unreachable."""
+    dist = [g.n] * g.n
+    dist[src] = 0
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in range(g.n):
+            if g.has_edge(u, v) and dist[v] == g.n:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 16):
+    """Graphs with about as many edges as vertices: long paths and many components."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n + 2))
+    return Graph.from_edges(n, [(u, v) for u, v in pairs if u != v])
+
+
+def reference_validate(adj: tuple[int, ...]) -> None:
+    """The quadratic Graph validation the bit-walking check replaced."""
+    n = len(adj)
+    if n > MAX_VERTICES:
+        raise VertexLimitError(n)
+    full = (1 << n) - 1
+    for v, m in enumerate(adj):
+        if m & ~full:
+            raise GraphError(v)
+        if m >> v & 1:
+            raise LoopError(v)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (adj[u] >> v & 1) != (adj[v] >> u & 1):
+                raise GraphError((u, v))
+
+
+def raised(make, adj):
+    try:
+        make(adj)
+    except GraphError as exc:
+        return type(exc)
+    return None
+
+
+@st.composite
+def mask_tuples(draw, max_n: int = 10):
+    """Symmetric adjacency with a few bits flipped: loops, one-sided and out-of-range bits."""
+    adj = list(draw(graphs(min_n=0, max_n=max_n)).adj)
+    if adj:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, len(adj) - 1), st.integers(0, len(adj) + 1)), max_size=3)):
+            adj[u] ^= 1 << v
+    return tuple(adj)
+
+
+arbitrary_masks = st.lists(st.integers(0, (1 << 11) - 1), max_size=10).map(tuple)
 
 
 class TestDistanceProfile:
@@ -102,6 +166,10 @@ class TestDistanceProfile:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphError):
             distance_profile(Graph(()))
+
+    @given(st.one_of(graphs(max_n=12), sparse_graphs()))
+    def test_naive_bfs_agreement_random(self, g):
+        assert [list(row) for row in distance_profile(g).distances] == [naive_bfs(g, s) for s in range(g.n)]
 
 
 class TestComplement:
@@ -230,6 +298,14 @@ class TestGraphValue:
     def test_vertex_limit(self):
         with pytest.raises(VertexLimitError):
             Graph.from_edges(65, [])
+
+    @settings(max_examples=300)
+    @given(st.one_of(mask_tuples(), arbitrary_masks))
+    @example((0,) * (MAX_VERTICES + 1))
+    @example((0b10, 0b10))
+    @example((0b10, 0b101, 0b000))
+    def test_validation_matches_reference(self, adj):
+        assert raised(Graph, adj) is raised(reference_validate, adj)
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])

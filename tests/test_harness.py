@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from twosc.enumeration import connected_classes
@@ -12,6 +13,11 @@ EXPECTED_COUNTING = {
     5: {"graphs": 21, "two_sc": 4, "edge_minimal": 2, "edge_maximal": 1, "triangle_free_two_sc": 2},
     6: {"graphs": 112, "two_sc": 26, "edge_minimal": 4, "edge_maximal": 3, "triangle_free_two_sc": 3},
 }
+
+
+# sha256 of verify_all(7).to_json() with timings stripped, dumped with
+# sorted keys.  Speed-ups of the battery must leave it unchanged.
+BATTERY_7_DIGEST = "f5c302a4bc13d363f6b3c0654c418a069c34ab79488e46c75b8619d10b50a7e3"
 
 
 def strip_times(doc):
@@ -61,7 +67,23 @@ def test_render_table_mentions_everything():
     for theorem in THEOREMS:
         assert theorem in text
     assert "two_sc" in text
-    assert "counterexamples: 0" in text
+    assert "checked below" not in text
+    assert text.splitlines()[-1] == "total counterexamples: 0 over n = 1..5"
+
+
+def test_battery_json_pinned_up_to_seven():
+    doc = strip_times(verify_all(7).to_json())
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == BATTERY_7_DIGEST
+
+
+def test_render_table_names_what_it_skipped():
+    lines = render_table(verify_all(6, full_battery_max=5)).splitlines()
+    skipped = next(line for line in lines if line.startswith("checked below n = 6 only: "))
+    for theorem in THEOREMS:
+        assert (theorem in skipped) == (theorem != "gcb_round_trip")
+    assert "triangle_classification (n = 5..5)" in skipped
+    assert "reduction order notes: deterministic order never failed (n = 5..5)" in lines
+    assert lines[-1] == "total counterexamples: 0 over n = 1..6, 6 of 7 theorems checked below n = 6 only"
 
 
 def test_experiments_empty_in_range():

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
 
 from twosc.canon import are_isomorphic
 from twosc.core import Graph, complement, edit
+from twosc.enumeration import connected_classes
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -16,6 +18,7 @@ from twosc.recognition import (
     check_bipartite_proposition,
     check_triangle_free_lemma,
     condition_verdict,
+    conditions_ok,
     critical_triples,
     edge_maximal_by_definition,
     greedy_edge_maximal,
@@ -25,6 +28,8 @@ from twosc.recognition import (
     is_two_self_centered,
     metric_two_self_centered,
 )
+
+from conftest import two_sc_graphs
 
 
 def five_cycle_with_chord() -> Graph:
@@ -172,3 +177,56 @@ class TestSandwich:
         assert set(sub.edges()) <= set(g.edges()) <= set(sup.edges())
         assert is_edge_minimal(sub).minimal
         assert is_edge_maximal(sup).maximal
+
+
+def restart_edge_minimal(g: Graph) -> Graph:
+    """Reference: delete the first removable edge, then rescan from the start."""
+    current = g
+    while True:
+        for u, v in current.edges():
+            candidate = edit(current, remove=(u, v))
+            if conditions_ok(candidate.adj, candidate.n):
+                current = candidate
+                break
+        else:
+            return current
+
+
+def restart_edge_maximal(g: Graph) -> Graph:
+    """Reference: add the first addable absent edge, then rescan from the start."""
+    current = g
+    while True:
+        n = current.n
+        for u in range(n):
+            found = None
+            for v in range(u + 1, n):
+                if current.has_edge(u, v):
+                    continue
+                candidate = edit(current, add=(u, v))
+                if conditions_ok(candidate.adj, candidate.n):
+                    found = candidate
+                    break
+            if found is not None:
+                current = found
+                break
+        else:
+            return current
+
+
+class TestGreedyMatchesRestart:
+    def test_every_connected_class_up_to_seven(self):
+        examined = 0
+        for n in range(4, 8):
+            for g in connected_classes(n):
+                if not condition_verdict(g).is_2sc:
+                    continue
+                examined += 1
+                assert greedy_edge_minimal(g) == restart_edge_minimal(g)
+                assert greedy_edge_maximal(g) == restart_edge_maximal(g)
+        assert examined > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_sc_graphs(max_n=14))
+    def test_random_two_sc_graphs(self, g):
+        assert greedy_edge_minimal(g) == restart_edge_minimal(g)
+        assert greedy_edge_maximal(g) == restart_edge_maximal(g)

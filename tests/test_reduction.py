@@ -1,7 +1,10 @@
+import subprocess
+import sys
+
 import pytest
 
 from twosc.canon import are_isomorphic
-from twosc.core import edit, triangles
+from twosc.core import GraphError, edit, triangles
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -9,11 +12,14 @@ from twosc.graphs import (
     minimal_with_triangle,
     path_graph,
 )
+from twosc.io import graph6_decode
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict, is_edge_minimal
 from twosc.reduction import (
     EdgeNotInTriangleError,
+    InvalidStepError,
     NoCriticalEndpointError,
     TriangleFreeInputError,
+    _step_fault,
     apply_star_procedure,
     classify_edge_minimal_with_triangles,
     critical_partners,
@@ -24,6 +30,16 @@ from twosc.reduction import (
 
 def five_cycle_with_chord():
     return edit(cycle_graph(5), add=(0, 2))
+
+
+# 8 vertices, 13 edges, 4 triangles, edge-minimal.  The star step on its
+# first qualifying edge (0, 1) adds 1-4 and 1-5 and so creates the
+# triangle (1, 4, 5); another edge order reduces it to triangle-free.
+ORDER_SENSITIVE_MINIMAL = "G}aHOs"
+
+
+def order_sensitive_minimal():
+    return graph6_decode(ORDER_SENSITIVE_MINIMAL)
 
 
 class TestCriticalPartners:
@@ -73,6 +89,32 @@ class TestApplyStep:
         assert critical_partners(g, 2, 0) == []
         with pytest.raises(NoCriticalEndpointError):
             apply_star_procedure(g, 0, 2)
+
+    def test_step_creating_a_triangle_raises(self):
+        g = order_sensitive_minimal()
+        with pytest.raises(InvalidStepError, match=r"created a new triangle.*\(1, 4, 5\)"):
+            apply_star_procedure(g, 0, 1)
+        assert issubclass(InvalidStepError, GraphError)
+
+    def test_step_check_survives_optimize_flag(self):
+        code = (
+            "from twosc.io import graph6_decode\n"
+            "from twosc.reduction import InvalidStepError, apply_star_procedure\n"
+            "try:\n"
+            f"    apply_star_procedure(graph6_decode({ORDER_SENSITIVE_MINIMAL!r}), 0, 1)\n"
+            "except InvalidStepError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+
+    def test_step_fault_names_a_broken_property(self):
+        # no step on a graph with n <= 8 breaks the property, so the
+        # check is exercised on a hand-made before/after pair
+        fault, after = _step_fault([(0, 1, 2)], path_graph(4))
+        assert fault == "step broke the 2-self-centered property" and after == []
+        assert _step_fault([(0, 1, 2)], cycle_graph(4)) == (None, [])
 
 
 class TestReduce:
@@ -135,3 +177,9 @@ class TestAnyOrderSearch:
 
     def test_chorded_cycle_succeeds(self):
         assert reduction_succeeds_in_any_order(five_cycle_with_chord()) is True
+
+    def test_order_sensitive_minimal_has_a_working_order(self):
+        g = order_sensitive_minimal()
+        assert is_edge_minimal(g).minimal
+        assert len(triangles(g)) == 4
+        assert reduction_succeeds_in_any_order(g) is True

@@ -24,7 +24,6 @@ from .io import graph6_encode, ingest_graph6
 from .recognition import (
     check_bipartite_proposition,
     complement_star_certificate,
-    condition_verdict,
     conditions_ok,
     edge_maximal_by_definition,
     greedy_edge_maximal,
@@ -112,7 +111,7 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
     out: dict[str, Any] = {"n": g.n, "checks": {}, "counts": {}, "zero_l_diverges": False, "order_note": None}
     checks = out["checks"]
 
-    two_sc = condition_verdict(g).is_2sc
+    two_sc = conditions_ok(g.adj, g.n)
     triangle_free = not has_triangle(g)
     minimal = is_edge_minimal(g).minimal if two_sc else False
     maximal_char = complement_star_certificate(g).maximal if two_sc else False

@@ -107,7 +107,7 @@ def is_two_self_centered(g: Graph) -> TwoScVerdict:
 
 
 def _require_two_sc(g: Graph) -> None:
-    if not condition_verdict(g).is_2sc:
+    if not conditions_ok(g.adj, g.n):
         raise NotTwoSelfCenteredError("input graph is not 2-self-centered")
 
 
@@ -295,7 +295,7 @@ def check_bipartite_proposition(g: Graph) -> bool:
     of size >= 2.  Returns True when the two sides agree.
     """
     left = False
-    if condition_verdict(g).is_2sc:
+    if conditions_ok(g.adj, g.n):
         if len(component_masks(complement(g).adj, g.n)) >= 2:
             left = is_edge_minimal(g).minimal
     parts = complete_bipartite_parts(g)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Graph, GraphError, triangles
-from .recognition import NotTwoSelfCenteredError, condition_verdict, conditions_ok
+from .recognition import NotTwoSelfCenteredError, conditions_ok
 
 
 class EdgeNotInTriangleError(GraphError):
@@ -193,7 +193,7 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     also happens on some edge-minimal inputs (``G}aHOs``), where another
     edge order succeeds.
     """
-    if not condition_verdict(g).is_2sc:
+    if not conditions_ok(g.adj, g.n):
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
     steps: list[ReductionStep] = []
     current = g
@@ -284,7 +284,7 @@ def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
     endpoint critical for the other endpoint, and the iterated star
     reduction reaches a triangle-free 2-self-centered graph.
     """
-    if not condition_verdict(g).is_2sc:
+    if not conditions_ok(g.adj, g.n):
         raise NotTwoSelfCenteredError("classification requires a 2-self-centered graph")
     tris = triangles(g)
     if not tris:

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from twosc.canon import are_isomorphic
 from twosc.core import Graph, complement, edit
-from twosc.enumeration import connected_classes
+from twosc.enumeration import connected_classes, graph_classes
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -29,7 +29,7 @@ from twosc.recognition import (
     metric_two_self_centered,
 )
 
-from conftest import two_sc_graphs
+from conftest import graphs, two_sc_graphs
 
 
 def five_cycle_with_chord() -> Graph:
@@ -64,6 +64,18 @@ class TestTwoSelfCentered:
         g = Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
         verdict = is_two_self_centered(g)
         assert not verdict.is_2sc and verdict.violating_pair is not None
+
+    def test_fast_test_matches_verdict_on_every_class_up_to_seven(self):
+        # The battery and the input guards use the early-exit bool form;
+        # it must agree with the reporting form everywhere.
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                assert conditions_ok(g.adj, n) == condition_verdict(g).is_2sc, g
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=12))
+    def test_fast_test_matches_verdict_on_random_graphs(self, g):
+        assert conditions_ok(g.adj, g.n) == condition_verdict(g).is_2sc
 
 
 class TestEdgeMaximal:

@@ -14,10 +14,13 @@ vertex-transitive) from exploding into factorially many states.
 
 Each state carries, per unplaced vertex, the bit pattern of its
 adjacencies to the placed prefix, so extending a state costs one
-shift-or per vertex instead of a rescan.  For at most 8 vertices all
-patterns of a state are packed into 8-bit lanes of a single integer.
+shift-or per vertex instead of a rescan.  One search serves every
+vertex count: all patterns of a state are packed into one integer, in
+lanes of w bits, one lane per vertex.  Up to 8 vertices w = 8, and the
+byte lanes are read through tables built at import; above that w = n,
+since a pattern never has more than n - 1 bits.
 
-The packed search also takes, per level, a mask of the vertices that
+The search also takes, per level, a mask of the vertices that
 level may place, and returns the maximal code along with the order.
 The canonical form allows every vertex at every level.  The generator
 deduplicates its candidates by ``partition_code``, the same search
@@ -40,21 +43,36 @@ _BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
 _LANES = tuple(sum(1 << (v << 3) for v in vs) for vs in _BITS)
 
 
+class _Members(dict):
+    """Vertex ids of each mask, ascending, computed on first lookup."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        vs = self[mask] = tuple(bits(mask))
+        return vs
+
+
 def _canonical_order_packed(
     adj: Sequence[int], n: int, allowed: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
-    """Pattern-packed search; needs n <= 8 so each pattern fits one byte.
+    """Pattern-packed search over lanes of w = max(n, 8) bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``.
     Returns the maximal code over those orders, the per-level maxima
     packed into one int after a leading 1 bit (so graphs of different
     sizes get different codes), and an order attaining it.
     """
-    bits_of = _BITS
-    # byte u of row_exp[v] holds adj(u, v); byte v is already 0
-    row_exp = [_LANES[m] for m in adj]
-    low7 = 0x7F7F7F7F7F7F7F7F  # lanes past n hold no bits
-    pool = [((v,), 1 << v, row_exp[v], 0xFF << (v << 3)) for v in bits_of[allowed[0]]]
+    if n <= 8:
+        w, bits_of = 8, _BITS
+        row_exp = [_LANES[m] for m in adj]
+    else:
+        w, bits_of = n, _Members()
+        row_exp = [sum(1 << u * w for u in bits_of[m]) for m in adj]
+    # lane u of row_exp[v] holds adj(u, v); lane v is already 0
+    lane = (1 << w) - 1
+    # every lane but its top bit: a pattern has at most n - 1 bits, so
+    # clearing the top one before the shift keeps it inside its lane
+    low = ((1 << w * w) - 1) // lane * (lane >> 1)
+    pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[allowed[0]]]
     code = 1
     for level in range(1, n):
         allow = allowed[level]
@@ -62,53 +80,21 @@ def _canonical_order_packed(
         grown: list[tuple[tuple[int, ...], int, int, int]] = []
         for order, mask, pats, pb in pool:
             for v in bits_of[allow & ~mask]:
-                p = pats >> (v << 3) & 0xFF
+                p = pats >> v * w & lane
                 if p < best:
                     continue
                 if p > best:
                     best = p
                     grown = []
-                grown.append((order + (v,), mask | 1 << v, pats, pb | 0xFF << (v << 3)))
+                grown.append((order + (v,), mask | 1 << v, pats, pb | lane << v * w))
         code = code << level | best
         states: dict[tuple[int, int], tuple[tuple[int, ...], int, int, int]] = {}
         for order, mask, pats, pb in grown:
             v = order[-1]
-            new_pats = (((pats & low7) << 1) | row_exp[v]) & ~pb
+            new_pats = (((pats & low) << 1) | row_exp[v]) & ~pb
             states.setdefault((mask, new_pats), (order, mask, new_pats, pb))
         pool = list(states.values())
     return code, pool[0][0]
-
-
-def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
-    """Tuple-per-vertex variant for graphs too large to byte-pack."""
-    rng = range(n)
-    states: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
-    for v in rng:
-        pats = tuple(-1 if u == v else adj[u] >> v & 1 for u in rng)
-        states.setdefault((1 << v, pats), ((v,), 1 << v, pats))
-    pool = list(states.values())
-    for _ in range(1, n):
-        best = -1
-        grown: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-        for order, mask, pats in pool:
-            for v in rng:
-                p = pats[v]
-                if p < 0 or p < best:  # placed slots carry -1
-                    continue
-                if p > best:
-                    best = p
-                    grown = []
-                grown.append((order + (v,), mask | 1 << v, pats))
-        states = {}
-        for order, mask, pats in grown:
-            v = order[-1]
-            av = adj[v]
-            new_pats = tuple(
-                -1 if (mask >> u & 1) else pats[u] << 1 | (av >> u & 1) for u in rng
-            )
-            states.setdefault((mask, new_pats), (order, mask, new_pats))
-        pool = list(states.values())
-    return pool[0][0]
 
 
 def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
@@ -116,9 +102,7 @@ def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
     n = len(adj)
     if n <= 1:
         return tuple(range(n))
-    if n <= 8:
-        return _canonical_order_packed(adj, n, ((1 << n) - 1,) * n)[1]
-    return _canonical_order_wide(adj, n)
+    return _canonical_order_packed(adj, n, ((1 << n) - 1,) * n)[1]
 
 
 def partition_code(adj: Sequence[int]) -> int:

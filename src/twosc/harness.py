@@ -54,7 +54,14 @@ THEOREMS = (
 
 @dataclass
 class VerificationReport:
-    """Outcome of one theorem check over a graph stream."""
+    """Outcome of one theorem check over a graph stream.
+
+    ``seconds`` is the time inside this theorem's check, summed over graphs
+    and worker processes, so with workers it can exceed the wall time.  The
+    shared prelude, the 2SC test and the counting table's minimality and
+    maximality, is charged to no theorem; the reduction-order experiment
+    to ``triangle_classification``, which triggers it.
+    """
 
     theorem: str
     n_min: int = 0
@@ -110,6 +117,7 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
     """Run the battery on one graph; returns theorem outcomes and counts."""
     out: dict[str, Any] = {"n": g.n, "checks": {}, "counts": {}, "zero_l_diverges": False, "order_note": None}
     checks = out["checks"]
+    clock = time.perf_counter
 
     two_sc = conditions_ok(g.adj, g.n)
     triangle_free = not has_triangle(g)
@@ -124,24 +132,31 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
     }
 
     if full:
+        start = clock()
         metric = metric_two_self_centered(g)
         checks["recognition_matches_metric"] = (
             two_sc == metric,
             None if two_sc == metric else {"conditions": two_sc, "metric": metric},
+            clock() - start,
         )
 
+        start = clock()
         checks["bipartite_minimal_proposition"] = (
             check_bipartite_proposition(g),
             None,
+            clock() - start,
         )
 
         if two_sc:
+            start = clock()
             defn_max = edge_maximal_by_definition(g)
             checks["edge_maximal_complement_stars"] = (
                 maximal_char == defn_max,
                 None if maximal_char == defn_max else {"characterization": maximal_char, "definition": defn_max},
+                clock() - start,
             )
 
+            start = clock()
             forward_ok = minimal or not triangle_free
             converse_ok = triangle_free or not (minimal and not has_critical_triple(g))
             checks["triangle_free_minimality"] = (
@@ -149,27 +164,31 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
                 None
                 if forward_ok and converse_ok
                 else {"forward": forward_ok, "converse": converse_ok},
+                clock() - start,
             )
 
             if not triangle_free:
+                start = clock()
                 cls = classify_edge_minimal_with_triangles(g)
                 agree = cls.minimal == minimal
                 trace_ok = True
                 if cls.trace is not None and cls.trace.succeeded:
                     trace_ok = replay_trace(g, cls.trace)
-                checks["triangle_classification"] = (
-                    agree and trace_ok,
-                    None
-                    if agree and trace_ok
-                    else {"classified": cls.minimal, "definition": minimal, "trace_ok": trace_ok},
-                )
                 if cls.every_triangle_edge_critical and cls.trace is not None and not cls.trace.succeeded:
                     out["order_note"] = {
                         "default_order_failed": True,
                         "some_order_succeeds": reduction_succeeds_in_any_order(g),
                         "edge_minimal": minimal,
                     }
+                checks["triangle_classification"] = (
+                    agree and trace_ok,
+                    None
+                    if agree and trace_ok
+                    else {"classified": cls.minimal, "definition": minimal, "trace_ok": trace_ok},
+                    clock() - start,
+                )
 
+            start = clock()
             sub = greedy_edge_minimal(g)
             sup = greedy_edge_maximal(g)
             sub_ok = (
@@ -185,9 +204,11 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
             checks["sandwich_existence"] = (
                 sub_ok and sup_ok,
                 None if sub_ok and sup_ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok},
+                clock() - start,
             )
 
     if two_sc and triangle_free:
+        start = clock()
         spec, roles = decompose_triangle_free(g)
         rebuilt = assemble(spec)
         equal = rebuilt == g.relabel(roles.order)
@@ -205,6 +226,7 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
                 "validation_printed": printed_ok,
                 "validation_symmetric": symmetric_ok,
             },
+            clock() - start,
         )
         out["zero_l_diverges"] = printed_ok != symmetric_ok
 
@@ -214,7 +236,7 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
 def _run_chunk(payload: tuple[list[tuple[int, ...]], int]) -> dict[str, Any]:
     masks_list, full_max = payload
     merged: dict[str, Any] = {
-        "theorems": {name: {"examined": 0, "passes": 0, "counterexamples": [], "n_min": 0, "n_max": 0} for name in THEOREMS},
+        "theorems": {name: {"examined": 0, "passes": 0, "counterexamples": [], "n_min": 0, "n_max": 0, "seconds": 0.0} for name in THEOREMS},
         "counting": {},
         "zero_l": [],
         "order_notes": [],
@@ -223,14 +245,13 @@ def _run_chunk(payload: tuple[list[tuple[int, ...]], int]) -> dict[str, Any]:
         g = Graph(masks)
         record = _check_graph(g, g.n <= full_max)
         n = g.n
-        row = merged["counting"].setdefault(
-            n, {"graphs": 0, "two_sc": 0, "edge_minimal": 0, "edge_maximal": 0, "triangle_free_two_sc": 0}
-        )
+        row = merged["counting"].setdefault(n, dict.fromkeys(record["counts"], 0))
         for key, val in record["counts"].items():
             row[key] += val
-        for name, (ok, detail) in record["checks"].items():
+        for name, (ok, detail, seconds) in record["checks"].items():
             agg = merged["theorems"][name]
             agg["examined"] += 1
+            agg["seconds"] += seconds
             agg["n_min"] = n if not agg["n_min"] else min(agg["n_min"], n)
             agg["n_max"] = max(agg["n_max"], n)
             if ok:
@@ -252,19 +273,17 @@ def _merge(parts: list[dict[str, Any]], elapsed: float) -> BatteryResult:
             agg = part["theorems"][name]
             rep.examined += agg["examined"]
             rep.passes += agg["passes"]
+            rep.seconds += agg["seconds"]
             rep.counterexamples.extend(agg["counterexamples"])
             if agg["n_min"]:
                 rep.n_min = agg["n_min"] if not rep.n_min else min(rep.n_min, agg["n_min"])
             rep.n_max = max(rep.n_max, agg["n_max"])
         rep.counterexamples.sort(key=lambda c: (c["n"], c["graph6"]))
-        rep.seconds = elapsed
         reports.append(rep)
     counting: dict[int, dict[str, int]] = {}
     for part in parts:
         for n, row in part["counting"].items():
-            dest = counting.setdefault(
-                n, {"graphs": 0, "two_sc": 0, "edge_minimal": 0, "edge_maximal": 0, "triangle_free_two_sc": 0}
-            )
+            dest = counting.setdefault(n, dict.fromkeys(row, 0))
             for key, val in row.items():
                 dest[key] += val
     zero_l = sorted({g6 for part in parts for g6 in part["zero_l"]})
@@ -287,9 +306,10 @@ def verify_all(
 
     Graphs with more than ``full_battery_max`` vertices only run the
     decomposition round trip.  With ``workers > 1`` the stream is
-    partitioned by a stable hash of the canonical adjacency; reports
-    merge associatively, so the outcome is identical for any worker
-    count.
+    partitioned by a stable hash of each graph's adjacency masks (the
+    canonical ones from the generator, the ones as read from a file);
+    reports merge associatively, so the outcome is identical for any
+    worker count.
     """
     start = time.perf_counter()
     if source == "builtin":

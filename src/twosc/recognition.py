@@ -10,7 +10,7 @@ definition computed from the distance profile is kept as a cross-check
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from .core import (
     Graph,
@@ -83,8 +83,7 @@ def condition_verdict(g: Graph) -> TwoScVerdict:
         if bad_pair:
             break
     if n == 0:
-        bad_vertex = None  # vacuous loops above; the empty graph is still not 2sc
-        return TwoScVerdict(False)
+        return TwoScVerdict(False)  # vacuous loops above; the empty graph is still not 2sc
     return TwoScVerdict(bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
 
 
@@ -237,11 +236,8 @@ class CriticalTriple:
         return {"vertex": self.x, "pair": [self.u, self.v]}
 
 
-def critical_triples(g: Graph) -> list[CriticalTriple]:
-    """All (x, {u, v}) with uv absent and x the unique common neighbor."""
-    _require_two_sc(g)
-    out = []
-    adj, n = g.adj, g.n
+def _critical_triples(adj: Sequence[int], n: int) -> Iterator[tuple[int, int, int]]:
+    """(x, u, v) for each absent uv, u < v in order, with x their only common neighbor."""
     for u in range(n):
         au = adj[u]
         for v in range(u + 1, n):
@@ -249,18 +245,17 @@ def critical_triples(g: Graph) -> list[CriticalTriple]:
                 continue
             common = au & adj[v]
             if common.bit_count() == 1:
-                out.append(CriticalTriple(common.bit_length() - 1, u, v))
-    return out
+                yield common.bit_length() - 1, u, v
+
+
+def critical_triples(g: Graph) -> list[CriticalTriple]:
+    """All (x, {u, v}) with uv absent and x the unique common neighbor."""
+    _require_two_sc(g)
+    return [CriticalTriple(x, u, v) for x, u, v in _critical_triples(g.adj, g.n)]
 
 
 def has_critical_triple(g: Graph) -> bool:
-    adj, n = g.adj, g.n
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if not au >> v & 1 and (au & adj[v]).bit_count() == 1:
-                return True
-    return False
+    return next(_critical_triples(g.adj, g.n), None) is not None
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[list[int], list[int]] | None:

@@ -1,8 +1,9 @@
 import itertools
 import random
+from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from twosc.canon import (
@@ -14,7 +15,8 @@ from twosc.canon import (
 )
 from twosc.core import Graph
 from twosc.enumeration import graph_classes
-from twosc.graphs import complete_bipartite, cycle_graph, path_graph, petersen_graph
+from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
+from twosc.io import graph6_decode
 
 from conftest import graphs
 
@@ -35,6 +37,40 @@ def brute_force_canonical(adj):
             best_code = code
             best_perm = perm
     return Graph(adj).relabel(best_perm).adj
+
+
+# The reference for the packed search: the same search, one tuple slot
+# per vertex in place of packed lanes.
+def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
+    """Tuple-per-vertex variant for graphs too large to byte-pack."""
+    rng = range(n)
+    states: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
+    for v in rng:
+        pats = tuple(-1 if u == v else adj[u] >> v & 1 for u in rng)
+        states.setdefault((1 << v, pats), ((v,), 1 << v, pats))
+    pool = list(states.values())
+    for _ in range(1, n):
+        best = -1
+        grown: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
+        for order, mask, pats in pool:
+            for v in rng:
+                p = pats[v]
+                if p < 0 or p < best:  # placed slots carry -1
+                    continue
+                if p > best:
+                    best = p
+                    grown = []
+                grown.append((order + (v,), mask | 1 << v, pats))
+        states = {}
+        for order, mask, pats in grown:
+            v = order[-1]
+            av = adj[v]
+            new_pats = tuple(
+                -1 if (mask >> u & 1) else pats[u] << 1 | (av >> u & 1) for u in rng
+            )
+            states.setdefault((mask, new_pats), (order, mask, new_pats))
+        pool = list(states.values())
+    return pool[0][0]
 
 
 def test_matches_brute_force_exhaustively():
@@ -76,11 +112,22 @@ def test_partition_code_invariant_under_relabeling(g, rng):
 
 
 @given(graphs(min_n=9, max_n=11), st.randoms(use_true_random=False))
-@settings(max_examples=40)
-def test_wide_path_invariant_under_relabeling(g, rng):
+@example(graph6_decode("G}aHOs"), random.Random(0))  # lanes of 8 bits
+@example(graph6_decode("IEDkGFhKO"), random.Random(0))  # lanes of n = 9 bits
+@example(petersen_graph(), random.Random(0))
+@example(complete_bipartite(5, 5), random.Random(0))
+@example(complete_bipartite(6, 6), random.Random(0))
+@example(cycle_graph(12), random.Random(0))
+@example(Graph((0,) * 12), random.Random(0))
+@example(complete_graph(12), random.Random(0))
+@settings(max_examples=40, deadline=None)
+def test_matches_wide_reference_under_relabeling(g, rng):
     order = list(range(g.n))
     rng.shuffle(order)
-    assert canonical_masks(g.relabel(order).adj) == canonical_masks(g.adj)
+    h = g.relabel(order)
+    for x in (g, h):
+        assert canonical_order(x.adj) == _canonical_order_wide(x.adj, x.n)
+    assert canonical_masks(h.adj) == canonical_masks(g.adj) == g.relabel(canonical_order(g.adj)).adj
 
 
 def test_canonical_is_idempotent():

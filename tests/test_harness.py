@@ -86,6 +86,16 @@ def test_render_table_names_what_it_skipped():
     assert lines[-1] == "total counterexamples: 0 over n = 1..6, 6 of 7 theorems checked below n = 6 only"
 
 
+def test_report_seconds_time_each_check():
+    for result in (verify_all(3), verify_all(5, workers=2)):
+        for rep in result.reports:
+            assert rep.seconds >= 0.0
+            if rep.examined == 0:
+                assert rep.seconds == 0.0
+        assert any(rep.seconds > 0.0 for rep in result.reports)
+        assert sum(rep.seconds for rep in result.reports) <= result.seconds
+
+
 def test_experiments_empty_in_range():
     result = verify_all(6)
     assert result.zero_l_divergences == []

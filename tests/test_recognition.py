@@ -23,6 +23,7 @@ from twosc.recognition import (
     edge_maximal_by_definition,
     greedy_edge_maximal,
     greedy_edge_minimal,
+    has_critical_triple,
     is_edge_maximal,
     is_edge_minimal,
     is_two_self_centered,
@@ -139,6 +140,19 @@ class TestCriticalTriples:
     def test_requires_two_self_centered(self):
         with pytest.raises(NotTwoSelfCenteredError):
             critical_triples(path_graph(4))
+
+    def test_existence_agrees_on_every_class_up_to_seven(self):
+        examined = 0
+        for n in range(4, 8):
+            for g in graph_classes(n):
+                if conditions_ok(g.adj, g.n):
+                    examined += 1
+                    assert has_critical_triple(g) == bool(critical_triples(g))
+        assert examined > 0
+
+    @given(two_sc_graphs(max_n=14))
+    def test_existence_agrees_on_random_two_sc_graphs(self, g):
+        assert has_critical_triple(g) == bool(critical_triples(g))
 
 
 class TestBipartiteProposition:

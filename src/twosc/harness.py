@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .core import Graph, has_triangle, triangles
-from .enumeration import connected_classes
+from .enumeration import RangeError, connected_classes
 from .gcb import PRINTED, SYMMETRIC, assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
@@ -233,16 +233,15 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
     return out
 
 
-def _run_chunk(payload: tuple[list[tuple[int, ...]], int]) -> dict[str, Any]:
-    masks_list, full_max = payload
+def _run_chunk(payload: tuple[Iterable[Graph], int]) -> dict[str, Any]:
+    graphs, full_max = payload
     merged: dict[str, Any] = {
         "theorems": {name: {"examined": 0, "passes": 0, "counterexamples": [], "n_min": 0, "n_max": 0, "seconds": 0.0} for name in THEOREMS},
         "counting": {},
         "zero_l": [],
         "order_notes": [],
     }
-    for masks in masks_list:
-        g = Graph(masks)
+    for g in graphs:
         record = _check_graph(g, g.n <= full_max)
         n = g.n
         row = merged["counting"].setdefault(n, dict.fromkeys(record["counts"], 0))
@@ -309,9 +308,14 @@ def verify_all(
     partitioned by a stable hash of each graph's adjacency masks (the
     canonical ones from the generator, the ones as read from a file);
     reports merge associatively, so the outcome is identical for any
-    worker count.
+    worker count.  Each input ``Graph`` is validated once, by the reader
+    or the generator, and reaches the checks as that value; workers get
+    it pickled, which does not validate it again.  Raises ``RangeError``
+    when ``n_max < 1``, since such a run would check nothing.
     """
     start = time.perf_counter()
+    if n_max < 1:
+        raise RangeError(f"the battery needs n_max >= 1, got {n_max}")
     if source == "builtin":
         graphs: Iterable[Graph] = (g for n in range(1, n_max + 1) for g in connected_classes(n))
     elif source == "file":
@@ -322,11 +326,11 @@ def verify_all(
         raise ValueError(f"unknown source {source!r}")
 
     if workers <= 1:
-        parts = [_run_chunk(([g.adj for g in graphs], full_battery_max))]
+        parts = [_run_chunk((graphs, full_battery_max))]
     else:
-        buckets: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
+        buckets: list[list[Graph]] = [[] for _ in range(workers)]
         for g in graphs:
-            buckets[_stable_hash(g.adj) % workers].append(g.adj)
+            buckets[_stable_hash(g.adj) % workers].append(g)
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -5,6 +5,28 @@ degree lies in [2, n-2] and every non-adjacent pair has a common
 neighbor.  That local test is the production path everywhere; the metric
 definition computed from the distance profile is kept as a cross-check
 (asserted in debug runs, compared exhaustively by the harness).
+
+Edge-minimality, edge-maximality and the sandwich builders all ask
+whether one edge edit keeps a 2-self-centered graph 2-self-centered.
+``edit_keeps_two_sc`` answers that without rescanning every pair:
+
+- adding the absent edge uv keeps the property iff deg u < n - 2 and
+  deg v < n - 2;
+- deleting the edge uv keeps it iff u and v have a common neighbor and
+  neither endpoint is the only common neighbor of the other endpoint and
+  some third vertex.
+
+Proof: an edit of uv changes only the degrees of u and v and the common
+neighborhoods of the pairs that contain u or v.  An addition only
+shrinks the set of non-adjacent pairs and grows common neighborhoods, so
+only the upper degree bound can fail.  A deletion makes uv a
+non-adjacent pair, takes u out of the common neighborhood of v and each
+w, and v out of that of u and each w, so only those pairs and the lower
+degree bound deg u, deg v >= 3 can fail.  That bound follows from the
+other two conditions.  Say N(u) = {v, x}: the common neighbor of u and v
+must be x.  Every w outside N[u] has v or x as a common neighbor with u,
+and v is not the only one, so w is adjacent to x.  Then x is adjacent to
+every other vertex, which a 2-self-centered graph forbids.
 """
 
 from __future__ import annotations
@@ -110,6 +132,32 @@ def _require_two_sc(g: Graph) -> None:
         raise NotTwoSelfCenteredError("input graph is not 2-self-centered")
 
 
+def edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int) -> bool:
+    """Whether toggling the pair uv of a 2-self-centered graph keeps it so.
+
+    Adds uv when it is absent, deletes it when present; the caller must
+    pass 2-self-centered ``adj``, for which the module docstring proves
+    the rule.  O(1) for an addition, O(n) for a deletion.  A vertex w for
+    which u is the only common neighbor of v and w is adjacent to u, so
+    the deletion test walks only the neighbors of u outside N[v] (and the
+    neighbors of v outside N[u]).
+    """
+    au, av = adj[u], adj[v]
+    if not au >> v & 1:
+        return au.bit_count() < n - 2 and av.bit_count() < n - 2
+    if not au & av:
+        return False
+    for x, anchor in ((u, v), (v, u)):
+        a_adj, only = adj[anchor], 1 << x
+        rest = adj[x] & ~a_adj & ~(1 << anchor)
+        while rest:
+            low = rest & -rest
+            if a_adj & adj[low.bit_length() - 1] == only:
+                return False
+            rest ^= low
+    return True
+
+
 @dataclass(frozen=True)
 class ComplementComponent:
     vertices: tuple[int, ...]
@@ -161,18 +209,16 @@ def complement_star_certificate(g: Graph) -> MaximalityCertificate:
 
 
 def edge_maximal_by_definition(g: Graph) -> bool:
-    """Direct check: no absent edge can be added keeping the graph 2-self-centered."""
-    adj, n = list(g.adj), g.n
+    """Direct check: no absent edge can be added keeping the graph 2-self-centered.
+
+    That is, no two non-adjacent vertices both have degree < n - 2.
+    Raises NotTwoSelfCenteredError on other input.
+    """
+    _require_two_sc(g)
+    adj, n = g.adj, g.n
     for u in range(n):
         for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            ok = conditions_ok(adj, n)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            if ok:
+            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
                 return False
     return True
 
@@ -212,14 +258,9 @@ class MinimalityWitness:
 def is_edge_minimal(g: Graph) -> MinimalityWitness:
     """True iff removing any single edge destroys the 2-self-centered property."""
     _require_two_sc(g)
-    adj, n = list(g.adj), g.n
+    adj, n = g.adj, g.n
     for u, v in g.edges():
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        ok = conditions_ok(adj, n)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        if ok:
+        if edit_keeps_two_sc(adj, n, u, v):
             return MinimalityWitness(False, (u, v))
     return MinimalityWitness(True)
 
@@ -290,8 +331,11 @@ def check_bipartite_proposition(g: Graph) -> bool:
     of size >= 2.  Returns True when the two sides agree.
     """
     left = False
-    if conditions_ok(g.adj, g.n):
-        if len(component_masks(complement(g).adj, g.n)) >= 2:
+    n = g.n
+    if conditions_ok(g.adj, n):
+        full = (1 << n) - 1
+        co_adj = [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
+        if len(component_masks(co_adj, n)) >= 2:
             left = is_edge_minimal(g).minimal
     parts = complete_bipartite_parts(g)
     right = parts is not None and len(parts[0]) >= 2 and len(parts[1]) >= 2
@@ -313,16 +357,18 @@ def greedy_edge_minimal(g: Graph) -> Graph:
     when the property survives.  One pass is enough: removing edges only
     shrinks degrees and common neighbourhoods, so a deletion that fails
     keeps failing after later deletions, and the result equals that of
-    restarting the scan after every successful deletion.
+    restarting the scan after every successful deletion.  Every kept
+    graph is 2-self-centered, so each deletion is decided by the one-edge
+    rule of ``edit_keeps_two_sc``: the endpoints keep a common neighbor,
+    and neither is the only common neighbor of the other and a third
+    vertex.
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
     for u, v in g.edges():
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        if not conditions_ok(adj, n):
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        if edit_keeps_two_sc(adj, n, u, v):
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
     return Graph(tuple(adj))
 
 
@@ -334,17 +380,15 @@ def greedy_edge_maximal(g: Graph) -> Graph:
     graph an addition fails only when an endpoint already has degree
     n - 2, and degrees only grow, so an addition that fails keeps failing
     after later additions, and the result equals that of restarting the
-    scan after every successful addition.
+    scan after every successful addition.  Every kept graph is
+    2-self-centered, so by the one-edge rule of ``edit_keeps_two_sc`` an
+    addition is decided by the two endpoint degrees alone.
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
     for u in range(n):
         for v in range(u + 1, n):
-            if adj[u] >> v & 1:
-                continue
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            if not conditions_ok(adj, n):
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
+            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
     return Graph(tuple(adj))

@@ -100,6 +100,16 @@ def test_verify_json(capsys):
     assert doc["counting"]["4"]["two_sc"] == 1
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3"])
+def test_verify_empty_range_exits_two(capsys, tmp_path, n_max):
+    path = tmp_path / "graphs.g6"
+    path.write_text(graph6_encode(cycle_graph(4)) + "\n")
+    for extra in ((), ("--input", str(path))):
+        code, out, err = run(capsys, "verify", "--n-max", n_max, *extra)
+        assert code == 2
+        assert not out and "n_max >= 1" in err
+
+
 def test_bad_graph6_exits_two(capsys):
     code, _, err = run(capsys, "check", "C@ $")
     assert code == 2

@@ -14,6 +14,7 @@ from twosc.graphs import (
     star_graph,
 )
 from twosc.recognition import (
+    MinimalityWitness,
     NotTwoSelfCenteredError,
     check_bipartite_proposition,
     check_triangle_free_lemma,
@@ -21,6 +22,7 @@ from twosc.recognition import (
     conditions_ok,
     critical_triples,
     edge_maximal_by_definition,
+    edit_keeps_two_sc,
     greedy_edge_maximal,
     greedy_edge_minimal,
     has_critical_triple,
@@ -108,6 +110,11 @@ class TestEdgeMaximal:
         with pytest.raises(NotTwoSelfCenteredError):
             is_edge_maximal(path_graph(4))
 
+    def test_definition_requires_two_self_centered(self):
+        for g in (path_graph(4), complete_graph(5), star_graph(4)):
+            with pytest.raises(NotTwoSelfCenteredError):
+                edge_maximal_by_definition(g)
+
 
 class TestEdgeMinimal:
     def test_four_cycle(self):
@@ -124,6 +131,59 @@ class TestEdgeMinimal:
     def test_requires_two_self_centered(self):
         with pytest.raises(NotTwoSelfCenteredError):
             is_edge_minimal(complete_graph(4))
+
+
+def toggled(adj, u, v) -> list[int]:
+    """adj with the pair uv flipped: added when absent, deleted when present."""
+    out = list(adj)
+    out[u] ^= 1 << v
+    out[v] ^= 1 << u
+    return out
+
+
+def sweep_edge_minimal(g: Graph) -> MinimalityWitness:
+    """Reference: the first edge whose deletion passes the full O(n^2) test."""
+    for u, v in g.edges():
+        if conditions_ok(toggled(g.adj, u, v), g.n):
+            return MinimalityWitness(False, (u, v))
+    return MinimalityWitness(True)
+
+
+def sweep_edge_maximal(g: Graph) -> bool:
+    """Reference: no absent edge whose addition passes the full O(n^2) test."""
+    n = g.n
+    return not any(
+        not g.has_edge(u, v) and conditions_ok(toggled(g.adj, u, v), n)
+        for u in range(n)
+        for v in range(u + 1, n)
+    )
+
+
+def assert_rule_matches_full_test(g: Graph) -> None:
+    n = g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert edit_keeps_two_sc(g.adj, n, u, v) == conditions_ok(toggled(g.adj, u, v), n), (g, u, v)
+    assert is_edge_minimal(g) == sweep_edge_minimal(g)
+    assert edge_maximal_by_definition(g) == sweep_edge_maximal(g)
+
+
+class TestOneEdgeRule:
+    """edit_keeps_two_sc against conditions_ok on the edited adjacency."""
+
+    def test_every_two_sc_class_up_to_eight(self):
+        examined = 0
+        for n in range(4, 9):
+            for g in graph_classes(n):
+                if conditions_ok(g.adj, n):
+                    examined += 1
+                    assert_rule_matches_full_test(g)
+        assert examined == 3360
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_sc_graphs(max_n=14))
+    def test_random_two_sc_graphs(self, g):
+        assert_rule_matches_full_test(g)
 
 
 class TestCriticalTriples:

@@ -2,15 +2,18 @@
 
 The canonical order of a graph maximizes, lexicographically, the bit
 string read off column by column (each new vertex's adjacencies to the
-vertices placed before it).  Two graphs are isomorphic iff they have the
-same vertex count and the same canonical form.
+vertices placed before it), and among the orders that do, it is the
+lexicographically smallest.  Two graphs are isomorphic iff they have
+the same vertex count and the same canonical form.
 
 The search keeps, level by level, every partial order that attains the
 maximal bit prefix, and collapses partial orders that are exchangeable:
 two prefixes over the same vertex set are interchangeable whenever every
 unplaced vertex sees the same adjacency pattern toward both.  The
 collapse is what keeps highly symmetric graphs (complete, edgeless,
-vertex-transitive) from exploding into factorially many states.
+vertex-transitive) from exploding into factorially many states.  Of two
+collapsed prefixes the lexicographically smaller one is kept: both have
+the same completions, so the smallest optimal order survives.
 
 Each state carries, per unplaced vertex, the bit pattern of its
 adjacencies to the placed prefix, so extending a state costs one
@@ -20,6 +23,35 @@ lanes of w bits, one lane per vertex.  Up to 8 vertices w = 8, and the
 byte lanes are read through tables built at import; above that w = n,
 since a pattern never has more than n - 1 bits.
 
+Most ties between optimal prefixes are orders of the same cliques, so
+the full search (every vertex allowed at every level) starts from the
+maximum cliques and leaves the order inside a clique open until a later
+vertex tells its members apart.  Both steps are exact:
+
+- Clique seed.  With clique number k, the first k - 1 levels of the
+  code can be all ones, and they are iff positions 0..k-1 hold a
+  clique.  So every optimal order starts with a maximum clique, and
+  every maximum clique, in any internal order, attains that prefix.
+  The search enumerates the maximum cliques by branch and bound, and
+  each becomes a start state at level k.
+- Lazy cells.  A state's placed vertices form cells, runs of positions
+  whose internal order is still open; a seed is one cell.  Every
+  multi-vertex cell is part of the seed clique, so its members' own
+  code bits are ones in any internal order.  A candidate x is read with
+  its neighbours first inside every cell: a cell of s vertices, k of
+  them adjacent to x, gives x the field 1^k 0^(s-k), the best any
+  internal order gives.  The orders that attain it are exactly those
+  putting the cell's neighbours of x first, so placing x splits each
+  cell into (its neighbours of x, the rest) and appends {x}.  A state
+  thus stands for every order consistent with its cells, all with the
+  same code prefix, and the states together hold every optimal prefix.
+  Only a split changes the other lanes beyond the shift-or: their
+  fields for the two new cells come for all lanes at once from the
+  summed neighbour lanes.  A state whose cells are all single vertices
+  is an ordinary state; others collapse only when their multi-vertex
+  cells match too.  A state's order lists each cell ascending, the
+  smallest order it stands for.
+
 The search also takes, per level, a mask of the vertices that
 level may place, and returns the maximal code along with the order.
 The canonical form allows every vertex at every level.  The generator
@@ -27,14 +59,16 @@ deduplicates its candidates by ``partition_code``, the same search
 restricted to orders that respect an isomorphism-invariant ordered
 partition: far fewer orders tie, so it costs a fraction of the full
 search, and it is still a complete invariant.  The generator then
-computes the canonical form once per class.
+computes the canonical form once per class.  A restricted search is
+not seeded: its first cell is usually a single vertex, so the seed
+would buy little, and seeded it ran slower.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Graph, bits
+from .core import Graph, GraphError, bits
 
 
 # For each byte-sized mask: its vertex ids, ascending, and the mask
@@ -51,15 +85,64 @@ class _Members(dict):
         return vs
 
 
+def _maximum_cliques(adj: Sequence[int]) -> list[int]:
+    """Every maximum clique of a graph with at least one vertex, as bitmasks.
+
+    Branch and bound: each clique is grown once, by adding its members
+    in ascending order, and a branch stops as soon as even all of its
+    candidates could not reach the largest size found so far.
+    """
+    found: list[int] = []
+    size = 0
+
+    def grow(clique: int, k: int, cand: int) -> None:
+        nonlocal found, size
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            sub = cand & adj[low.bit_length() - 1]
+            if not sub:
+                if k + 1 > size:
+                    size, found = k + 1, [clique | low]
+                elif k + 1 == size:
+                    found.append(clique | low)
+            elif k + 1 + sub.bit_count() >= size:
+                grow(clique | low, k + 1, sub)
+            if k + cand.bit_count() < size:
+                return
+
+    grow(0, 0, (1 << len(adj)) - 1)
+    return found
+
+
+def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Sequence[int], top: int) -> int:
+    """Every lane's best field for a cell: its neighbours in the cell first.
+
+    A lane that sees c members of the cell gets 1^c 0^(s - c) over the
+    cell's s positions; the first position's bit is the lane's top bit
+    shifted down by ``shift``.
+    """
+    counts = 0
+    for c in cell:
+        counts += row_exp[c]
+    out = 0
+    for j in range(len(cell)):
+        out |= (counts + under[j] & top) >> shift + j
+    return out
+
+
 def _canonical_order_packed(
     adj: Sequence[int], n: int, allowed: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
     """Pattern-packed search over lanes of w = max(n, 8) bits.
 
-    Level i may place only the vertices in the bitmask ``allowed[i]``.
+    Level i may place only the vertices in the bitmask ``allowed[i]``,
+    the cells of an ordered partition in turn, so level 0 admits every
+    vertex only if every level does; that full search is clique-seeded.
     Returns the maximal code over those orders, the per-level maxima
     packed into one int after a leading 1 bit (so graphs of different
-    sizes get different codes), and an order attaining it.
+    sizes get different codes), and the lexicographically smallest
+    order attaining it.
     """
     if n <= 8:
         w, bits_of = 8, _BITS
@@ -72,13 +155,35 @@ def _canonical_order_packed(
     # every lane but its top bit: a pattern has at most n - 1 bits, so
     # clearing the top one before the shift keeps it inside its lane
     low = ((1 << w * w) - 1) // lane * (lane >> 1)
-    pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[allowed[0]]]
-    code = 1
-    for level in range(1, n):
+    # A state is (order, mask, lanes, placed lanes).  Bits 0..n-1 of the
+    # mask are the placed vertices; above them, the n bits of slot p
+    # hold the multi-vertex cell that starts at position p, if any, so
+    # states collapse only when their cells match too.
+    full = (1 << n) - 1
+    if allowed[0] == full:
+        ones = low // (lane >> 1)  # bit 0 of every lane
+        top = low + ones
+        # a lane count c, plus under[j], reaches the lane's top bit iff c > j
+        under = [ones * ((lane >> 1) - j) for j in range(n)]
+        cliques = _maximum_cliques(adj)
+        size = cliques[0].bit_count()
+        pool = []
+        for clique in cliques:
+            members = bits_of[clique]
+            pb = sum(lane << c * w for c in members)
+            pats = _unary(row_exp, members, w - size, under, top) & ~pb
+            pool.append((members, clique | (clique << n if size > 1 else 0), pats, pb))
+        # the leading 1, then levels 1..size-1 all ones
+        code = (2 << size * (size - 1) // 2) - 1
+    else:
+        size = code = 1
+        pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[allowed[0]]]
+    for level in range(size, n):
         allow = allowed[level]
         best = -1
-        grown: list[tuple[tuple[int, ...], int, int, int]] = []
-        for order, mask, pats, pb in pool:
+        grown: list[tuple[tuple[tuple[int, ...], int, int, int], int]] = []
+        for state in pool:
+            _, mask, pats, _ = state
             for v in bits_of[allow & ~mask]:
                 p = pats >> v * w & lane
                 if p < best:
@@ -86,19 +191,53 @@ def _canonical_order_packed(
                 if p > best:
                     best = p
                     grown = []
-                grown.append((order + (v,), mask | 1 << v, pats, pb | lane << v * w))
+                grown.append((state, v))
         code = code << level | best
         states: dict[tuple[int, int], tuple[tuple[int, ...], int, int, int]] = {}
-        for order, mask, pats, pb in grown:
-            v = order[-1]
-            new_pats = (((pats & low) << 1) | row_exp[v]) & ~pb
-            states.setdefault((mask, new_pats), (order, mask, new_pats, pb))
-        pool = list(states.values())
-    return code, pool[0][0]
+        for (order, mask, pats, pb), v in grown:
+            mask |= 1 << v
+            pb |= lane << v * w
+            pats = (((pats & low) << 1) | row_exp[v]) & ~pb
+            if mask > full:
+                # split every cell that v tells apart, neighbours first
+                cells, mask = mask >> n, mask & full
+                near = adj[v]
+                pos = 0
+                while cells:
+                    cell = cells & full
+                    cells >>= n
+                    a = cell & near
+                    if a == cell or not a:
+                        mask |= cell << n * (pos + 1)
+                    else:
+                        b = cell ^ a
+                        s, k = cell.bit_count(), a.bit_count()
+                        shift = w - 1 - level + pos
+                        pats &= ~(ones * (((1 << s) - 1) << w - shift - s))
+                        pats |= _unary(row_exp, bits_of[a], shift, under, top)
+                        pats |= _unary(row_exp, bits_of[b], shift + k, under, top)
+                        pats &= ~pb
+                        order = order[:pos] + bits_of[a] + bits_of[b] + order[pos + s:]
+                        if k > 1:
+                            mask |= a << n * (pos + 1)
+                        if s - k > 1:
+                            mask |= b << n * (pos + k + 1)
+                    pos += 1
+            state = (order + (v,), mask, pats, pb)
+            # a split reorders its cell, so states do not arrive in
+            # lexicographic order: keep the smaller of two that collapse
+            first = states.setdefault((mask, pats), state)
+            if first is not state and state[0] < first[0]:
+                states[mask, pats] = state
+        pool = states.values()
+    return code, min(pool)[0]
 
 
 def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
-    """A vertex order achieving the maximal column-major adjacency code."""
+    """The vertex order achieving the maximal column-major adjacency code.
+
+    Where several orders achieve it, the lexicographically smallest.
+    """
     n = len(adj)
     if n <= 1:
         return tuple(range(n))
@@ -115,8 +254,12 @@ def partition_code(adj: Sequence[int]) -> int:
     for n <= 8), and cells go in descending rank.  Isomorphic graphs
     admit the same orders up to relabelling, and the code determines
     the graph, so two graphs share a code iff they are isomorphic.  It
-    is the generator's dedupe key, not the canonical form.
+    is the generator's dedupe key, not the canonical form.  Raises
+    ``GraphError`` outside 1..8 vertices.
     """
+    n = len(adj)
+    if not 1 <= n <= 8:
+        raise GraphError(f"partition_code takes graphs on 1..8 vertices, got {n}")
     bits_of = _BITS
     deg = [m.bit_count() for m in adj]
     cells: dict[int, int] = {}
@@ -129,7 +272,7 @@ def partition_code(adj: Sequence[int]) -> int:
     for r in sorted(cells, reverse=True):
         cell = cells[r]
         allowed += [cell] * cell.bit_count()
-    return _canonical_order_packed(adj, len(adj), allowed)[0]
+    return _canonical_order_packed(adj, n, allowed)[0]
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:

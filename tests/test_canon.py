@@ -13,7 +13,7 @@ from twosc.canon import (
     canonical_order,
     partition_code,
 )
-from twosc.core import Graph
+from twosc.core import Graph, GraphError, complement
 from twosc.enumeration import graph_classes
 from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 from twosc.io import graph6_decode
@@ -22,7 +22,12 @@ from conftest import graphs
 
 
 def brute_force_canonical(adj):
-    """Maximal column-major code over all vertex orders, by enumeration."""
+    """Maximal column-major code over all vertex orders, by enumeration.
+
+    Returns the relabelled masks and the order attaining the code.
+    ``permutations`` runs in lexicographic order and only a strictly
+    greater code replaces the best, so that order is the smallest one.
+    """
     n = len(adj)
     best_code = None
     best_perm = tuple(range(n))
@@ -36,7 +41,22 @@ def brute_force_canonical(adj):
         if best_code is None or code > best_code:
             best_code = code
             best_perm = perm
-    return Graph(adj).relabel(best_perm).adj
+    return Graph(adj).relabel(best_perm).adj, best_perm
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    adj: list[int] = []
+    for g in parts:
+        adj += [m << len(adj) for m in g.adj]
+    return Graph(tuple(adj))
+
+
+def _complete_multipartite(*sizes: int) -> Graph:
+    return complement(_disjoint_union(*(complete_graph(s) for s in sizes)))
+
+
+def _hypercube(d: int) -> Graph:
+    return Graph(tuple(sum(1 << (v ^ 1 << i) for i in range(d)) for v in range(1 << d)))
 
 
 # The reference for the packed search: the same search, one tuple slot
@@ -73,10 +93,21 @@ def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
     return pool[0][0]
 
 
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return g.relabel(order)
+
+
 def test_matches_brute_force_exhaustively():
-    for n in range(1, 6):
+    # the form, and the order as the smallest of the optimal orders
+    rng = random.Random(5)
+    for n in range(1, 7):
         for g in graph_classes(n):
-            assert canonical_masks(g.adj) == brute_force_canonical(g.adj)
+            h = _shuffled(g, rng)
+            masks, order = brute_force_canonical(h.adj)
+            assert canonical_masks(h.adj) == masks
+            assert canonical_order(h.adj) == order
 
 
 @given(graphs(max_n=8), st.randoms(use_true_random=False))
@@ -111,6 +142,16 @@ def test_partition_code_invariant_under_relabeling(g, rng):
     assert partition_code(g.relabel(order).adj) == partition_code(g.adj)
 
 
+def test_matches_wide_reference_on_every_small_class():
+    rng = random.Random(6)
+    for n in range(1, 8):
+        for g in graph_classes(n):
+            h = _shuffled(g, rng)
+            assert canonical_order(h.adj) == _canonical_order_wide(h.adj, n)
+
+
+# The examples from K(3,3,3,3) on have many maximum cliques or split
+# their cells often.
 @given(graphs(min_n=9, max_n=11), st.randoms(use_true_random=False))
 @example(graph6_decode("G}aHOs"), random.Random(0))  # lanes of 8 bits
 @example(graph6_decode("IEDkGFhKO"), random.Random(0))  # lanes of n = 9 bits
@@ -120,6 +161,12 @@ def test_partition_code_invariant_under_relabeling(g, rng):
 @example(cycle_graph(12), random.Random(0))
 @example(Graph((0,) * 12), random.Random(0))
 @example(complete_graph(12), random.Random(0))
+@example(_complete_multipartite(3, 3, 3, 3), random.Random(0))
+@example(_complete_multipartite(3, 3, 3, 3, 3), random.Random(0))
+@example(_complete_multipartite(4, 4, 4, 4), random.Random(0))
+@example(_disjoint_union(*[complete_graph(4)] * 4), random.Random(0))
+@example(_disjoint_union(*[complete_graph(5)] * 3), random.Random(0))
+@example(_hypercube(4), random.Random(0))
 @settings(max_examples=40, deadline=None)
 def test_matches_wide_reference_under_relabeling(g, rng):
     order = list(range(g.n))
@@ -128,6 +175,12 @@ def test_matches_wide_reference_under_relabeling(g, rng):
     for x in (g, h):
         assert canonical_order(x.adj) == _canonical_order_wide(x.adj, x.n)
     assert canonical_masks(h.adj) == canonical_masks(g.adj) == g.relabel(canonical_order(g.adj)).adj
+
+
+@pytest.mark.parametrize("n", [0, 9])
+def test_partition_code_rejects_sizes_outside_its_range(n):
+    with pytest.raises(GraphError, match="1..8"):
+        partition_code([0] * n)
 
 
 def test_canonical_is_idempotent():

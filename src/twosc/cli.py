@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=7)
     p.add_argument("--input", help="verify graphs from this graph6 file instead of the generator")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="worker processes, capped at the usable CPUs")
     return parser
 
 

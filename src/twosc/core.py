@@ -9,6 +9,7 @@ target; readers of external files reject anything larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -42,6 +43,26 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def conditions_ok(adj: Sequence[int], n: int) -> bool:
+    """Whether the graph is 2-self-centered, by the local test.
+
+    Radius = diameter = 2 holds exactly when n >= 4, every degree lies in
+    [2, n - 2] and every non-adjacent pair has a common neighbor.
+    """
+    if n < 4:
+        return False
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d < 2 or d > n - 2:
+            return False
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if not au >> v & 1 and not au & adj[v]:
+                return False
+    return True
+
+
 def bits(mask: int) -> Iterator[int]:
     """Iterate the vertex ids set in a bitmask, ascending."""
     while mask:
@@ -58,6 +79,10 @@ class Graph:
     value, so graphs can be shared freely across threads and processes.
     The empty graph (no vertices) is a legal value; it shows up as the
     core of degenerate generalized complete bipartite specs.
+
+    ``two_sc`` runs ``conditions_ok`` the first time it is read and keeps
+    the answer on the value.  It is not a field, so it takes no part in
+    ``==`` or ``hash``, and a pickled graph carries it along.
     """
 
     adj: tuple[int, ...]
@@ -82,6 +107,11 @@ class Graph:
                 if not adj[v] & bit:
                     raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
                 m ^= low
+
+    @cached_property
+    def two_sc(self) -> bool:
+        """Whether the graph is 2-self-centered (radius = diameter = 2)."""
+        return conditions_ok(self.adj, len(self.adj))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -209,10 +239,15 @@ def distance_profile(g: Graph) -> DistanceProfile:
     )
 
 
+def complement_masks(adj: Sequence[int], n: int) -> list[int]:
+    """The neighbor masks of the complement: the non-edges, never any loops."""
+    full = (1 << n) - 1
+    return [full & ~m & ~(1 << v) for v, m in enumerate(adj)]
+
+
 def complement(g: Graph) -> Graph:
     """The graph with exactly the non-edges of g (never any loops)."""
-    full = g.full_mask
-    return Graph(tuple((full & ~m & ~(1 << v)) for v, m in enumerate(g.adj)))
+    return Graph(tuple(complement_masks(g.adj, g.n)))
 
 
 def component_masks(adj: Sequence[int], n: int) -> list[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Graph, GraphError, bits, has_triangle
-from .recognition import NotTwoSelfCenteredError, conditions_ok
+from .recognition import NotTwoSelfCenteredError
 from .sbic import HasTriangleError, SbicReport, SbicWitness, WitnessError, construct_sbic, verify_sbic
 
 PRINTED = "printed"
@@ -283,7 +283,7 @@ def build_gcb(spec: GcbSpec, zero_l_reading: str = PRINTED) -> Graph:
     g = assemble(spec)
     if __debug__:
         assert not has_triangle(g), f"built graph has a triangle: {spec.to_json()}"
-        assert conditions_ok(g.adj, g.n), f"built graph is not 2-self-centered: {spec.to_json()}"
+        assert g.two_sc, f"built graph is not 2-self-centered: {spec.to_json()}"
         assert g.edge_count == expected_edge_count(spec), "edge-count formula mismatch"
     return g
 
@@ -343,7 +343,7 @@ def decompose_triangle_free(g: Graph) -> tuple[GcbSpec, GcbRoles]:
     (resp. first) set's vertices with no neighbor in X; the rest become
     connectors whose covering sets are their X-neighborhoods.
     """
-    if not conditions_ok(g.adj, g.n):
+    if not g.two_sc:
         raise NotTwoSelfCenteredError("decomposition requires a 2-self-centered graph")
     if has_triangle(g):
         raise HasTriangleError("decomposition requires triangle-free input")

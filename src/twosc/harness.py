@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from .core import Graph, has_triangle, triangles
-from .enumeration import RangeError, connected_classes
+from .enumeration import RangeError, _usable_cpus, connected_classes
 from .gcb import PRINTED, SYMMETRIC, assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
     check_bipartite_proposition,
     complement_star_certificate,
-    conditions_ok,
     edge_maximal_by_definition,
     greedy_edge_maximal,
     greedy_edge_minimal,
@@ -119,7 +118,7 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
     checks = out["checks"]
     clock = time.perf_counter
 
-    two_sc = conditions_ok(g.adj, g.n)
+    two_sc = g.two_sc
     triangle_free = not has_triangle(g)
     minimal = is_edge_minimal(g).minimal if two_sc else False
     maximal_char = complement_star_certificate(g).maximal if two_sc else False
@@ -193,12 +192,12 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
             sup = greedy_edge_maximal(g)
             sub_ok = (
                 all(not (sub.adj[v] & ~g.adj[v]) for v in range(g.n))
-                and conditions_ok(sub.adj, sub.n)
+                and sub.two_sc
                 and is_edge_minimal(sub).minimal
             )
             sup_ok = (
                 all(not (g.adj[v] & ~sup.adj[v]) for v in range(g.n))
-                and conditions_ok(sup.adj, sup.n)
+                and sup.two_sc
                 and edge_maximal_by_definition(sup)
             )
             checks["sandwich_existence"] = (
@@ -308,10 +307,12 @@ def verify_all(
     partitioned by a stable hash of each graph's adjacency masks (the
     canonical ones from the generator, the ones as read from a file);
     reports merge associatively, so the outcome is identical for any
-    worker count.  Each input ``Graph`` is validated once, by the reader
-    or the generator, and reaches the checks as that value; workers get
-    it pickled, which does not validate it again.  Raises ``RangeError``
-    when ``n_max < 1``, since such a run would check nothing.
+    worker count.  The pool never holds more processes than there are
+    usable CPUs, since a forking pool starts all of them at once.  Each
+    input ``Graph`` is validated once, by the reader or the generator,
+    and reaches the checks as that value; workers get it pickled, which
+    does not validate it again.  Raises ``RangeError`` when
+    ``n_max < 1``, since such a run would check nothing.
     """
     start = time.perf_counter()
     if n_max < 1:
@@ -325,6 +326,7 @@ def verify_all(
     else:
         raise ValueError(f"unknown source {source!r}")
 
+    workers = min(workers, _usable_cpus())
     if workers <= 1:
         parts = [_run_chunk((graphs, full_battery_max))]
     else:

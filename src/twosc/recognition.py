@@ -2,9 +2,17 @@
 
 A graph with n vertices has radius = diameter = 2 exactly when every
 degree lies in [2, n-2] and every non-adjacent pair has a common
-neighbor.  That local test is the production path everywhere; the metric
-definition computed from the distance profile is kept as a cross-check
-(asserted in debug runs, compared exhaustively by the harness).
+neighbor.  That local test, ``conditions_ok`` (defined in ``core``), is
+the production path everywhere.  Each ``Graph`` value runs it at most
+once: ``Graph.two_sc`` caches the answer, and the input guards, the
+battery and the reduction read that flag.
+
+The metric definition is kept as a cross-check (asserted in debug runs,
+compared exhaustively by the harness).  ``metric_two_self_centered``
+computes it as a breadth-first search over bitmasks that stops after two
+levels: from each vertex v, the closed neighborhood N[v] must miss some
+vertex (eccentricity >= 2) and N[N[v]] must cover every vertex
+(eccentricity <= 2).  It shares no code with the local test.
 
 Edge-minimality, edge-maximality and the sandwich builders all ask
 whether one edge edit keeps a 2-self-centered graph 2-self-centered.
@@ -34,37 +42,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
-from .core import (
-    Graph,
-    GraphError,
-    bits,
-    component_masks,
-    connected_components,
-    complement,
-    distance_profile,
-    has_triangle,
-    is_star,
-)
+from .core import Graph, GraphError, bits, complement_masks, component_masks, has_triangle
+from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
 
 
 class NotTwoSelfCenteredError(GraphError):
     """The operation is only defined for 2-self-centered input."""
-
-
-def conditions_ok(adj: Sequence[int], n: int) -> bool:
-    """Fast bool form of the degree-bound / common-neighbor test."""
-    if n < 4:
-        return False
-    for v in range(n):
-        d = adj[v].bit_count()
-        if d < 2 or d > n - 2:
-            return False
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if not au >> v & 1 and not au & adj[v]:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -110,11 +93,28 @@ def condition_verdict(g: Graph) -> TwoScVerdict:
 
 
 def metric_two_self_centered(g: Graph) -> bool:
-    """The defining property, radius = diameter = 2, via shortest paths."""
-    if g.n == 0:
+    """The defining property, radius = diameter = 2, via shortest paths.
+
+    Every eccentricity must be exactly 2.  The search from each vertex
+    stops after its second level, and the first vertex whose eccentricity
+    is at most 1, or at least 3 or infinite, decides the answer.
+    """
+    adj, n = g.adj, g.n
+    if n == 0:
         return False
-    profile = distance_profile(g)
-    return profile.connected and profile.radius == 2 and profile.diameter == 2
+    full = (1 << n) - 1
+    for v in range(n):
+        first = adj[v]
+        reach = first | 1 << v
+        if reach == full:
+            return False
+        while first:
+            low = first & -first
+            reach |= adj[low.bit_length() - 1]
+            first ^= low
+        if reach != full:
+            return False
+    return True
 
 
 def is_two_self_centered(g: Graph) -> TwoScVerdict:
@@ -128,7 +128,7 @@ def is_two_self_centered(g: Graph) -> TwoScVerdict:
 
 
 def _require_two_sc(g: Graph) -> None:
-    if not conditions_ok(g.adj, g.n):
+    if not g.two_sc:
         raise NotTwoSelfCenteredError("input graph is not 2-self-centered")
 
 
@@ -188,22 +188,28 @@ class MaximalityCertificate:
 
 
 def complement_star_certificate(g: Graph) -> MaximalityCertificate:
-    """Evaluate the characterization: complement splits into stars of size >= 2."""
-    comp = complement(g)
-    parts = connected_components(comp)
+    """Evaluate the characterization: complement splits into stars of size >= 2.
+
+    Works on the complement's neighbor masks.  A component is a star when
+    some member c is joined to every other member and every other member
+    only to c; the center reported is the first such c, so the smaller
+    endpoint of a single edge.
+    """
+    n = g.n
+    co = complement_masks(g.adj, n)
+    parts = component_masks(co, n)
     pieces = []
     all_stars = True
     for part in parts:
-        star = is_star(comp, part)
-        center = None
-        if star:
-            inside = 0
-            for v in part:
-                inside |= 1 << v
-            center = max(part, key=lambda v: ((comp.adj[v] & inside).bit_count(), -v))
+        members = tuple(bits(part))
+        center = next((c for c in members if co[c] == part ^ (1 << c)), None)
+        if center is not None and len(members) >= 2 and all(
+            co[v] == 1 << center for v in members if v != center
+        ):
+            pieces.append(ComplementComponent(members, True, center))
         else:
             all_stars = False
-        pieces.append(ComplementComponent(tuple(part), star, center))
+            pieces.append(ComplementComponent(members, False, None))
     disconnected = len(parts) >= 2
     return MaximalityCertificate(disconnected and all_stars, not disconnected, tuple(pieces))
 
@@ -300,27 +306,24 @@ def has_critical_triple(g: Graph) -> bool:
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[list[int], list[int]] | None:
-    """The bipartition if g is a complete bipartite graph, else None."""
-    n = g.n
-    if n == 0 or len(component_masks(g.adj, n)) != 1:
+    """The bipartition if g is a connected complete bipartite graph, else None.
+
+    The side holding vertex 0 is every vertex outside N(0); g is complete
+    bipartite on those sides iff each vertex of one side has exactly the
+    other side as its neighborhood.  The single vertex counts, as
+    ([0], []); larger graphs need an edge at vertex 0 to be connected.
+    """
+    adj, n = g.adj, g.n
+    if n == 0:
         return None
-    color = [-1] * n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in bits(g.adj[u]):
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return None
-    side = [v for v in range(n) if color[v] == 0]
-    other = [v for v in range(n) if color[v] == 1]
-    expected = len(side) * len(other)
-    if g.edge_count != expected:
+    other = adj[0]
+    if n > 1 and not other:
         return None
-    return side, other
+    side = ((1 << n) - 1) & ~other
+    for v in range(n):
+        if adj[v] != (other if side >> v & 1 else side):
+            return None
+    return list(bits(side)), list(bits(other))
 
 
 def check_bipartite_proposition(g: Graph) -> bool:
@@ -332,11 +335,8 @@ def check_bipartite_proposition(g: Graph) -> bool:
     """
     left = False
     n = g.n
-    if conditions_ok(g.adj, n):
-        full = (1 << n) - 1
-        co_adj = [full & ~m & ~(1 << v) for v, m in enumerate(g.adj)]
-        if len(component_masks(co_adj, n)) >= 2:
-            left = is_edge_minimal(g).minimal
+    if g.two_sc and len(component_masks(complement_masks(g.adj, n), n)) >= 2:
+        left = is_edge_minimal(g).minimal
     parts = complete_bipartite_parts(g)
     right = parts is not None and len(parts[0]) >= 2 and len(parts[1]) >= 2
     return left == right

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Graph, GraphError, triangles
-from .recognition import NotTwoSelfCenteredError, conditions_ok
+from .recognition import NotTwoSelfCenteredError
 
 
 class EdgeNotInTriangleError(GraphError):
@@ -112,7 +112,7 @@ def _step_fault(tris: list[tuple[int, int, int]], result: Graph) -> tuple[str | 
     after = triangles(result)
     if set(after) - set(tris):
         return "step created a new triangle", after
-    if not conditions_ok(result.adj, result.n):
+    if not result.two_sc:
         return "step broke the 2-self-centered property", after
     return None, after
 
@@ -193,7 +193,7 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     also happens on some edge-minimal inputs (``G}aHOs``), where another
     edge order succeeds.
     """
-    if not conditions_ok(g.adj, g.n):
+    if not g.two_sc:
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
     steps: list[ReductionStep] = []
     current = g
@@ -226,7 +226,7 @@ def reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | Non
         budget -= 1
         tris = triangles(current)
         if not tris:
-            return conditions_ok(current.adj, current.n)
+            return current.two_sc
         key = current.adj
         if key in dead_ends:
             return False
@@ -284,7 +284,7 @@ def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
     endpoint critical for the other endpoint, and the iterated star
     reduction reaches a triangle-free 2-self-centered graph.
     """
-    if not conditions_ok(g.adj, g.n):
+    if not g.two_sc:
         raise NotTwoSelfCenteredError("classification requires a 2-self-centered graph")
     tris = triangles(g)
     if not tris:

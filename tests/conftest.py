@@ -69,6 +69,19 @@ def graphs(draw, min_n: int = 1, max_n: int = 8):
 
 
 @st.composite
+def disjoint_unions(draw, max_n: int = 16):
+    """Disjoint unions of at least two small arbitrary graphs, at most max_n vertices."""
+    parts = draw(st.lists(graphs(min_n=1, max_n=4), min_size=2, max_size=max_n // 2))
+    adj: list[int] = []
+    for part in parts:
+        if len(adj) + part.n > max_n:
+            break
+        shift = len(adj)
+        adj.extend(m << shift for m in part.adj)
+    return Graph(tuple(adj))
+
+
+@st.composite
 def two_sc_graphs(draw, min_n: int = 4, max_n: int = 14):
     """Labeled 2-self-centered graphs: G(n, p) redrawn from a seed until 2sc."""
     n = draw(st.integers(max(min_n, 4), max_n))

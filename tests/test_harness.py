@@ -55,6 +55,39 @@ def test_worker_counts_do_not_change_reports():
     assert serial == two == three
 
 
+def test_pool_never_exceeds_usable_cpus(monkeypatch):
+    import concurrent.futures
+
+    from twosc import harness
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = strip_times(verify_all(5).to_json())
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    for workers in (2, 3, 5000):
+        assert strip_times(verify_all(5, workers=workers).to_json()) == serial
+    assert sizes == [2, 2, 2]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert strip_times(verify_all(5, workers=5000).to_json()) == serial
+    assert sizes == [2, 2, 2]  # one usable CPU runs in the caller
+
+
 def test_repeat_runs_are_identical():
     first = strip_times(verify_all(5).to_json())
     second = strip_times(verify_all(5).to_json())

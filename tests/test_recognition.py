@@ -2,7 +2,17 @@ import pytest
 from hypothesis import given, settings
 
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, complement, edit
+from twosc.core import (
+    Graph,
+    bits,
+    complement,
+    component_masks,
+    connected_components,
+    distance_profile,
+    edit,
+    is_star,
+    mask_of,
+)
 from twosc.enumeration import connected_classes, graph_classes
 from twosc.graphs import (
     complete_bipartite,
@@ -14,10 +24,14 @@ from twosc.graphs import (
     star_graph,
 )
 from twosc.recognition import (
+    ComplementComponent,
+    MaximalityCertificate,
     MinimalityWitness,
     NotTwoSelfCenteredError,
     check_bipartite_proposition,
     check_triangle_free_lemma,
+    complement_star_certificate,
+    complete_bipartite_parts,
     condition_verdict,
     conditions_ok,
     critical_triples,
@@ -32,7 +46,7 @@ from twosc.recognition import (
     metric_two_self_centered,
 )
 
-from conftest import graphs, two_sc_graphs
+from conftest import disjoint_unions, graphs, two_sc_graphs
 
 
 def five_cycle_with_chord() -> Graph:
@@ -228,6 +242,88 @@ class TestBipartiteProposition:
     def test_works_on_arbitrary_graphs(self):
         assert check_bipartite_proposition(path_graph(4))
         assert check_bipartite_proposition(complete_graph(5))
+
+
+def profile_metric(g: Graph) -> bool:
+    """Reference: radius = diameter = 2 read off the full distance profile."""
+    if g.n == 0:
+        return False
+    profile = distance_profile(g)
+    return profile.connected and profile.radius == 2 and profile.diameter == 2
+
+
+def complement_graph_certificate(g: Graph) -> MaximalityCertificate:
+    """Reference: the star test on a validated complement Graph and vertex lists."""
+    comp = complement(g)
+    parts = connected_components(comp)
+    pieces = []
+    for part in parts:
+        star = is_star(comp, part)
+        inside = mask_of(part)
+        center = max(part, key=lambda v: ((comp.adj[v] & inside).bit_count(), -v)) if star else None
+        pieces.append(ComplementComponent(tuple(part), star, center))
+    disconnected = len(parts) >= 2
+    return MaximalityCertificate(
+        disconnected and all(piece.star for piece in pieces), not disconnected, tuple(pieces)
+    )
+
+
+def colouring_parts(g: Graph) -> tuple[list[int], list[int]] | None:
+    """Reference: 2-colour from vertex 0 by search, then count the edges."""
+    n = g.n
+    if n == 0 or len(component_masks(g.adj, n)) != 1:
+        return None
+    color = [-1] * n
+    color[0] = 0
+    queue = [0]
+    while queue:
+        u = queue.pop()
+        for v in bits(g.adj[u]):
+            if color[v] == -1:
+                color[v] = 1 - color[u]
+                queue.append(v)
+            elif color[v] == color[u]:
+                return None
+    side = [v for v in range(n) if color[v] == 0]
+    other = [v for v in range(n) if color[v] == 1]
+    if g.edge_count != len(side) * len(other):
+        return None
+    return side, other
+
+
+def assert_matches_references(g: Graph) -> None:
+    assert metric_two_self_centered(g) == profile_metric(g), g
+    assert complement_star_certificate(g).to_json() == complement_graph_certificate(g).to_json(), g
+    assert complete_bipartite_parts(g) == colouring_parts(g), g
+
+
+class TestMaskFormsMatchReferences:
+    """The mask forms of the metric oracle, the complement-star certificate
+    and the complete-bipartite test against their earlier forms."""
+
+    def test_every_class_up_to_seven(self):
+        assert_matches_references(Graph(()))
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                assert_matches_references(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=0, max_n=16))
+    def test_random_graphs(self, g):
+        assert_matches_references(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(min_n=0, max_n=3))
+    def test_random_graphs_up_to_three_vertices(self, g):
+        assert_matches_references(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_unions(max_n=16))
+    def test_disconnected_graphs_and_their_complements(self, g):
+        # the complement of complement(g) is the union g itself, so the
+        # certificate of complement(g) sees the small parts, stars among them
+        assert_matches_references(g)
+        assert_matches_references(complement(g))
 
 
 class TestTriangleFreeLemma:

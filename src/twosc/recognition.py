@@ -35,12 +35,26 @@ other two conditions.  Say N(u) = {v, x}: the common neighbor of u and v
 must be x.  Every w outside N[u] has v or x as a common neighbor with u,
 and v is not the only one, so w is adjacent to x.  Then x is adjacent to
 every other vertex, which a 2-self-centered graph forbids.
+
+The star step of ``reduction`` deletes one edge uv and adds several.
+``star_edit_keeps_two_sc`` generalizes the deletion rule to that edit:
+deleting uv from a 2-self-centered graph and adding any set of edges
+keeps the property iff every touched vertex (u, v and the endpoints of
+the added edges) has a degree in [2, n - 2], and every vertex not
+adjacent to u shares a neighbor with u, and likewise for v.
+
+Proof: only the touched vertices change degree, so every other degree
+stays in range.  The only pair that the edit makes non-adjacent is uv.
+No vertex other than u and v loses a neighbor, so the common
+neighborhood of any pair that contains neither u nor v can only grow;
+such a pair, if non-adjacent now, was non-adjacent before and had a
+common neighbor, which it keeps.  The pairs left are those at u and at v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .core import Graph, GraphError, bits, complement_masks, component_masks, has_triangle
 from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
@@ -155,6 +169,34 @@ def edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int) -> bool:
             if a_adj & adj[low.bit_length() - 1] == only:
                 return False
             rest ^= low
+    return True
+
+
+def star_edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int, added: Iterable[tuple[int, int]]) -> bool:
+    """Whether deleting uv from a 2-self-centered graph and adding ``added`` keeps it so.
+
+    ``adj`` is the adjacency after the edit; the caller must know the
+    graph before it to be 2-self-centered, for which the module docstring
+    proves the rule.  O(n + the number of added edges).
+    """
+    touched = 1 << u | 1 << v
+    for a, b in added:
+        touched |= 1 << a | 1 << b
+    while touched:
+        low = touched & -touched
+        d = adj[low.bit_length() - 1].bit_count()
+        if d < 2 or d > n - 2:
+            return False
+        touched ^= low
+    full = (1 << n) - 1
+    for x in (u, v):
+        ax = adj[x]
+        far = full & ~ax & ~(1 << x)
+        while far:
+            low = far & -far
+            if not ax & adj[low.bit_length() - 1]:
+                return False
+            far ^= low
     return True
 
 

@@ -8,15 +8,31 @@ A step is valid when it creates no triangle and keeps the graph
 is what drives the classification.  Not every triangle edge of an
 edge-minimal graph gives a valid step: on ``G}aHOs`` the step on (0, 1)
 creates the triangle (1, 4, 5), while another order of steps succeeds.
+
+A reduction edits one adjacency list in place (``_star_step``) and
+builds a ``Graph`` only for its result.  A step's validity is read from
+its own edits, not from the whole result:
+
+- Triangles.  Every edge of a triangle that is new must have been added,
+  so the step creates a triangle iff some added edge ab has a common
+  neighbor afterwards.  When none does, the triangles left are those
+  before the step minus the ones holding both u and v, in the same
+  order.
+- 2-self-centered.  The step deletes uv and adds edges, so on a
+  2-self-centered graph ``recognition.star_edit_keeps_two_sc`` decides
+  the property from the touched vertices and the pairs at u and v.
+  Where the graph before the step is not known to be 2-self-centered
+  (``apply_star_procedure``, and the first step of ``replay_trace``, on
+  such input), the full local test runs on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
-from .core import Graph, GraphError, triangles
-from .recognition import NotTwoSelfCenteredError
+from .core import Graph, GraphError, conditions_ok, triangles
+from .recognition import NotTwoSelfCenteredError, star_edit_keeps_two_sc
 
 
 class EdgeNotInTriangleError(GraphError):
@@ -35,16 +51,33 @@ class InvalidStepError(GraphError):
     """A star step created a triangle or broke the 2-self-centered property."""
 
 
-def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
-    """All w such that x is the unique common neighbor of anchor and w."""
+def _check_vertices(g: Graph, *vertices: int) -> None:
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+
+
+def _partners(adj: Sequence[int], x: int, anchor: int) -> tuple[int, ...]:
+    """The w, ascending, with x the unique common neighbor of anchor and w.
+
+    Such a w is adjacent to x, so only N(x) minus N[anchor] is walked.
+    """
+    a_adj, only = adj[anchor], 1 << x
     out = []
-    a_adj = g.adj[anchor]
-    for w in range(g.n):
-        if w == anchor or a_adj >> w & 1:
-            continue
-        if a_adj & g.adj[w] == 1 << x:
+    rest = adj[x] & ~a_adj & ~(1 << anchor)
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        if a_adj & adj[w] == only:
             out.append(w)
-    return out
+        rest ^= low
+    return tuple(out)
+
+
+def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
+    """All w, ascending, such that x is the unique common neighbor of anchor and w."""
+    _check_vertices(g, x, anchor)
+    return list(_partners(g.adj, x, anchor))
 
 
 @dataclass(frozen=True)
@@ -74,20 +107,21 @@ class ReductionStep:
         }
 
 
-def _raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
-    if not g.has_edge(u, v):
+def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
+    """Apply the star step to the triangle edge uv, editing ``adj`` in place."""
+    au, av = adj[u], adj[v]
+    if not au >> v & 1:
         raise EdgeNotInTriangleError(f"({u}, {v}) is not an edge")
-    if not g.adj[u] & g.adj[v]:
+    if not au & av:
         raise EdgeNotInTriangleError(f"edge ({u}, {v}) lies on no triangle")
-    u_partners = tuple(critical_partners(g, u, v))
-    v_partners = tuple(critical_partners(g, v, u))
+    u_partners = _partners(adj, u, v)
+    v_partners = _partners(adj, v, u)
     if not u_partners and not v_partners:
         raise NoCriticalEndpointError(
             f"neither endpoint of ({u}, {v}) is critical for the other endpoint and any vertex"
         )
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
+    adj[u] = au & ~(1 << v)
+    adj[v] = av & ~(1 << u)
     added = []
     for w in u_partners:
         adj[v] |= 1 << w
@@ -97,39 +131,56 @@ def _raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
         adj[u] |= 1 << w
         adj[w] |= 1 << u
         added.append((min(u, w), max(u, w)))
-    step = ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
+    return ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
+
+
+def _raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
+    """The star step on g as a new graph, its validity unchecked."""
+    adj = list(g.adj)
+    step = _star_step(adj, u, v)
     return Graph(tuple(adj)), step
 
 
-def _step_fault(tris: list[tuple[int, int, int]], result: Graph) -> tuple[str | None, list[tuple[int, int, int]]]:
-    """Why a step from a graph with triangles ``tris`` to ``result`` is invalid.
+def _step_fault(adj: list[int], step: ReductionStep, two_sc: bool) -> str | None:
+    """Why ``step``, just applied to ``adj``, is invalid; None if it is valid.
 
-    A valid step creates no triangle and keeps the graph 2-self-centered;
-    it then strictly lowers the triangle count, because the removed edge
-    lay on a triangle.  Returns the first violation (None if valid) with
-    the triangles of ``result``.
+    ``two_sc`` says whether the graph before the step is known to be
+    2-self-centered: then the star-edit rule decides the property,
+    otherwise the full local test runs on ``adj``.
     """
-    after = triangles(result)
-    if set(after) - set(tris):
-        return "step created a new triangle", after
-    if not result.two_sc:
-        return "step broke the 2-self-centered property", after
-    return None, after
+    for a, b in step.added_edges:
+        if adj[a] & adj[b]:
+            return "step created a new triangle"
+    n = len(adj)
+    if two_sc:
+        kept = star_edit_keeps_two_sc(adj, n, step.u, step.v, step.added_edges)
+    else:
+        kept = conditions_ok(adj, n)
+    return None if kept else "step broke the 2-self-centered property"
+
+
+def _triangles_left(tris: list[tuple[int, int, int]], step: ReductionStep) -> list[tuple[int, int, int]]:
+    """The triangles after a step that created none: those without both u and v."""
+    u, v = step.u, step.v
+    return [t for t in tris if not (u in t and v in t)]
 
 
 def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
     """Apply one star rewriting step to the triangle edge uv.
 
     Requires that at least one endpoint be critical for the other
-    endpoint and some vertex.  Raises InvalidStepError when the step is
-    not valid for this edge: it creates a triangle (so the triangle count
-    need not drop) or breaks the 2-self-centered property.
+    endpoint and some vertex.  Raises GraphError for a vertex outside g,
+    and InvalidStepError when the step is not valid for this edge: it
+    creates a triangle (so the triangle count need not drop) or breaks
+    the 2-self-centered property.
     """
-    result, step = _raw_step(g, u, v)
-    tris = triangles(g)
-    fault, after = _step_fault(tris, result)
+    _check_vertices(g, u, v)
+    adj = list(g.adj)
+    step = _star_step(adj, u, v)
+    fault = _step_fault(adj, step, g.two_sc)
+    result = Graph(tuple(adj))
     if fault is not None:
-        created = sorted(set(after) - set(tris))
+        created = sorted(set(triangles(result)) - set(triangles(g)))
         raise InvalidStepError(f"{fault} on edge ({u}, {v})" + (f": {created}" if created else ""))
     return result, step
 
@@ -162,25 +213,26 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     graph 2-self-centered; the replay must end at the recorded final
     graph, triangle-free.
     """
-    current = g
-    tris = triangles(current)
+    adj = list(g.adj)
+    tris = triangles(g)
+    two_sc = g.two_sc
     for step in trace.steps:
-        nxt, redo = _raw_step(current, step.u, step.v)
-        if redo.added_edges != step.added_edges:
+        redo = _star_step(adj, step.u, step.v)
+        if redo.added_edges != step.added_edges or _step_fault(adj, redo, two_sc) is not None:
             return False
-        fault, tris = _step_fault(tris, nxt)
-        if fault is not None:
-            return False
-        current = nxt
-    return not tris and current == trace.final
+        tris = _triangles_left(tris, redo)
+        two_sc = True
+    return not tris and tuple(adj) == trace.final.adj
 
 
-def _pick_edge(g: Graph, tris: list[tuple[int, int, int]]) -> tuple[int, int] | None:
-    """The first qualifying edge: smallest triangle, smallest edge inside it."""
-    for tri in sorted(tris):
-        a, b, c = tri
+def _pick_edge(adj: Sequence[int], tris: list[tuple[int, int, int]]) -> tuple[int, int] | None:
+    """The first qualifying edge: smallest triangle, smallest edge inside it.
+
+    ``tris`` is in ascending order, as ``triangles`` lists it.
+    """
+    for a, b, c in tris:
         for u, v in ((a, b), (a, c), (b, c)):
-            if critical_partners(g, u, v) or critical_partners(g, v, u):
+            if _partners(adj, u, v) or _partners(adj, v, u):
                 return (u, v)
     return None
 
@@ -196,18 +248,22 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     if not g.two_sc:
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
     steps: list[ReductionStep] = []
-    current = g
-    tris = triangles(current)
+    adj = list(g.adj)
+    tris = triangles(g)
+    fault = None
     while tris:
-        choice = _pick_edge(current, tris)
+        choice = _pick_edge(adj, tris)
         if choice is None:
-            return ReductionTrace(tuple(steps), current, False, "no triangle edge has a critical endpoint")
-        current, step = _raw_step(current, *choice)
+            fault = "no triangle edge has a critical endpoint"
+            break
+        step = _star_step(adj, *choice)
         steps.append(step)
-        fault, tris = _step_fault(tris, current)
+        fault = _step_fault(adj, step, True)
         if fault is not None:
-            return ReductionTrace(tuple(steps), current, False, fault)
-    return ReductionTrace(tuple(steps), current, True)
+            break
+        tris = _triangles_left(tris, step)
+    final = Graph(tuple(adj)) if steps else g
+    return ReductionTrace(tuple(steps), final, fault is None, fault)
 
 
 def reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | None:
@@ -234,7 +290,7 @@ def reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | Non
         for tri in tris:
             a, b, c = tri
             for u, v in ((a, b), (a, c), (b, c)):
-                if not (critical_partners(current, u, v) or critical_partners(current, v, u)):
+                if not (_partners(current.adj, u, v) or _partners(current.adj, v, u)):
                     continue
                 nxt, _ = _raw_step(current, u, v)
                 if len(triangles(nxt)) >= len(tris):
@@ -292,7 +348,7 @@ def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
     for tri in sorted(tris):
         a, b, c = tri
         for u, v in ((a, b), (a, c), (b, c)):
-            if not (critical_partners(g, u, v) or critical_partners(g, v, u)):
+            if not (_partners(g.adj, u, v) or _partners(g.adj, v, u)):
                 return TriangleClassification(False, False, (u, v), None)
     trace = reduce_to_triangle_free(g)
     return TriangleClassification(trace.succeeded, True, None, trace)

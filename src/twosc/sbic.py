@@ -5,14 +5,19 @@ both cover the graph, house every pair at distance >= 3 together in some
 set, and provide, for every vertex far from a set of one family, a
 disjoint set of the other family containing it.  These coverings are the
 certificate structure underneath generalized complete bipartite graphs.
+
+Both conditions on distances are read from neighbor masks, without
+all-pairs distances: v is at distance >= 3 from u, or unreachable,
+exactly when v lies outside the two-level neighborhood N[u] and N(N(u));
+a set m is within distance 1 of u exactly when m meets N[u].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
-from .core import Graph, GraphError, bits, distance_profile, has_triangle, mask_of, triangles
+from .core import Graph, GraphError, bits, has_triangle, mask_of, triangles
 
 
 class WitnessError(GraphError):
@@ -108,8 +113,34 @@ class SbicReport:
         }
 
 
-def _set_distance(row: Sequence[int], mask: int) -> int:
-    return min(row[v] for v in bits(mask))
+def _far_masks(adj: Sequence[int], n: int) -> list[int]:
+    """For each vertex u, the vertices at distance >= 3 from u or unreachable.
+
+    That is every vertex outside the two-level neighborhood N[u] and N(N(u)).
+    """
+    full = (1 << n) - 1
+    out = []
+    for u in range(n):
+        first = adj[u]
+        reach = first | 1 << u
+        while first:
+            low = first & -first
+            reach |= adj[low.bit_length() - 1]
+            first ^= low
+        out.append(full & ~reach)
+    return out
+
+
+def _unhoused_pairs(far: list[int], masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Each far pair (u, v), u < v in order, that no set in ``masks`` holds."""
+    for u, far_u in enumerate(far):
+        rest = far_u >> (u + 1) << (u + 1)
+        while rest:
+            low = rest & -rest
+            pair_mask = 1 << u | low
+            if not any(m & pair_mask == pair_mask for m in masks):
+                yield u, low.bit_length() - 1
+            rest ^= low
 
 
 def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
@@ -150,33 +181,15 @@ def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
             c_cover = ConditionVerdict(False, bad)
             break
 
-    if n == 0:
-        vacuous = ConditionVerdict(True)
-        return SbicReport(c_triangle, c_cover, vacuous, vacuous, vacuous)
-
-    dist = distance_profile(x).distances
-
-    c_pairs = ConditionVerdict(True)
-    for u in range(n):
-        row = dist[u]
-        for v in range(u + 1, n):
-            if row[v] < 3 and row[v] < n:  # finite and short; n is the unreachable sentinel
-                continue
-            pair_mask = 1 << u | 1 << v
-            if any(m & pair_mask == pair_mask for m in witness.a_masks):
-                continue
-            if any(m & pair_mask == pair_mask for m in witness.b_masks):
-                continue
-            c_pairs = ConditionVerdict(False, {"pair": [u, v]})
-            break
-        if not c_pairs.ok:
-            break
+    far = _far_masks(x.adj, n)
+    pair = next(_unhoused_pairs(far, witness.a_masks + witness.b_masks), None)
+    c_pairs = ConditionVerdict(True) if pair is None else ConditionVerdict(False, {"pair": list(pair)})
 
     def escape(from_masks: tuple[int, ...], to_masks: tuple[int, ...], name: str) -> ConditionVerdict:
         for u in range(n):
-            row = dist[u]
+            near = x.adj[u] | 1 << u
             for i, m in enumerate(from_masks):
-                if _set_distance(row, m) < 2:
+                if m & near:
                     continue
                 if not any(not (m & other) and other >> u & 1 for other in to_masks):
                     return ConditionVerdict(False, {"vertex": u, "family": name, "index": i})
@@ -213,11 +226,9 @@ def construct_sbic(x: Graph) -> SbicWitness:
     if has_triangle(x):
         raise HasTriangleError("covering construction requires triangle-free input")
     n = x.n
-    if n == 0:
-        return SbicWitness((), ())
     a = [1 << v for v in range(n)]
     b = [1 << v for v in range(n)]
-    dist = distance_profile(x).distances
+    far = _far_masks(x.adj, n)
 
     # One added set per far pair plus one per vertex/set incidence suffices;
     # anything past that means the repair loop is broken.
@@ -225,26 +236,17 @@ def construct_sbic(x: Graph) -> SbicWitness:
         new_a: list[int] = []
         new_b: list[int] = []
 
-        for u in range(n):
-            row = dist[u]
-            for v in range(u + 1, n):
-                if row[v] < 3 and row[v] < n:
-                    continue
-                pair_mask = 1 << u | 1 << v
-                if any(m & pair_mask == pair_mask for m in a):
-                    continue
-                if any(m & pair_mask == pair_mask for m in b):
-                    continue
-                grown = _grow_independent(x, pair_mask, 0)
-                if grown not in new_a:
-                    new_a.append(grown)
+        for u, v in _unhoused_pairs(far, a + b):
+            grown = _grow_independent(x, 1 << u | 1 << v, 0)
+            if grown not in new_a:
+                new_a.append(grown)
 
         def repairs(from_masks: list[int], to_masks: list[int]) -> list[int]:
             added: list[int] = []
             for u in range(n):
-                row = dist[u]
+                near = x.adj[u] | 1 << u
                 for m in from_masks:
-                    if _set_distance(row, m) < 2:
+                    if m & near:
                         continue
                     if any(not (m & other) and other >> u & 1 for other in to_masks):
                         continue

@@ -1,10 +1,15 @@
+import hashlib
+import json
+import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 
 from twosc.canon import are_isomorphic
-from twosc.core import GraphError, edit, triangles
+from twosc.core import Graph, GraphError, edit, has_triangle, triangles
+from twosc.enumeration import graph_classes
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -13,19 +18,31 @@ from twosc.graphs import (
     path_graph,
 )
 from twosc.io import graph6_decode
-from twosc.recognition import NotTwoSelfCenteredError, condition_verdict, is_edge_minimal
+from twosc.recognition import (
+    NotTwoSelfCenteredError,
+    condition_verdict,
+    conditions_ok,
+    greedy_edge_minimal,
+    is_edge_minimal,
+)
 from twosc.reduction import (
     EdgeNotInTriangleError,
     InvalidStepError,
     NoCriticalEndpointError,
+    ReductionStep,
+    ReductionTrace,
     TriangleFreeInputError,
     _step_fault,
+    _triangles_left,
     apply_star_procedure,
     classify_edge_minimal_with_triangles,
     critical_partners,
     reduce_to_triangle_free,
     reduction_succeeds_in_any_order,
+    replay_trace,
 )
+
+from conftest import graphs, two_sc_graphs
 
 
 def five_cycle_with_chord():
@@ -110,11 +127,28 @@ class TestApplyStep:
         assert run.returncode == 0, run.stderr
 
     def test_step_fault_names_a_broken_property(self):
-        # no step on a graph with n <= 8 breaks the property, so the
-        # check is exercised on a hand-made before/after pair
-        fault, after = _step_fault([(0, 1, 2)], path_graph(4))
-        assert fault == "step broke the 2-self-centered property" and after == []
-        assert _step_fault([(0, 1, 2)], cycle_graph(4)) == (None, [])
+        # no real step breaks the property (none with n <= 8), so both
+        # branches of the check run on hand-made edits
+        broke = "step broke the 2-self-centered property"
+        # star-edit rule: deleting (0, 3) from the 2SC four-cycle leaves P4
+        step = ReductionStep((0, 3), 0, 3, (), (), ())
+        assert _step_fault(list(path_graph(4).adj), step, True) == broke
+        # full test: deleting the chord (0, 2) leaves P4 (fails) or C4 (passes)
+        step = ReductionStep((0, 2), 0, 2, (), (), ())
+        assert _step_fault(list(path_graph(4).adj), step, False) == broke
+        assert _step_fault(list(cycle_graph(4).adj), step, False) is None
+        assert _triangles_left([(0, 1, 2)], step) == []
+
+    @pytest.mark.parametrize("bad", [8, -1, -8, 99])
+    def test_vertex_outside_the_graph_raises_graph_error(self, bad):
+        # n = 8: ids n, -1 and -n used to raise IndexError or a plain
+        # ValueError("negative shift count"), or index from the end
+        g = order_sensitive_minimal()
+        for args in ((bad, 0), (0, bad), (bad, bad)):
+            with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
+                apply_star_procedure(g, *args)
+            with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
+                critical_partners(g, *args)
 
 
 class TestReduce:
@@ -183,3 +217,196 @@ class TestAnyOrderSearch:
         assert is_edge_minimal(g).minimal
         assert len(triangles(g)) == 4
         assert reduction_succeeds_in_any_order(g) is True
+
+
+# --- the Graph-per-step reduction, kept as the reference --------------------
+
+
+def ref_critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
+    out = []
+    a_adj = g.adj[anchor]
+    for w in range(g.n):
+        if w == anchor or a_adj >> w & 1:
+            continue
+        if a_adj & g.adj[w] == 1 << x:
+            out.append(w)
+    return out
+
+
+def ref_raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
+    if not g.has_edge(u, v):
+        raise EdgeNotInTriangleError(f"({u}, {v}) is not an edge")
+    if not g.adj[u] & g.adj[v]:
+        raise EdgeNotInTriangleError(f"edge ({u}, {v}) lies on no triangle")
+    u_partners = tuple(ref_critical_partners(g, u, v))
+    v_partners = tuple(ref_critical_partners(g, v, u))
+    if not u_partners and not v_partners:
+        raise NoCriticalEndpointError(
+            f"neither endpoint of ({u}, {v}) is critical for the other endpoint and any vertex"
+        )
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    added = []
+    for w in u_partners:
+        adj[v] |= 1 << w
+        adj[w] |= 1 << v
+        added.append((min(v, w), max(v, w)))
+    for w in v_partners:
+        adj[u] |= 1 << w
+        adj[w] |= 1 << u
+        added.append((min(u, w), max(u, w)))
+    step = ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
+    return Graph(tuple(adj)), step
+
+
+def ref_step_fault(tris, result: Graph):
+    after = triangles(result)
+    if set(after) - set(tris):
+        return "step created a new triangle", after
+    if not conditions_ok(result.adj, result.n):
+        return "step broke the 2-self-centered property", after
+    return None, after
+
+
+def ref_apply_star_procedure(g: Graph, u: int, v: int):
+    result, step = ref_raw_step(g, u, v)
+    tris = triangles(g)
+    fault, after = ref_step_fault(tris, result)
+    if fault is not None:
+        created = sorted(set(after) - set(tris))
+        raise InvalidStepError(f"{fault} on edge ({u}, {v})" + (f": {created}" if created else ""))
+    return result, step
+
+
+def ref_replay_trace(g: Graph, trace: ReductionTrace) -> bool:
+    current = g
+    tris = triangles(current)
+    for step in trace.steps:
+        nxt, redo = ref_raw_step(current, step.u, step.v)
+        if redo.added_edges != step.added_edges:
+            return False
+        fault, tris = ref_step_fault(tris, nxt)
+        if fault is not None:
+            return False
+        current = nxt
+    return not tris and current == trace.final
+
+
+def ref_pick_edge(g: Graph, tris):
+    for tri in sorted(tris):
+        a, b, c = tri
+        for u, v in ((a, b), (a, c), (b, c)):
+            if ref_critical_partners(g, u, v) or ref_critical_partners(g, v, u):
+                return (u, v)
+    return None
+
+
+def ref_reduce_to_triangle_free(g: Graph) -> ReductionTrace:
+    steps: list[ReductionStep] = []
+    current = g
+    tris = triangles(current)
+    while tris:
+        choice = ref_pick_edge(current, tris)
+        if choice is None:
+            return ReductionTrace(tuple(steps), current, False, "no triangle edge has a critical endpoint")
+        current, step = ref_raw_step(current, *choice)
+        steps.append(step)
+        fault, tris = ref_step_fault(tris, current)
+        if fault is not None:
+            return ReductionTrace(tuple(steps), current, False, fault)
+    return ReductionTrace(tuple(steps), current, True)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def triangle_edges(g: Graph) -> list[tuple[int, int]]:
+    return sorted({e for a, b, c in triangles(g) for e in ((a, b), (a, c), (b, c))})
+
+
+def assert_steps_match_reference(g: Graph, both_orientations: bool = True) -> None:
+    """Every star step on g and its one-step replay."""
+    for a, b in triangle_edges(g):
+        for u, v in ((a, b), (b, a)) if both_orientations else ((a, b),):
+            assert outcome(apply_star_procedure, g, u, v) == outcome(ref_apply_star_procedure, g, u, v), (g, u, v)
+            raw = outcome(ref_raw_step, g, u, v)
+            if isinstance(raw[1], ReductionStep):
+                one = ReductionTrace((raw[1],), raw[0], True)
+                assert replay_trace(g, one) == ref_replay_trace(g, one), (g, u, v)
+
+
+def assert_matches_reference(g: Graph, both_orientations: bool = True) -> None:
+    for x in range(g.n):
+        for anchor in range(g.n):
+            assert critical_partners(g, x, anchor) == ref_critical_partners(g, x, anchor)
+    trace = reduce_to_triangle_free(g)
+    ref = ref_reduce_to_triangle_free(g)
+    assert trace.to_json() == ref.to_json(), g
+    assert trace.final == ref.final
+    assert replay_trace(g, ref) == ref_replay_trace(g, ref), g
+    assert_steps_match_reference(g, both_orientations)
+
+
+class TestMatchesGraphPerStepReference:
+    def test_every_two_sc_class_with_triangles_up_to_eight(self):
+        examined = 0
+        for n in range(4, 9):
+            for g in graph_classes(n):
+                if g.two_sc and has_triangle(g):
+                    examined += 1
+                    assert_matches_reference(g, both_orientations=False)
+        assert examined == 3340
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_sc_graphs(max_n=14))
+    def test_random_two_sc_graphs(self, g):
+        assert_matches_reference(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(min_n=3, max_n=10))
+    def test_steps_on_arbitrary_graphs(self, g):
+        # input not known to be 2SC: the full local test decides
+        assert_steps_match_reference(g)
+
+
+# sha256 of the reduce_to_triangle_free(...).to_json() documents of
+# pinned_reduce_inputs(), one sorted-key JSON line each.  The reduction's
+# edge order decides these traces, so changing that order changes it.
+REDUCE_DIGEST = "7a8fe47df39c0a732e0c3a88e6eecf3bba8860d35b630ae1cf30a61e6c72fd7d"
+
+
+def pinned_reduce_inputs() -> list[Graph]:
+    """64 seeded edge-minimal 2SC graphs with triangles and n = 9..24."""
+    rng = random.Random(9)
+    out = []
+    while len(out) < 64:
+        n = rng.randint(9, 24)
+        p = rng.choice((0.45, 0.55))
+        adj = None
+        while adj is None or not conditions_ok(adj, n):
+            adj = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+        g = greedy_edge_minimal(Graph(tuple(adj)))
+        if has_triangle(g):
+            out.append(g)
+    return out
+
+
+def test_reduce_outputs_pinned_above_eight():
+    gs = pinned_reduce_inputs()
+    assert min(g.n for g in gs) == 9 and max(g.n for g in gs) == 24
+    docs = [reduce_to_triangle_free(g).to_json() for g in gs]
+    # both outcomes are pinned: 22 traces succeed, 42 fail
+    assert sum(d["succeeded"] for d in docs) == 22
+    text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
+    assert hashlib.sha256(text.encode()).hexdigest() == REDUCE_DIGEST

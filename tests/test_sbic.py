@@ -1,17 +1,25 @@
+import random
+from typing import Sequence
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from twosc.core import Graph, has_triangle
+from twosc.core import Graph, bits, distance_profile, has_triangle, triangles
 from twosc.enumeration import graph_classes
 from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, empty_graph, path_graph
 from twosc.sbic import (
+    ConditionVerdict,
     HasTriangleError,
+    SbicReport,
     SbicWitness,
     WitnessError,
+    _grow_independent,
     construct_sbic,
     verify_sbic,
 )
+
+from conftest import disjoint_unions, graphs
 
 
 def witness(a, b) -> SbicWitness:
@@ -132,3 +140,184 @@ class TestFamilyOrderStability:
             singletons = [[v] for v in range(x.n)]
             report = verify_sbic(x, witness(singletons, singletons))
             assert report.distant_pairs_share_set.ok
+
+
+# --- the distance_profile forms, kept as the reference ----------------------
+
+
+def _set_distance(row: Sequence[int], mask: int) -> int:
+    return min(row[v] for v in bits(mask))
+
+
+def ref_verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
+    n = x.n
+    full = x.full_mask
+    for m in witness.a_masks + witness.b_masks:
+        if m & ~full:
+            raise WitnessError("witness set references vertices outside the graph")
+
+    tri = triangles(x)
+    c_triangle = ConditionVerdict(not tri, tri[0] if tri else None)
+
+    c_cover = ConditionVerdict(True)
+    for name, masks in (("a", witness.a_masks), ("b", witness.b_masks)):
+        union = 0
+        for m in masks:
+            union |= m
+        if union != full:
+            missing = next(bits(full & ~union), None) if full else None
+            c_cover = ConditionVerdict(False, {"family": name, "uncovered_vertex": missing})
+            break
+        bad = None
+        for i, m in enumerate(masks):
+            for v in bits(m):
+                inside = x.adj[v] & m
+                if inside:
+                    bad = {"family": name, "index": i, "edge": [v, next(bits(inside))]}
+                    break
+            if bad:
+                break
+        if bad:
+            c_cover = ConditionVerdict(False, bad)
+            break
+
+    if n == 0:
+        vacuous = ConditionVerdict(True)
+        return SbicReport(c_triangle, c_cover, vacuous, vacuous, vacuous)
+
+    dist = distance_profile(x).distances
+
+    c_pairs = ConditionVerdict(True)
+    for u in range(n):
+        row = dist[u]
+        for v in range(u + 1, n):
+            if row[v] < 3 and row[v] < n:
+                continue
+            pair_mask = 1 << u | 1 << v
+            if any(m & pair_mask == pair_mask for m in witness.a_masks):
+                continue
+            if any(m & pair_mask == pair_mask for m in witness.b_masks):
+                continue
+            c_pairs = ConditionVerdict(False, {"pair": [u, v]})
+            break
+        if not c_pairs.ok:
+            break
+
+    def escape(from_masks, to_masks, name):
+        for u in range(n):
+            row = dist[u]
+            for i, m in enumerate(from_masks):
+                if _set_distance(row, m) < 2:
+                    continue
+                if not any(not (m & other) and other >> u & 1 for other in to_masks):
+                    return ConditionVerdict(False, {"vertex": u, "family": name, "index": i})
+        return ConditionVerdict(True)
+
+    c_a = escape(witness.a_masks, witness.b_masks, "a")
+    c_b = escape(witness.b_masks, witness.a_masks, "b")
+    return SbicReport(c_triangle, c_cover, c_pairs, c_a, c_b)
+
+
+def ref_construct_sbic(x: Graph) -> SbicWitness:
+    if has_triangle(x):
+        raise HasTriangleError("covering construction requires triangle-free input")
+    n = x.n
+    if n == 0:
+        return SbicWitness((), ())
+    a = [1 << v for v in range(n)]
+    b = [1 << v for v in range(n)]
+    dist = distance_profile(x).distances
+    for _ in range(2 * n * n + n * n * 4 + 8):
+        new_a: list[int] = []
+        new_b: list[int] = []
+        for u in range(n):
+            row = dist[u]
+            for v in range(u + 1, n):
+                if row[v] < 3 and row[v] < n:
+                    continue
+                pair_mask = 1 << u | 1 << v
+                if any(m & pair_mask == pair_mask for m in a):
+                    continue
+                if any(m & pair_mask == pair_mask for m in b):
+                    continue
+                grown = _grow_independent(x, pair_mask, 0)
+                if grown not in new_a:
+                    new_a.append(grown)
+
+        def repairs(from_masks, to_masks):
+            added: list[int] = []
+            for u in range(n):
+                row = dist[u]
+                for m in from_masks:
+                    if _set_distance(row, m) < 2:
+                        continue
+                    if any(not (m & other) and other >> u & 1 for other in to_masks):
+                        continue
+                    grown = _grow_independent(x, 1 << u, m)
+                    if grown not in added:
+                        added.append(grown)
+            return added
+
+        new_b.extend(repairs(a + new_a, b))
+        new_a.extend(m for m in repairs(b + new_b, a + new_a) if m not in new_a)
+        if not new_a and not new_b:
+            break
+        a.extend(new_a)
+        b.extend(new_b)
+    witness = SbicWitness(tuple(a), tuple(b))
+    assert ref_verify_sbic(x, witness).passed
+    return witness
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 16):
+    """G(n, p) with small p, where far pairs and far sets are common."""
+    n = draw(st.integers(0, max_n))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from((0.1, 0.2, 0.3)))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(tuple(adj))
+
+
+any_graphs = st.one_of(graphs(min_n=0, max_n=16), disjoint_unions(max_n=16), sparse_graphs())
+
+
+@st.composite
+def graphs_with_witnesses(draw):
+    """A graph and random non-empty families, sometimes padded to cover it."""
+    g = draw(any_graphs)
+    if g.n == 0:
+        return g, SbicWitness((), ())
+    sets = st.lists(st.integers(1, g.full_mask), max_size=6)
+    a, b = draw(sets), draw(sets)
+    if draw(st.booleans()):
+        a += [1 << v for v in range(g.n)]
+        b += [1 << v for v in range(g.n)]
+    return g, SbicWitness(tuple(a), tuple(b))
+
+
+class TestMatchesDistanceProfileReference:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_witnesses())
+    def test_random_witnesses(self, case):
+        g, w = case
+        assert verify_sbic(g, w).to_json() == ref_verify_sbic(g, w).to_json()
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_graphs, st.integers(0, 2**32 - 1))
+    def test_construct_and_partial_witnesses(self, g, seed):
+        if has_triangle(g):
+            return
+        w = construct_sbic(g)
+        assert w == ref_construct_sbic(g)
+        # dropping sets exercises every failing condition on real families
+        rng = random.Random(seed)
+        a = tuple(m for m in w.a_masks if rng.random() < 0.7)
+        b = tuple(m for m in w.b_masks if rng.random() < 0.7)
+        part = SbicWitness(a, b)
+        assert verify_sbic(g, part).to_json() == ref_verify_sbic(g, part).to_json()

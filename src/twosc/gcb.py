@@ -273,19 +273,14 @@ def assemble(spec: GcbSpec) -> Graph:
 def build_gcb(spec: GcbSpec, zero_l_reading: str = PRINTED) -> Graph:
     """Assemble the graph of a valid spec; see `assemble` for the layout.
 
-    Raises InvalidGcbSpecError when validation fails.  Debug runs assert
-    the built graph is triangle-free, 2-self-centered, and matches the
-    closed-form edge count.
+    Raises InvalidGcbSpecError when validation fails.  That the built
+    graph is triangle-free, 2-self-centered and has the closed-form edge
+    count is checked by the tests on sampled specs, not on each call.
     """
     validation = validate_gcb_spec(spec, zero_l_reading)
     if not validation.passed:
         raise InvalidGcbSpecError(f"spec fails validation: {validation.to_json()}")
-    g = assemble(spec)
-    if __debug__:
-        assert not has_triangle(g), f"built graph has a triangle: {spec.to_json()}"
-        assert g.two_sc, f"built graph is not 2-self-centered: {spec.to_json()}"
-        assert g.edge_count == expected_edge_count(spec), "edge-count formula mismatch"
-    return g
+    return assemble(spec)
 
 
 @dataclass(frozen=True)
@@ -341,7 +336,9 @@ def decompose_triangle_free(g: Graph) -> tuple[GcbSpec, GcbRoles]:
     Peels a maximal independent set, then a second one from the rest;
     what remains is the core X.  Side K (resp. L) collects the second
     (resp. first) set's vertices with no neighbor in X; the rest become
-    connectors whose covering sets are their X-neighborhoods.
+    connectors whose covering sets are their X-neighborhoods.  The
+    battery's ``gcb_round_trip`` and the tests check that the witness is
+    an SBIC and that the spec rebuilds the input.
     """
     if not g.two_sc:
         raise NotTwoSelfCenteredError("decomposition requires a 2-self-centered graph")
@@ -381,11 +378,7 @@ def decompose_triangle_free(g: Graph) -> tuple[GcbSpec, GcbRoles]:
         tuple(to_core_mask(x_neighbors(z)) for z in z_vertices),
     )
     spec = GcbSpec(len(k_vertices), len(l_vertices), core, witness)
-    roles = GcbRoles(k_vertices, l_vertices, y_vertices, z_vertices, x_vertices)
-    if __debug__:
-        assert verify_sbic(core, witness).passed, f"decomposition witness fails on {g!r}"
-        assert assemble(spec) == g.relabel(roles.order), f"rebuild mismatch on {g!r}"
-    return spec, roles
+    return spec, GcbRoles(k_vertices, l_vertices, y_vertices, z_vertices, x_vertices)
 
 
 def _random_triangle_free(rng: random.Random, n: int, density: float = 0.6) -> Graph:

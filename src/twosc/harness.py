@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Iterable, Sequence
 
-from .core import Graph, has_triangle, triangles
+from .core import Graph, has_triangle
 from .enumeration import RangeError, _usable_cpus, connected_classes
 from .gcb import PRINTED, SYMMETRIC, assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
-    check_bipartite_proposition,
+    _bipartite_sides_agree,
     complement_star_certificate,
     edge_maximal_by_definition,
     greedy_edge_maximal,
@@ -39,6 +40,8 @@ from .reduction import (
 from .sbic import verify_sbic
 
 FULL_BATTERY_MAX = 7
+
+COUNTS = ("graphs", "two_sc", "edge_minimal", "edge_maximal", "triangle_free_two_sc")
 
 THEOREMS = (
     "recognition_matches_metric",
@@ -57,9 +60,10 @@ class VerificationReport:
 
     ``seconds`` is the time inside this theorem's check, summed over graphs
     and worker processes, so with workers it can exceed the wall time.  The
-    shared prelude, the 2SC test and the counting table's minimality and
-    maximality, is charged to no theorem; the reduction-order experiment
-    to ``triangle_classification``, which triggers it.
+    shared prelude (the 2SC test, the counting table's minimality and
+    maximality, and the complement certificate) is charged to no theorem;
+    the reduction-order experiment to ``triangle_classification``, which
+    triggers it.  ``n_min`` is 0 while no graph has been examined.
     """
 
     theorem: str
@@ -69,6 +73,32 @@ class VerificationReport:
     passes: int = 0
     counterexamples: list[dict[str, Any]] = field(default_factory=list)
     seconds: float = 0.0
+
+    def record(self, g: Graph, ok: bool, detail: dict[str, Any] | None, seconds: float) -> None:
+        """Count one examined graph; a failure keeps its graph6 and ``detail``."""
+        n = len(g.adj)
+        if not self.examined or n < self.n_min:
+            self.n_min = n
+        if n > self.n_max:
+            self.n_max = n
+        self.examined += 1
+        self.seconds += seconds
+        if ok:
+            self.passes += 1
+        else:
+            self.counterexamples.append({"n": n, "graph6": graph6_encode(g), "detail": detail})
+
+    def merge(self, other: VerificationReport) -> VerificationReport:
+        """The report over both streams; counterexamples sorted by (n, graph6)."""
+        return VerificationReport(
+            self.theorem,
+            min(self.n_min or other.n_min, other.n_min or self.n_min),
+            max(self.n_max, other.n_max),
+            self.examined + other.examined,
+            self.passes + other.passes,
+            sorted(self.counterexamples + other.counterexamples, key=lambda c: (c["n"], c["graph6"])),
+            self.seconds + other.seconds,
+        )
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -84,13 +114,42 @@ class VerificationReport:
 
 @dataclass
 class BatteryResult:
-    """All reports plus the per-n counting table and experiment notes."""
+    """All reports plus the per-n counting table and experiment notes.
+
+    ``seconds`` is the wall time of the run that produced the result; a
+    merge adds the parts' times, and ``verify_all`` reports its own.
+    """
 
     reports: list[VerificationReport]
     counting: dict[int, dict[str, int]]
     zero_l_divergences: list[str]
     order_dependence: list[dict[str, Any]]
     seconds: float
+
+    @staticmethod
+    def empty() -> BatteryResult:
+        """The result over no graphs, which merging leaves unchanged."""
+        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, [], [], 0.0)
+
+    def merge(self, other: BatteryResult) -> BatteryResult:
+        """The result over both streams.
+
+        Associative, and the only place where the counterexamples, the
+        zero-l records and the order notes are sorted, so a run gives the
+        same JSON however its graphs were split.
+        """
+        counting = {n: dict(row) for n, row in self.counting.items()}
+        for n, row in other.counting.items():
+            dest = counting.setdefault(n, dict.fromkeys(row, 0))
+            for key, val in row.items():
+                dest[key] += val
+        return BatteryResult(
+            [mine.merge(theirs) for mine, theirs in zip(self.reports, other.reports)],
+            counting,
+            sorted(set(self.zero_l_divergences) | set(other.zero_l_divergences)),
+            sorted(self.order_dependence + other.order_dependence, key=lambda d: d["graph6"]),
+            self.seconds + other.seconds,
+        )
 
     def counterexample_total(self) -> int:
         return sum(len(r.counterexamples) for r in self.reports)
@@ -112,44 +171,41 @@ def _stable_hash(adj: Sequence[int]) -> int:
     return h
 
 
-def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
-    """Run the battery on one graph; returns theorem outcomes and counts."""
-    out: dict[str, Any] = {"n": g.n, "checks": {}, "counts": {}, "zero_l_diverges": False, "order_note": None}
-    checks = out["checks"]
-    clock = time.perf_counter
+def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, VerificationReport]) -> None:
+    """Run the battery on one graph and record its outcomes in ``part``.
 
+    ``reports`` maps each theorem to its report in ``part``; ``_run_chunk``
+    builds it once per stream rather than once per graph.
+    """
+    clock = time.perf_counter
     two_sc = g.two_sc
     triangle_free = not has_triangle(g)
     minimal = is_edge_minimal(g).minimal if two_sc else False
-    maximal_char = complement_star_certificate(g).maximal if two_sc else False
-    out["counts"] = {
-        "graphs": 1,
-        "two_sc": int(two_sc),
-        "edge_minimal": int(minimal),
-        "edge_maximal": int(maximal_char),
-        "triangle_free_two_sc": int(two_sc and triangle_free),
-    }
+    cert = complement_star_certificate(g) if two_sc else None
+    maximal_char = cert is not None and cert.maximal
+    row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
+    for key, val in zip(COUNTS, (1, two_sc, minimal, maximal_char, two_sc and triangle_free)):
+        row[key] += val
 
     if full:
         start = clock()
         metric = metric_two_self_centered(g)
-        checks["recognition_matches_metric"] = (
+        reports["recognition_matches_metric"].record(
+            g,
             two_sc == metric,
             None if two_sc == metric else {"conditions": two_sc, "metric": metric},
             clock() - start,
         )
 
         start = clock()
-        checks["bipartite_minimal_proposition"] = (
-            check_bipartite_proposition(g),
-            None,
-            clock() - start,
-        )
+        left = cert is not None and not cert.complement_connected and minimal
+        reports["bipartite_minimal_proposition"].record(g, _bipartite_sides_agree(g, left), None, clock() - start)
 
         if two_sc:
             start = clock()
             defn_max = edge_maximal_by_definition(g)
-            checks["edge_maximal_complement_stars"] = (
+            reports["edge_maximal_complement_stars"].record(
+                g,
                 maximal_char == defn_max,
                 None if maximal_char == defn_max else {"characterization": maximal_char, "definition": defn_max},
                 clock() - start,
@@ -158,11 +214,10 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
             start = clock()
             forward_ok = minimal or not triangle_free
             converse_ok = triangle_free or not (minimal and not has_critical_triple(g))
-            checks["triangle_free_minimality"] = (
+            reports["triangle_free_minimality"].record(
+                g,
                 forward_ok and converse_ok,
-                None
-                if forward_ok and converse_ok
-                else {"forward": forward_ok, "converse": converse_ok},
+                None if forward_ok and converse_ok else {"forward": forward_ok, "converse": converse_ok},
                 clock() - start,
             )
 
@@ -174,16 +229,16 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
                 if cls.trace is not None and cls.trace.succeeded:
                     trace_ok = replay_trace(g, cls.trace)
                 if cls.every_triangle_edge_critical and cls.trace is not None and not cls.trace.succeeded:
-                    out["order_note"] = {
+                    part.order_dependence.append({
+                        "graph6": graph6_encode(g),
                         "default_order_failed": True,
                         "some_order_succeeds": reduction_succeeds_in_any_order(g),
                         "edge_minimal": minimal,
-                    }
-                checks["triangle_classification"] = (
+                    })
+                reports["triangle_classification"].record(
+                    g,
                     agree and trace_ok,
-                    None
-                    if agree and trace_ok
-                    else {"classified": cls.minimal, "definition": minimal, "trace_ok": trace_ok},
+                    None if agree and trace_ok else {"classified": cls.minimal, "definition": minimal, "trace_ok": trace_ok},
                     clock() - start,
                 )
 
@@ -200,7 +255,8 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
                 and sup.two_sc
                 and edge_maximal_by_definition(sup)
             )
-            checks["sandwich_existence"] = (
+            reports["sandwich_existence"].record(
+                g,
                 sub_ok and sup_ok,
                 None if sub_ok and sup_ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok},
                 clock() - start,
@@ -215,7 +271,8 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
         printed_ok = validate_gcb_spec(spec, PRINTED).passed
         symmetric_ok = validate_gcb_spec(spec, SYMMETRIC).passed
         ok = equal and sbic_ok and (printed_ok or symmetric_ok)
-        checks["gcb_round_trip"] = (
+        reports["gcb_round_trip"].record(
+            g,
             ok,
             None
             if ok
@@ -227,69 +284,20 @@ def _check_graph(g: Graph, full: bool) -> dict[str, Any]:
             },
             clock() - start,
         )
-        out["zero_l_diverges"] = printed_ok != symmetric_ok
+        if printed_ok != symmetric_ok:
+            part.zero_l_divergences.append(graph6_encode(g))
 
-    return out
 
-
-def _run_chunk(payload: tuple[Iterable[Graph], int]) -> dict[str, Any]:
+def _run_chunk(payload: tuple[Iterable[Graph], int]) -> BatteryResult:
+    """The battery over one stream of graphs, full up to the given n."""
     graphs, full_max = payload
-    merged: dict[str, Any] = {
-        "theorems": {name: {"examined": 0, "passes": 0, "counterexamples": [], "n_min": 0, "n_max": 0, "seconds": 0.0} for name in THEOREMS},
-        "counting": {},
-        "zero_l": [],
-        "order_notes": [],
-    }
+    start = time.perf_counter()
+    part = BatteryResult.empty()
+    reports = {rep.theorem: rep for rep in part.reports}
     for g in graphs:
-        record = _check_graph(g, g.n <= full_max)
-        n = g.n
-        row = merged["counting"].setdefault(n, dict.fromkeys(record["counts"], 0))
-        for key, val in record["counts"].items():
-            row[key] += val
-        for name, (ok, detail, seconds) in record["checks"].items():
-            agg = merged["theorems"][name]
-            agg["examined"] += 1
-            agg["seconds"] += seconds
-            agg["n_min"] = n if not agg["n_min"] else min(agg["n_min"], n)
-            agg["n_max"] = max(agg["n_max"], n)
-            if ok:
-                agg["passes"] += 1
-            else:
-                agg["counterexamples"].append({"n": n, "graph6": graph6_encode(g), "detail": detail})
-        if record["zero_l_diverges"]:
-            merged["zero_l"].append(graph6_encode(g))
-        if record["order_note"]:
-            merged["order_notes"].append({"graph6": graph6_encode(g), **record["order_note"]})
-    return merged
-
-
-def _merge(parts: list[dict[str, Any]], elapsed: float) -> BatteryResult:
-    reports = []
-    for name in THEOREMS:
-        rep = VerificationReport(theorem=name)
-        for part in parts:
-            agg = part["theorems"][name]
-            rep.examined += agg["examined"]
-            rep.passes += agg["passes"]
-            rep.seconds += agg["seconds"]
-            rep.counterexamples.extend(agg["counterexamples"])
-            if agg["n_min"]:
-                rep.n_min = agg["n_min"] if not rep.n_min else min(rep.n_min, agg["n_min"])
-            rep.n_max = max(rep.n_max, agg["n_max"])
-        rep.counterexamples.sort(key=lambda c: (c["n"], c["graph6"]))
-        reports.append(rep)
-    counting: dict[int, dict[str, int]] = {}
-    for part in parts:
-        for n, row in part["counting"].items():
-            dest = counting.setdefault(n, dict.fromkeys(row, 0))
-            for key, val in row.items():
-                dest[key] += val
-    zero_l = sorted({g6 for part in parts for g6 in part["zero_l"]})
-    notes = sorted(
-        (note for part in parts for note in part["order_notes"]),
-        key=lambda d: d["graph6"],
-    )
-    return BatteryResult(reports, counting, zero_l, notes, elapsed)
+        _check_graph(g, g.n <= full_max, part, reports)
+    part.seconds = time.perf_counter() - start
+    return part
 
 
 def verify_all(
@@ -337,7 +345,9 @@ def verify_all(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_chunk, [(b, full_battery_max) for b in buckets]))
-    return _merge(parts, time.perf_counter() - start)
+    result = reduce(BatteryResult.merge, parts, BatteryResult.empty())
+    result.seconds = time.perf_counter() - start
+    return result
 
 
 def _ran(rep: VerificationReport) -> str:

@@ -211,12 +211,13 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     Every step must reproduce its recorded edge additions, strictly lower
     the triangle count without creating any new triangle, and keep the
     graph 2-self-centered; the replay must end at the recorded final
-    graph, triangle-free.
+    graph, triangle-free.  Raises GraphError for a step vertex outside g.
     """
     adj = list(g.adj)
     tris = triangles(g)
     two_sc = g.two_sc
     for step in trace.steps:
+        _check_vertices(g, step.u, step.v)
         redo = _star_step(adj, step.u, step.v)
         if redo.added_edges != step.added_edges or _step_fault(adj, redo, two_sc) is not None:
             return False

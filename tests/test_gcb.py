@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from twosc.canon import are_isomorphic
 from twosc.core import Graph, has_triangle
@@ -25,6 +26,8 @@ from twosc.graphs import (
 )
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict
 from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
+
+from conftest import triangle_free_two_sc_graphs
 
 
 def empty_spec(k: int, l: int) -> GcbSpec:
@@ -129,6 +132,15 @@ class TestDecompose:
                 covered_b |= m
             if spec.x.n:
                 assert covered_a == covered_b == spec.x.full_mask
+
+    @settings(max_examples=150, deadline=None)
+    @given(triangle_free_two_sc_graphs(max_n=14))
+    def test_round_trip_on_random_graphs(self, g):
+        # beyond the exhaustive n <= 8 of the battery and criterion 6
+        assert g.two_sc and not has_triangle(g)
+        spec, roles = decompose_triangle_free(g)
+        assert verify_sbic(spec.x, spec.witness).passed
+        assert assemble(spec) == g.relabel(roles.order)
 
     def test_requires_triangle_free(self):
         with pytest.raises(HasTriangleError):

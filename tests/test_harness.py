@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from twosc import gcb, harness
+from twosc.core import Graph
 from twosc.enumeration import RangeError, connected_classes
-from twosc.harness import THEOREMS, render_table, verify_all
+from twosc.harness import FULL_BATTERY_MAX, THEOREMS, BatteryResult, _run_chunk, render_table, verify_all
 from twosc.io import write_graph6
 
 # Class counts established by the exhaustive battery itself; the
@@ -55,10 +57,41 @@ def test_worker_counts_do_not_change_reports():
     assert serial == two == three
 
 
+def connected_up_to(n_max):
+    return [g for n in range(1, n_max + 1) for g in connected_classes(n)]
+
+
+def test_chunk_results_merge_associatively():
+    graphs = connected_up_to(6)
+    a, b, c = (_run_chunk((graphs[i::3], FULL_BATTERY_MAX)) for i in range(3))
+    left = strip_times(a.merge(b).merge(c).to_json())
+    right = strip_times(a.merge(b.merge(c)).to_json())
+    assert left == right == strip_times(verify_all(6).to_json())
+    assert strip_times(BatteryResult.empty().merge(a).to_json()) == strip_times(a.to_json())
+
+
+def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
+    # a defect in assemble shows wherever it is called
+    def wrong(spec):
+        return Graph(())
+
+    monkeypatch.setattr(gcb, "assemble", wrong)
+    monkeypatch.setattr(harness, "assemble", wrong)
+    result = verify_all(6)
+    rep = next(r for r in result.reports if r.theorem == "gcb_round_trip")
+    assert rep.examined == 6 and rep.passes == 0  # triangle-free 2SC: 1, 2 and 3 at n = 4, 5, 6
+    assert result.counterexample_total() == 6
+    keys = [(c["n"], c["graph6"]) for c in rep.counterexamples]
+    assert keys == sorted(keys)
+    for c in rep.counterexamples:
+        assert c["detail"]["rebuild_equal"] is False and c["detail"]["sbic"] is True
+    # the records are sorted where parts merge, whatever order the stream had
+    backwards = _run_chunk((connected_up_to(6)[::-1], FULL_BATTERY_MAX))
+    assert strip_times(BatteryResult.empty().merge(backwards).to_json()) == strip_times(result.to_json())
+
+
 def test_pool_never_exceeds_usable_cpus(monkeypatch):
     import concurrent.futures
-
-    from twosc import harness
 
     sizes = []
 

@@ -98,6 +98,19 @@ class TestTwoSelfCentered:
     def test_fast_test_matches_verdict_on_random_graphs(self, g):
         assert conditions_ok(g.adj, g.n) == condition_verdict(g).is_2sc
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(graphs(max_n=16), two_sc_graphs(max_n=16)))
+    def test_verdict_matches_the_metric_on_random_graphs(self, g):
+        # the battery compares the two exhaustively only up to n = 8; few
+        # graphs drawn edge by edge are 2SC, so 2SC ones are drawn as well
+        assert condition_verdict(g).is_2sc == metric_two_self_centered(g), g
+
+    @settings(max_examples=200, deadline=None)
+    @given(disjoint_unions(max_n=16))
+    def test_verdict_matches_the_metric_on_unions_and_their_complements(self, g):
+        for h in (g, complement(g)):
+            assert condition_verdict(h).is_2sc == metric_two_self_centered(h), h
+
 
 class TestEdgeMaximal:
     def test_four_cycle(self):
@@ -127,6 +140,13 @@ class TestEdgeMaximal:
     def test_requires_two_self_centered(self):
         with pytest.raises(NotTwoSelfCenteredError):
             is_edge_maximal(path_graph(4))
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_sc_graphs(max_n=14))
+    def test_certificate_matches_the_definition_on_random_graphs(self, g):
+        # the greedy supergraph is edge-maximal, so both verdicts are reached
+        for h in (g, greedy_edge_maximal(g)):
+            assert complement_star_certificate(h).maximal == edge_maximal_by_definition(h), h
 
     def test_definition_requires_two_self_centered(self):
         for g in (path_graph(4), complete_graph(5), star_graph(4)):

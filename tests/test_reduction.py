@@ -144,11 +144,14 @@ class TestApplyStep:
         # n = 8: ids n, -1 and -n used to raise IndexError or a plain
         # ValueError("negative shift count"), or index from the end
         g = order_sensitive_minimal()
-        for args in ((bad, 0), (0, bad), (bad, bad)):
+        for args in ((bad, 0), (bad, 1), (0, bad), (bad, bad)):
             with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
                 apply_star_procedure(g, *args)
             with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
                 critical_partners(g, *args)
+            one = ReductionTrace((ReductionStep(args, *args, (), (), ()),), g, True)
+            with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
+                replay_trace(g, one)
 
 
 class TestReduce:

@@ -1,17 +1,30 @@
 """Canonical labeling for small graphs.
 
-The canonical order of a graph maximizes, lexicographically, the bit
-string read off column by column (each new vertex's adjacencies to the
-vertices placed before it), and among the orders that do, it is the
-lexicographically smallest.  Two graphs are isomorphic iff they have
-the same vertex count and the same canonical form.
+The canonical form is defined over a restricted set of vertex orders.
+A vertex's rank is its degree, then the sum of its neighbours' degrees;
+the vertices of equal rank form a cell, and the cells, in descending
+rank, form an isomorphism-invariant ordered partition (the first step
+of vertex-invariant refinement; McKay, *Isomorph-free exhaustive
+generation*, J. Algorithms 1998; McKay and Piperno, *Practical graph
+isomorphism, II*, JSC 2014).  The admissible orders place the cells
+one after another.  The canonical order is, among the admissible
+orders, one that maximizes the bit string read off column by column
+(each new vertex's adjacencies to the vertices placed before it), and
+among those the lexicographically smallest.
+
+Isomorphic graphs admit the same orders up to relabelling, so the
+maximal code, ``partition_code``, is a complete invariant, and it
+determines its graph: after a leading 1 bit, level j holds j bits, the
+adjacency of position j to positions 0..j-1 (``_decode``).  So it is
+the canonical form too: ``canonical_masks`` relabels a graph by its
+canonical order, which gives exactly ``_decode(partition_code(g))``,
+and two graphs are isomorphic iff they have the same vertex count and
+the same canonical form.
 
 The search keeps, level by level, every partial order that attains the
 maximal bit prefix, and collapses partial orders that are exchangeable:
 two prefixes over the same vertex set are interchangeable whenever every
-unplaced vertex sees the same adjacency pattern toward both.  The
-collapse is what keeps highly symmetric graphs (complete, edgeless,
-vertex-transitive) from exploding into factorially many states.  Of two
+unplaced vertex sees the same adjacency pattern toward both.  Of two
 collapsed prefixes the lexicographically smaller one is kept: both have
 the same completions, so the smallest optimal order survives.
 
@@ -23,17 +36,18 @@ lanes of w bits, one lane per vertex.  Up to 8 vertices w = 8, and the
 byte lanes are read through tables built at import; above that w = n,
 since a pattern never has more than n - 1 bits.
 
-Most ties between optimal prefixes are orders of the same cliques, so
-the full search (every vertex allowed at every level) starts from the
-maximum cliques and leaves the order inside a clique open until a later
-vertex tells its members apart.  Both steps are exact:
+A cell whose vertices no rank tells apart (a regular graph is one cell)
+leaves many orders tied.  Three exact rules keep those ties from
+exploding into factorially many states:
 
-- Clique seed.  With clique number k, the first k - 1 levels of the
-  code can be all ones, and they are iff positions 0..k-1 hold a
-  clique.  So every optimal order starts with a maximum clique, and
-  every maximum clique, in any internal order, attains that prefix.
-  The search enumerates the maximum cliques by branch and bound, and
-  each becomes a start state at level k.
+- Clique seed on the first cell.  When the first cell holds an edge,
+  let k be the clique number of the subgraph it induces.  The first
+  k - 1 levels of the code can be all ones, and they are iff positions
+  0..k-1 hold a clique of that subgraph.  So every optimal order starts
+  with one of its maximum cliques, and every such clique, in any
+  internal order, attains that prefix.  The search enumerates those
+  cliques by branch and bound, and each becomes a start state at
+  level k.
 - Lazy cells.  A state's placed vertices form cells, runs of positions
   whose internal order is still open; a seed is one cell.  Every
   multi-vertex cell is part of the seed clique, so its members' own
@@ -51,17 +65,13 @@ vertex tells its members apart.  Both steps are exact:
   is an ordinary state; others collapse only when their multi-vertex
   cells match too.  A state's order lists each cell ascending, the
   smallest order it stands for.
-
-The search also takes, per level, a mask of the vertices that
-level may place, and returns the maximal code along with the order.
-The canonical form allows every vertex at every level.  The generator
-deduplicates its candidates by ``partition_code``, the same search
-restricted to orders that respect an isomorphism-invariant ordered
-partition: far fewer orders tie, so it costs a fraction of the full
-search, and it is still a complete invariant.  The generator then
-computes the canonical form once per class.  A restricted search is
-not seeded: its first cell is usually a single vertex, so the seed
-would buy little, and seeded it ran slower.
+- Twins.  Two vertices with equal open or equal closed neighbourhoods
+  share a rank, and swapping them is an automorphism: it maps an
+  optimal order to an optimal order.  So the smallest optimal order
+  places twins in ascending index order, and the search places a
+  vertex (or seeds a clique holding it) only after its smaller twins.
+  Whether a vertex may be placed depends only on the set already
+  placed, so two collapsed states still have the same completions.
 """
 
 from __future__ import annotations
@@ -85,8 +95,8 @@ class _Members(dict):
         return vs
 
 
-def _maximum_cliques(adj: Sequence[int]) -> list[int]:
-    """Every maximum clique of a graph with at least one vertex, as bitmasks.
+def _maximum_cliques(adj: Sequence[int], within: int) -> list[int]:
+    """Every maximum clique of the subgraph induced on the nonempty set ``within``.
 
     Branch and bound: each clique is grown once, by adding its members
     in ascending order, and a branch stops as soon as even all of its
@@ -111,8 +121,26 @@ def _maximum_cliques(adj: Sequence[int]) -> list[int]:
             if k + cand.bit_count() < size:
                 return
 
-    grow(0, 0, (1 << len(adj)) - 1)
+    grow(0, 0, within)
     return found
+
+
+def _twins_before(adj: Sequence[int]) -> list[int]:
+    """Per vertex, the bitmask of its twins with a smaller index.
+
+    Twins have equal open neighbourhoods (so are not adjacent) or equal
+    closed ones (so are); no pair is both.
+    """
+    before = []
+    open_: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, m in enumerate(adj):
+        o = open_.get(m, 0)
+        c = closed.get(m | 1 << v, 0)
+        before.append(o | c)
+        open_[m] = o | 1 << v
+        closed[m | 1 << v] = c | 1 << v
+    return before
 
 
 def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Sequence[int], top: int) -> int:
@@ -137,12 +165,10 @@ def _canonical_order_packed(
     """Pattern-packed search over lanes of w = max(n, 8) bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``,
-    the cells of an ordered partition in turn, so level 0 admits every
-    vertex only if every level does; that full search is clique-seeded.
-    Returns the maximal code over those orders, the per-level maxima
-    packed into one int after a leading 1 bit (so graphs of different
-    sizes get different codes), and the lexicographically smallest
-    order attaining it.
+    the cells of the ordered partition in turn.  Returns the maximal
+    code over those orders, the per-level maxima packed into one int
+    after a leading 1 bit (so graphs of different sizes get different
+    codes), and the lexicographically smallest order attaining it.
     """
     if n <= 8:
         w, bits_of = 8, _BITS
@@ -160,31 +186,42 @@ def _canonical_order_packed(
     # hold the multi-vertex cell that starts at position p, if any, so
     # states collapse only when their cells match too.
     full = (1 << n) - 1
-    if allowed[0] == full:
+    before = _twins_before(adj)
+    twinned = sum(1 << v for v in range(n) if before[v])
+    first = allowed[0]
+    if any(adj[v] & first for v in bits_of[first]):
+        # seeded: the first cell holds an edge, so every seed is one
+        # lazy cell of at least two vertices
         ones = low // (lane >> 1)  # bit 0 of every lane
         top = low + ones
         # a lane count c, plus under[j], reaches the lane's top bit iff c > j
         under = [ones * ((lane >> 1) - j) for j in range(n)]
-        cliques = _maximum_cliques(adj)
+        cliques = _maximum_cliques(adj, first)
         size = cliques[0].bit_count()
         pool = []
         for clique in cliques:
+            if any(before[v] & ~clique for v in bits_of[clique & twinned]):
+                continue
             members = bits_of[clique]
             pb = sum(lane << c * w for c in members)
             pats = _unary(row_exp, members, w - size, under, top) & ~pb
-            pool.append((members, clique | (clique << n if size > 1 else 0), pats, pb))
+            pool.append((members, clique | clique << n, pats, pb))
         # the leading 1, then levels 1..size-1 all ones
         code = (2 << size * (size - 1) // 2) - 1
     else:
         size = code = 1
-        pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[allowed[0]]]
+        pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[first] if not before[v]]
     for level in range(size, n):
         allow = allowed[level]
         best = -1
         grown: list[tuple[tuple[tuple[int, ...], int, int, int], int]] = []
         for state in pool:
             _, mask, pats, _ = state
-            for v in bits_of[allow & ~mask]:
+            free = allow & ~mask
+            for v in bits_of[free & twinned]:
+                if before[v] & ~mask:
+                    free ^= 1 << v
+            for v in bits_of[free]:
                 p = pats >> v * w & lane
                 if p < best:
                     continue
@@ -233,50 +270,72 @@ def _canonical_order_packed(
     return code, min(pool)[0]
 
 
-def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
-    """The vertex order achieving the maximal column-major adjacency code.
-
-    Where several orders achieve it, the lexicographically smallest.
-    """
-    n = len(adj)
-    if n <= 1:
-        return tuple(range(n))
-    return _canonical_order_packed(adj, n, ((1 << n) - 1,) * n)[1]
-
-
-def partition_code(adj: Sequence[int]) -> int:
-    """A complete isomorphism invariant of a graph on 1..8 vertices, as an int.
-
-    The maximal code of the packed search, taken only over vertex orders
-    that place the cells of an isomorphism-invariant ordered partition
-    one after another.  A vertex's rank is its degree, then the sum of
-    its neighbours' degrees (``deg * 64 + sum``; the sum stays below 64
-    for n <= 8), and cells go in descending rank.  Isomorphic graphs
-    admit the same orders up to relabelling, and the code determines
-    the graph, so two graphs share a code iff they are isomorphic.  It
-    is the generator's dedupe key, not the canonical form.  Raises
-    ``GraphError`` outside 1..8 vertices.
-    """
-    n = len(adj)
-    if not 1 <= n <= 8:
-        raise GraphError(f"partition_code takes graphs on 1..8 vertices, got {n}")
-    bits_of = _BITS
+def _canonical(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
+    """The maximal code and the canonical order of a graph on n >= 1 vertices."""
+    members = _BITS.__getitem__ if n <= 8 else bits
     deg = [m.bit_count() for m in adj]
+    # a neighbour-degree sum is below n * n, so this ranks by degree,
+    # then by the sum, exactly as deg * 64 + sum does for n <= 8
+    shift = (n * n).bit_length()
     cells: dict[int, int] = {}
     for v, m in enumerate(adj):
-        r = deg[v] << 6
-        for u in bits_of[m]:
+        r = deg[v] << shift
+        for u in members(m):
             r += deg[u]
         cells[r] = cells.get(r, 0) | 1 << v
     allowed: list[int] = []
     for r in sorted(cells, reverse=True):
         cell = cells[r]
         allowed += [cell] * cell.bit_count()
-    return _canonical_order_packed(adj, n, allowed)[0]
+    return _canonical_order_packed(adj, n, allowed)
+
+
+def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
+    """The canonical order: cells in descending rank, maximal code, smallest.
+
+    Among the orders that place the rank cells one after another, the
+    lexicographically smallest of those achieving the maximal
+    column-major adjacency code.
+    """
+    n = len(adj)
+    if n <= 1:
+        return tuple(range(n))
+    return _canonical(adj, n)[1]
+
+
+def partition_code(adj: Sequence[int]) -> int:
+    """The canonical form of a graph on n >= 1 vertices, packed into an int.
+
+    The maximal column-major code over the orders that place the rank
+    cells one after another: a complete isomorphism invariant, which
+    ``_decode`` turns back into ``canonical_masks``.  The generator's
+    dedupe key.  Raises ``GraphError`` on the empty graph.
+    """
+    n = len(adj)
+    if n < 1:
+        raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
+    return _canonical(adj, n)[0]
+
+
+def _decode(code: int, n: int) -> list[int]:
+    """The adjacency masks, in code order, of the graph a code determines.
+
+    The inverse of ``partition_code``: it returns ``canonical_masks``.
+    """
+    adj = [0] * n
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        shift -= j
+        row = code >> shift
+        for i in range(j):
+            if row >> (j - 1 - i) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency masks of the canonically relabeled graph (a full invariant)."""
+    """Adjacency masks of the graph relabelled by its canonical order (a full invariant)."""
     n = len(adj)
     order = canonical_order(adj)
     pos = [0] * n

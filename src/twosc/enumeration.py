@@ -2,23 +2,17 @@
 
 Graphs on k+1 vertices are produced by attaching a new vertex to every
 k-vertex class representative, with every neighborhood that leaves the
-new vertex of minimum degree (every graph arises so).  A level runs in
-two phases:
+new vertex of minimum degree (every graph arises so).  A level is one
+pass: the candidates are deduplicated by ``partition_code``, each share
+of the parents yielding the set of its candidates' codes, and the sets
+are merged.  The code is the canonical form packed into an int, so each
+distinct code decodes straight into its class representative, the
+canonical form, and no second search runs per class.
 
-1. The candidates are deduplicated by ``partition_code``, a complete
-   invariant much cheaper than the canonical form: each share of the
-   parents yields the set of its candidates' codes, and the sets are
-   merged.
-2. Each distinct code is decoded back into a graph and its canonical
-   form computed, so the canonical form runs once per class.  A code
-   determines its graph: after the leading 1 bit, level j holds j bits,
-   the adjacency of position j to positions 0..j-1, most significant bit
-   first.
-
-The n = 8 level splits each phase into one share per usable CPU: the
-caller works the first share and child processes the others, and only
-ints and mask tuples cross the pipes.  Smaller levels, and machines with
-one usable CPU, run one share in the caller and start no process.
+The n = 8 level splits the parents into one share per usable CPU:
+the caller works the first share and child processes the others, and
+only ints cross the pipes.  Smaller levels, and machines with one
+usable CPU, run one share in the caller and start no process.
 
 The published class counts are pinned here and checked by the test
 suite; connected counts additionally get a record-for-record cross-check
@@ -30,10 +24,9 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import chain
 from typing import Any, Callable, Iterator, Sequence
 
-from .canon import canonical_masks, partition_code
+from .canon import _decode, partition_code
 from .core import Graph, GraphError, component_masks
 
 GENERATOR_MAX = 8
@@ -69,13 +62,14 @@ def _usable_cpus() -> int:
 
 def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Graph, ...]:
     """The sorted canonical classes on n vertices from the (n-1)-vertex parents."""
-    codes = sorted(set().union(*_split(_codes, n, parents, shares)))
-    forms = _split(_forms, n, codes, shares)
-    return tuple(Graph(masks) for masks in sorted(chain.from_iterable(forms)))
+    codes = set().union(*_split(_codes, n, parents, shares))
+    forms = sorted(tuple(_decode(code, n)) for code in codes)
+    del codes  # not held while the graphs are built
+    return tuple(Graph(masks) for masks in forms)
 
 
 def _codes(n: int, parents: Sequence[tuple[int, ...]]) -> set[int]:
-    """Phase 1: the ``partition_code`` of every candidate from these parents."""
+    """The ``partition_code`` of every candidate from these parents."""
     codes: set[int] = set()
     for base in parents:
         # Every graph is its minimum-degree vertex attached to a parent
@@ -92,25 +86,6 @@ def _codes(n: int, parents: Sequence[tuple[int, ...]]) -> set[int]:
             adj.append(mask)
             codes.add(partition_code(adj))
     return codes
-
-
-def _forms(n: int, codes: Sequence[int]) -> list[tuple[int, ...]]:
-    """Phase 2: the canonical form of the graph each code determines."""
-    return [canonical_masks(_decode(code, n)) for code in codes]
-
-
-def _decode(code: int, n: int) -> list[int]:
-    """The adjacency masks, in code order, of the graph a code determines."""
-    adj = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        shift -= j
-        row = code >> shift
-        for i in range(j):
-            if row >> (j - 1 - i) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
 
 
 def _split(work: Callable[[int, Sequence[Any]], Any], n: int, items: Sequence[Any], shares: int) -> list[Any]:

@@ -28,20 +28,20 @@ GENERATOR_DIGESTS = {
         "a3f23687e58549a8aeb6d03458ee276ccc4715a49d47bdfbbce921946458c940",
     ),
     5: (
-        "2467318551962821f1d6a7afa541e161dd3365439d28c52fd3980b11a84d8952",
-        "ee35d3825927fbcec29adfa277a48b746e0663c84037708b4fd910fe3b375bbf",
+        "756d68d1722ba2e5c514353cb832ebf7662faf6db01598f93cab4e30b7e355d5",
+        "f19190d30aa428563c740c1ed40d3c5217e88a8ec6986530fd0e1efd3edc1643",
     ),
     6: (
-        "6c290794eff80e0520fab0e4bb766a2adc4b3b8fb7f980c731de7aeb697ddc46",
-        "e10583503a9f6118e183b140e31a75b62b0c409a080fb824b84ac12e4570b052",
+        "86b0a06a839165d1727f0af469cf9b5104d6a27575386202d9631362b3594d8c",
+        "6e16a4ed7d55bb7f72c96485fa9114f03e12b974fd817bd84446456616f0ae75",
     ),
     7: (
-        "894747318ad4d23286a04a0b23120b6561df7be81eb8ce98418a5d790068581c",
-        "b840c3ae757aab6ee7dcc6acc05e27cace11b2865cd04ef60d15ee4f05f61359",
+        "9baa5c623818d0dde219ad360d09aca43691cb36d9416826831f289b8079e176",
+        "ef831e4ac3bd2a7160290b7142f0d495483fe2d4986de18d3e7503cfb7100ee9",
     ),
     8: (
-        "bfdb5638bcee72a892bee8452aacd218d94c69e123df79448f2a5ca098d5aaa5",
-        "f49f82e1719a7387955e2df398e20a4c172b2aab60d7ae6a92c9e6c045947bda",
+        "4c38855532ec1da7e82262c1a73d929ee4c734b1c6e43fac94d3477ed5c364d6",
+        "8c49e600cf2e9748adec851d606fa666e5fd302cb65419c6fb55d3b5d5d36bf8",
     ),
 }
 

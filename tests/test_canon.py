@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from twosc.canon import (
+    _decode,
     are_isomorphic,
     canonical_graph,
     canonical_masks,
@@ -21,17 +22,27 @@ from twosc.io import graph6_decode
 from conftest import graphs
 
 
-def brute_force_canonical(adj):
-    """Maximal column-major code over all vertex orders, by enumeration.
+def _rank_cells(adj: Sequence[int]) -> list[list[int]]:
+    """The vertices grouped by (degree, neighbour-degree sum), in descending rank."""
+    n = len(adj)
+    deg = [bin(m).count("1") for m in adj]
+    rank = [(deg[v], sum(deg[u] for u in range(n) if adj[v] >> u & 1)) for v in range(n)]
+    return [[v for v in range(n) if rank[v] == r] for r in sorted(set(rank), reverse=True)]
 
+
+def brute_force_canonical(adj):
+    """Maximal column-major code over the admissible orders, by enumeration.
+
+    The admissible orders place the rank cells one after another.
     Returns the relabelled masks and the order attaining the code.
-    ``permutations`` runs in lexicographic order and only a strictly
-    greater code replaces the best, so that order is the smallest one.
+    The product runs in lexicographic order and only a strictly greater
+    code replaces the best, so that order is the smallest one.
     """
     n = len(adj)
     best_code = None
     best_perm = tuple(range(n))
-    for perm in itertools.permutations(range(n)):
+    for parts in itertools.product(*(itertools.permutations(c) for c in _rank_cells(adj))):
+        perm = sum(parts, ())
         code = []
         for k in range(1, n):
             value = 0
@@ -59,21 +70,23 @@ def _hypercube(d: int) -> Graph:
     return Graph(tuple(sum(1 << (v ^ 1 << i) for i in range(d)) for v in range(1 << d)))
 
 
-# The reference for the packed search: the same search, one tuple slot
-# per vertex in place of packed lanes.
+# The reference for the packed search: the same admissible orders, one
+# tuple slot per vertex in place of packed lanes, and none of the clique
+# seed, lazy cells or twin rule.
 def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
     """Tuple-per-vertex variant for graphs too large to byte-pack."""
     rng = range(n)
+    allowed = [c for c in _rank_cells(adj) for _ in c]
     states: dict[tuple[int, tuple[int, ...]], tuple[tuple[int, ...], int, tuple[int, ...]]] = {}
-    for v in rng:
+    for v in allowed[0]:
         pats = tuple(-1 if u == v else adj[u] >> v & 1 for u in rng)
         states.setdefault((1 << v, pats), ((v,), 1 << v, pats))
     pool = list(states.values())
-    for _ in range(1, n):
+    for level in range(1, n):
         best = -1
         grown: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
         for order, mask, pats in pool:
-            for v in rng:
+            for v in allowed[level]:
                 p = pats[v]
                 if p < 0 or p < best:  # placed slots carry -1
                     continue
@@ -91,6 +104,20 @@ def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
             states.setdefault((mask, new_pats), (order, mask, new_pats))
         pool = list(states.values())
     return pool[0][0]
+
+
+def _minus_edge(g: Graph, u: int, v: int) -> Graph:
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    return Graph(tuple(adj))
+
+
+def _hub_on_clique_and_leaves(k: int, leaves: int) -> Graph:
+    """Vertex 0 joined to every vertex of a K_k and to ``leaves`` leaves."""
+    edges = [(0, v) for v in range(1, k + leaves + 1)]
+    edges += list(itertools.combinations(range(1, k + 1), 2))
+    return Graph.from_edges(k + leaves + 1, edges)
 
 
 def _shuffled(g: Graph, rng: random.Random) -> Graph:
@@ -177,9 +204,33 @@ def test_matches_wide_reference_under_relabeling(g, rng):
     assert canonical_masks(h.adj) == canonical_masks(g.adj) == g.relabel(canonical_order(g.adj)).adj
 
 
-@pytest.mark.parametrize("n", [0, 9])
+# Graphs on which the cell restriction alone takes up to 0.3 s: the
+# first cell is a clique (K16 - e), or cells hold many twins (the rest).
+# The clique seed on the first cell and the twin rule keep each to about
+# a millisecond.  The wide reference has neither rule, so it runs once
+# per graph, on the relabelled copy.
+@pytest.mark.parametrize("g", [
+    pytest.param(_minus_edge(complete_graph(16), 3, 11), id="K16-e"),
+    pytest.param(complete_bipartite(1, 15), id="K1,15"),
+    pytest.param(complete_bipartite(2, 10), id="K2,10"),
+    pytest.param(complement(cycle_graph(12)), id="co-C12"),
+    pytest.param(_hub_on_clique_and_leaves(12, 6), id="hub-K12-6-leaves"),
+])
+def test_exact_rules_match_wide_reference(g):
+    h = _shuffled(g, random.Random(8))
+    assert canonical_masks(h.adj) == canonical_masks(g.adj)
+    assert canonical_order(h.adj) == _canonical_order_wide(h.adj, h.n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=9, max_n=12))
+def test_partition_code_decodes_to_the_canonical_form_above_eight(g):
+    assert tuple(_decode(partition_code(g.adj), g.n)) == canonical_masks(g.adj)
+
+
+@pytest.mark.parametrize("n", [0])
 def test_partition_code_rejects_sizes_outside_its_range(n):
-    with pytest.raises(GraphError, match="1..8"):
+    with pytest.raises(GraphError, match="1 or more"):
         partition_code([0] * n)
 
 

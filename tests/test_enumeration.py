@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 
 import twosc
-from twosc.canon import canonical_masks, partition_code
+from twosc.canon import _decode, canonical_masks, partition_code
 from twosc.core import Graph
 from twosc.enumeration import (
     ALL_GRAPH_COUNTS,
     CONNECTED_GRAPH_COUNTS,
     RangeError,
-    _decode,
     _level,
     connected_classes,
     enumerate_connected,
@@ -142,10 +141,12 @@ def test_three_vertex_classes_by_hand():
 
 
 def test_representatives_are_canonical_and_distinct():
-    reps = connected_classes(5)
-    assert len({g.adj for g in reps}) == len(reps)
-    for g in reps:
-        assert canonical_masks(g.adj) == g.adj
+    # the decoded codes are fixed points of the canonical form, sorted
+    for n in range(1, 8):
+        reps = [g.adj for g in graph_classes(n)]
+        assert reps == sorted(set(reps))
+        for adj in reps:
+            assert canonical_masks(adj) == adj
 
 
 def test_range_errors():

@@ -24,11 +24,11 @@ EXPECTED_COUNTING = {
 BATTERY_7_DIGEST = "f5c302a4bc13d363f6b3c0654c418a069c34ab79488e46c75b8619d10b50a7e3"
 
 # The same digest for verify_all(8, full_battery_max=8), the full battery
-# over every connected class with n <= 8.  It includes the known
-# counterexample G}aHOs to the triangle classification, whose deterministic
-# reduction order fails on an edge-minimal graph, so fixing that defect
-# changes this digest on purpose.
-BATTERY_8_FULL_DIGEST = "bdc19b4b08c2852c3fe7c873fc236e8bdc511121586ed5d4a05b392f46139785"
+# over every connected class with n <= 8.  No check fails there: G}aHOs,
+# the one graph with n <= 8 known to defeat the deterministic reduction
+# order, is represented by GthQ]?, which that order reduces, so
+# test_known_counterexample_from_a_file pins the defect on G}aHOs itself.
+BATTERY_8_FULL_DIGEST = "f22ff5e3d172e1f4764158f6f19b3944ac9aab1d29254cc083e9a890c46071ac"
 
 
 def strip_times(doc):
@@ -156,6 +156,20 @@ def test_battery_json_pinned_up_to_seven():
 
 def test_full_battery_json_pinned_up_to_eight():
     assert battery_digest(verify_all(8, full_battery_max=8)) == BATTERY_8_FULL_DIGEST
+
+
+def test_known_counterexample_from_a_file(tmp_path):
+    # The deterministic reduction order depends on the labels: on G}aHOs
+    # its first step creates a triangle, on the isomorphic GthQ]? it
+    # succeeds.  A reduction that searches for an order fixes this, and
+    # changes this test on purpose.
+    path = tmp_path / "graphs.g6"
+    path.write_text("G}aHOs\nGthQ]?\n")
+    result = verify_all(8, source="file", path=str(path), full_battery_max=8)
+    rep = next(r for r in result.reports if r.theorem == "triangle_classification")
+    assert (rep.examined, rep.passes) == (2, 1)
+    assert [c["graph6"] for c in rep.counterexamples] == ["G}aHOs"]
+    assert result.counterexample_total() == 1
 
 
 @pytest.mark.parametrize("n_max", [0, -1])

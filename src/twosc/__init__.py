@@ -40,9 +40,6 @@ from .gcb import (
     GcbSpec,
     GcbValidation,
     InvalidGcbSpecError,
-    PRINTED,
-    SYMMETRIC,
-    ZERO_L_READINGS,
     SampleBudgetError,
     SampleRetryError,
     assemble,

@@ -18,8 +18,6 @@ from .core import Graph, GraphError
 from .enumeration import GENERATOR_MAX, connected_classes
 from .gcb import (
     GcbSpec,
-    PRINTED,
-    ZERO_L_READINGS,
     build_gcb,
     decompose_triangle_free,
     sample_gcb_spec,
@@ -63,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build a graph from a spec document (JSON on stdin or --input)")
     p.add_argument("--input", help="spec document file (default: stdin)")
     p.add_argument("--format", choices=("graph6", "dot"), default="graph6")
-    p.add_argument("--item8", choices=ZERO_L_READINGS, default=PRINTED,
-                   help="which reading of the zero-l validation rule to enforce")
 
     p = sub.add_parser("reduce", help="iterate the star procedure on one graph")
     add_common(p, ("json",))
@@ -73,8 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10, help="total vertex budget")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("graph6", "dot", "json"), default="graph6")
-    p.add_argument("--item8", choices=ZERO_L_READINGS, default=PRINTED,
-                   help="which reading of the zero-l validation rule to enforce")
 
     p = sub.add_parser("enumerate", help="stream all connected graphs on n vertices")
     p.add_argument("--n-max", type=int, required=True, help=f"vertex count (1..{GENERATOR_MAX})")
@@ -156,7 +150,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     else:
         doc = json.load(sys.stdin)
     spec = GcbSpec.from_json(doc)
-    g = build_gcb(spec, zero_l_reading=args.item8)
+    g = build_gcb(spec)
     print(graph6_encode(g) if args.format == "graph6" else dot_encode(g), end="" if args.format == "dot" else "\n")
     return 0
 
@@ -169,8 +163,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    spec = sample_gcb_spec(args.n_max, args.seed, zero_l_reading=args.item8)
-    g = build_gcb(spec, zero_l_reading=args.item8)
+    spec = sample_gcb_spec(args.n_max, args.seed)
+    g = build_gcb(spec)
     if args.format == "json":
         print(json.dumps({"spec": spec.to_json(), "graph6": graph6_encode(g)}, indent=2))
     elif args.format == "dot":

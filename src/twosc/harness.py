@@ -6,9 +6,8 @@ so they can be reproduced externally.  Graphs above the full-battery
 limit only run the decomposition round trip, which is the one check that
 stays cheap at 8 vertices.
 
-Two open experiments ride along: whether any decomposition distinguishes
-the two readings of the zero-l validation rule, and whether a failed
-deterministic reduction order can be rescued by some other order.
+One open experiment rides along: whether a failed deterministic
+reduction order can be rescued by some other order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Any, Iterable, Sequence
 
 from .core import Graph, has_triangle
 from .enumeration import RangeError, _usable_cpus, connected_classes
-from .gcb import PRINTED, SYMMETRIC, assemble, decompose_triangle_free, validate_gcb_spec
+from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
     _bipartite_sides_agree,
@@ -37,7 +36,6 @@ from .reduction import (
     reduction_succeeds_in_any_order,
     replay_trace,
 )
-from .sbic import verify_sbic
 
 FULL_BATTERY_MAX = 7
 
@@ -114,7 +112,7 @@ class VerificationReport:
 
 @dataclass
 class BatteryResult:
-    """All reports plus the per-n counting table and experiment notes.
+    """All reports plus the per-n counting table and reduction-order notes.
 
     ``seconds`` is the wall time of the run that produced the result; a
     merge adds the parts' times, and ``verify_all`` reports its own.
@@ -122,21 +120,20 @@ class BatteryResult:
 
     reports: list[VerificationReport]
     counting: dict[int, dict[str, int]]
-    zero_l_divergences: list[str]
     order_dependence: list[dict[str, Any]]
     seconds: float
 
     @staticmethod
     def empty() -> BatteryResult:
         """The result over no graphs, which merging leaves unchanged."""
-        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, [], [], 0.0)
+        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, [], 0.0)
 
     def merge(self, other: BatteryResult) -> BatteryResult:
         """The result over both streams.
 
-        Associative, and the only place where the counterexamples, the
-        zero-l records and the order notes are sorted, so a run gives the
-        same JSON however its graphs were split.
+        Associative, and the only place where the counterexamples and
+        the order notes are sorted, so a run gives the same JSON however
+        its graphs were split.
         """
         counting = {n: dict(row) for n, row in self.counting.items()}
         for n, row in other.counting.items():
@@ -146,7 +143,6 @@ class BatteryResult:
         return BatteryResult(
             [mine.merge(theirs) for mine, theirs in zip(self.reports, other.reports)],
             counting,
-            sorted(set(self.zero_l_divergences) | set(other.zero_l_divergences)),
             sorted(self.order_dependence + other.order_dependence, key=lambda d: d["graph6"]),
             self.seconds + other.seconds,
         )
@@ -158,7 +154,6 @@ class BatteryResult:
         return {
             "reports": [r.to_json() for r in self.reports],
             "counting": {str(n): row for n, row in sorted(self.counting.items())},
-            "zero_l_divergences": self.zero_l_divergences,
             "order_dependence": self.order_dependence,
             "seconds": round(self.seconds, 3),
         }
@@ -267,10 +262,8 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
         spec, roles = decompose_triangle_free(g)
         rebuilt = assemble(spec)
         equal = rebuilt == g.relabel(roles.order)
-        sbic_ok = verify_sbic(spec.x, spec.witness).passed
-        printed_ok = validate_gcb_spec(spec, PRINTED).passed
-        symmetric_ok = validate_gcb_spec(spec, SYMMETRIC).passed
-        ok = equal and sbic_ok and (printed_ok or symmetric_ok)
+        validation = validate_gcb_spec(spec)
+        ok = equal and validation.passed
         reports["gcb_round_trip"].record(
             g,
             ok,
@@ -278,14 +271,11 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
             if ok
             else {
                 "rebuild_equal": equal,
-                "sbic": sbic_ok,
-                "validation_printed": printed_ok,
-                "validation_symmetric": symmetric_ok,
+                "sbic": validation.sbic is not None and validation.sbic.passed,
+                "validation": validation.passed,
             },
             clock() - start,
         )
-        if printed_ok != symmetric_ok:
-            part.zero_l_divergences.append(graph6_encode(g))
 
 
 def _run_chunk(payload: tuple[Iterable[Graph], int]) -> BatteryResult:
@@ -380,11 +370,6 @@ def render_table(result: BatteryResult) -> str:
     short = [rep for rep in result.reports if rep.n_max < top]
     if short:
         lines.append(f"checked below n = {top} only: " + ", ".join(f"{r.theorem} ({_ran(r)})" for r in short))
-    if result.zero_l_divergences:
-        lines.append(f"zero-l rule readings diverge on {len(result.zero_l_divergences)} graph(s): "
-                     + " ".join(result.zero_l_divergences))
-    else:
-        lines.append("zero-l rule readings: no graph distinguishes them")
     if result.order_dependence:
         lines.append(f"reduction order notes: {result.order_dependence}")
     else:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -54,6 +55,24 @@ def test_decompose_then_build_round_trip(capsys, tmp_path):
     assert code == 0
     rebuilt = graph6_decode(out.strip())
     assert graph6_encode(canonical_graph(rebuilt)) == graph6_encode(canonical_graph(capped_k33()))
+
+
+def test_decompose_pipes_into_build(capsys, monkeypatch):
+    # the Petersen graph peels with an empty L side
+    code, spec_doc, _ = run(capsys, "decompose", "IheA@GUAo")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(spec_doc))
+    code, out, err = run(capsys, "build")
+    assert (code, err) == (0, "")
+    order = json.loads(spec_doc)["roles"]["order"]
+    assert graph6_decode(out.strip()) == graph6_decode("IheA@GUAo").relabel(order)
+
+
+def test_zero_l_reading_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--item8", "symmetric"])
+    assert exc.value.code == 2
+    assert "--item8" in capsys.readouterr().err
 
 
 def test_reduce_fixture(capsys):

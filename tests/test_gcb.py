@@ -1,13 +1,16 @@
+import random
+from itertools import combinations, combinations_with_replacement
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from twosc import gcb
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, has_triangle
+from twosc.core import Graph, bits, has_triangle
 from twosc.gcb import (
     GcbSpec,
     InvalidGcbSpecError,
-    PRINTED,
-    SYMMETRIC,
     SampleBudgetError,
     assemble,
     build_gcb,
@@ -24,14 +27,116 @@ from twosc.graphs import (
     petersen_graph,
     capped_k33,
 )
+from twosc.io import graph6_decode
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict
 from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
 
 from conftest import triangle_free_two_sc_graphs
 
 
+# n = 22 with k = l = 0 after decomposition; the former readings both
+# rejected it with connector_without_cross_neighbor
+BOTH_SIDES_EMPTY = "UhOc?tD?L@BrdCPSQa@TFPQCiOG`?SAGmD?UAaw_"
+
+
 def empty_spec(k: int, l: int) -> GcbSpec:
     return GcbSpec(k, l, Graph(()), SbicWitness((), ()))
+
+
+def printed_zero_l_rule(spec: GcbSpec) -> bool:
+    """The l = 0 rule as printed, kept as the documented wrong reading.
+
+    It asks every b-set for a disjoint a-set even when k = 0, and repeats
+    the k = 0 rule's pair clause on the a-sets instead of mirroring it.
+    It rejects valid decompositions of the Petersen graph and of
+    J@zeea_cA@_.
+    """
+    if spec.l:
+        return True
+    a, b = spec.witness.a_masks, spec.witness.b_masks
+    if any(all(m & p for p in a) for m in b):
+        return False
+    return all(
+        any(not (a[i] & p) and not (a[j] & p) for p in b)
+        for i, j in combinations(range(len(a)), 2)
+        if not a[i] & a[j]
+    )
+
+
+def builds_two_sc(spec: GcbSpec) -> bool:
+    """The definition that validation must match on specs with an SBIC."""
+    g = assemble(spec)
+    return g.two_sc and not has_triangle(g)
+
+
+def independent_sets(x: Graph) -> list[int]:
+    return [m for m in range(1, 1 << x.n) if not any(x.adj[v] & m for v in bits(m))]
+
+
+def exhaustive_sbic_specs(max_core: int, max_sets: int, max_side: int):
+    """Every spec over a labelled triangle-free core with at most
+    ``max_core`` vertices, families of at most ``max_sets`` independent
+    sets (as multisets) that form an SBIC, and k, l <= ``max_side``."""
+    for n in range(max_core + 1):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            x = Graph.from_edges(n, [p for i, p in enumerate(pairs) if chosen >> i & 1])
+            if has_triangle(x):
+                continue
+            families = [f for size in range(max_sets + 1)
+                        for f in combinations_with_replacement(independent_sets(x), size)]
+            for a in families:
+                for b in families:
+                    witness = SbicWitness(a, b)
+                    if verify_sbic(x, witness).passed:
+                        for k in range(max_side + 1):
+                            for l in range(max_side + 1):
+                                yield GcbSpec(k, l, x, witness)
+
+
+def _grow(x: Graph, m: int, avoid: int = 0) -> int:
+    """Extend the independent set m, in vertex order, avoiding ``avoid``."""
+    for v in range(x.n):
+        if not (avoid | m) >> v & 1 and not x.adj[v] & m:
+            m |= 1 << v
+    return m
+
+
+def _repair(x: Graph, a: list[int], b: list[int]) -> SbicWitness:
+    """Add sets to the families until they form an SBIC of x."""
+    while True:
+        report = verify_sbic(x, SbicWitness(tuple(a), tuple(b)))
+        if report.passed:
+            return SbicWitness(tuple(a), tuple(b))
+        if not report.covering.ok:
+            bad = report.covering.counterexample
+            (a if bad["family"] == "a" else b).append(_grow(x, 1 << bad["uncovered_vertex"]))
+        elif not report.distant_pairs_share_set.ok:
+            u, v = report.distant_pairs_share_set.counterexample["pair"]
+            a.append(_grow(x, 1 << u | 1 << v))
+        elif not report.a_far_vertices_escape.ok:
+            bad = report.a_far_vertices_escape.counterexample
+            b.append(_grow(x, 1 << bad["vertex"], a[bad["index"]]))
+        else:
+            bad = report.b_far_vertices_escape.counterexample
+            a.append(_grow(x, 1 << bad["vertex"], b[bad["index"]]))
+
+
+@st.composite
+def sbic_specs(draw, max_core: int = 6):
+    """Specs over a triangle-free core of 1..max_core vertices whose
+    drawn families are completed to an SBIC, with k, l <= 2."""
+    n = draw(st.integers(1, max_core))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not adj[u] & adj[v] and draw(st.booleans()):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    x = Graph(tuple(adj))
+    sets = st.sampled_from(independent_sets(x))
+    witness = _repair(x, draw(st.lists(sets, max_size=3)), draw(st.lists(sets, max_size=3)))
+    return GcbSpec(draw(st.integers(0, 2)), draw(st.integers(0, 2)), x, witness)
 
 
 class TestValidate:
@@ -59,8 +164,31 @@ class TestValidate:
         assert not validation.passed
 
     def test_readings_must_be_known(self):
-        with pytest.raises(ValueError):
-            validate_gcb_spec(empty_spec(2, 2), zero_l_reading="other")
+        # build_gcb keeps a keyword that accepts the one value PRINTED
+        assert build_gcb(empty_spec(2, 2), zero_l_reading=gcb.PRINTED) == build_gcb(empty_spec(2, 2))
+        for other in ("symmetric", "other"):
+            with pytest.raises(ValueError):
+                build_gcb(empty_spec(2, 2), zero_l_reading=other)
+
+
+class TestOracle:
+    # A spec with an SBIC passes validation iff it builds a triangle-free
+    # 2-self-centered graph; the zero-side rules are what this pins.
+
+    def test_exhaustive_small_specs(self):
+        specs = list(exhaustive_sbic_specs(max_core=3, max_sets=3, max_side=2))
+        assert len(specs) > 4000
+        wrong = [spec for spec in specs if validate_gcb_spec(spec).passed != builds_two_sc(spec)]
+        assert wrong == []
+        # the printed reading is wrong inside this range
+        assert any(
+            printed_zero_l_rule(spec) != validate_gcb_spec(spec).zero_l.ok for spec in specs
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(sbic_specs(max_core=6))
+    def test_random_specs(self, spec):
+        assert validate_gcb_spec(spec).passed == builds_two_sc(spec)
 
 
 class TestBuild:
@@ -100,7 +228,7 @@ class TestDecompose:
         spec, roles = decompose_triangle_free(g)
         assert spec.x.n > 0
         assert assemble(spec) == g.relabel(roles.order)
-        assert validate_gcb_spec(spec, PRINTED).passed
+        assert validate_gcb_spec(spec).passed
 
     def test_petersen_round_trip(self):
         pet = petersen_graph()
@@ -110,14 +238,42 @@ class TestDecompose:
         assert are_isomorphic(rebuilt, pet)
 
     def test_petersen_separates_zero_l_readings(self):
-        # The canonical peeling of the Petersen graph has an empty L side,
-        # and its witness satisfies only the symmetric reading of the
-        # zero-l rule: the as-printed one re-checks the first family and
-        # fails, although the graph is a valid decomposition target.
-        spec, _ = decompose_triangle_free(petersen_graph())
+        # The peeling of the Petersen graph has an empty L side; the
+        # zero-l rule accepts it, the printed reading does not.
+        spec, roles = decompose_triangle_free(petersen_graph())
         assert spec.l == 0
-        assert not validate_gcb_spec(spec, PRINTED).passed
-        assert validate_gcb_spec(spec, SYMMETRIC).passed
+        assert validate_gcb_spec(spec).passed
+        assert not printed_zero_l_rule(spec)
+        assert build_gcb(spec) == petersen_graph().relabel(roles.order)
+
+    def test_printed_reading_rejects_a_class_representative(self):
+        # one of the three smallest class representatives it rejects
+        g = graph6_decode("J@zeea_cA@_")
+        spec, roles = decompose_triangle_free(g)
+        assert (spec.k, spec.l) == (2, 0)
+        assert validate_gcb_spec(spec).passed
+        assert not printed_zero_l_rule(spec)
+        assert build_gcb(spec) == g.relabel(roles.order)
+
+    def test_both_sides_empty(self):
+        # with k = l = 0 no connector needs a cross neighbour to reach a
+        # side, which both former readings demanded
+        g = graph6_decode(BOTH_SIDES_EMPTY)
+        spec, roles = decompose_triangle_free(g)
+        assert (g.n, spec.k, spec.l) == (22, 0, 0)
+        assert validate_gcb_spec(spec).passed
+        assert build_gcb(spec) == g.relabel(roles.order)
+
+    def test_verdict_independent_of_labels(self):
+        # the printed reading rejected 133 of these 200 relabellings
+        g = graph6_decode("IEDkGFhKO")
+        for seed in range(200):
+            order = list(range(g.n))
+            random.Random(seed).shuffle(order)
+            h = g.relabel(order)
+            spec, roles = decompose_triangle_free(h)
+            assert validate_gcb_spec(spec).passed, seed
+            assert build_gcb(spec) == h.relabel(roles.order), seed
 
     def test_witness_properties(self):
         for g in (capped_k33(), petersen_graph(), cycle_graph(5)):
@@ -140,7 +296,9 @@ class TestDecompose:
         assert g.two_sc and not has_triangle(g)
         spec, roles = decompose_triangle_free(g)
         assert verify_sbic(spec.x, spec.witness).passed
+        assert validate_gcb_spec(spec).passed
         assert assemble(spec) == g.relabel(roles.order)
+        assert build_gcb(spec) == g.relabel(roles.order)
 
     def test_requires_triangle_free(self):
         with pytest.raises(HasTriangleError):

@@ -21,14 +21,14 @@ EXPECTED_COUNTING = {
 
 # sha256 of verify_all(7).to_json() with timings stripped, dumped with
 # sorted keys.  Speed-ups of the battery must leave it unchanged.
-BATTERY_7_DIGEST = "f5c302a4bc13d363f6b3c0654c418a069c34ab79488e46c75b8619d10b50a7e3"
+BATTERY_7_DIGEST = "ee2b0186fb3c92d37b89b888ead31addc082359f832c2d6b1055cbe63a522075"
 
 # The same digest for verify_all(8, full_battery_max=8), the full battery
 # over every connected class with n <= 8.  No check fails there: G}aHOs,
 # the one graph with n <= 8 known to defeat the deterministic reduction
 # order, is represented by GthQ]?, which that order reduces, so
 # test_known_counterexample_from_a_file pins the defect on G}aHOs itself.
-BATTERY_8_FULL_DIGEST = "f22ff5e3d172e1f4764158f6f19b3944ac9aab1d29254cc083e9a890c46071ac"
+BATTERY_8_FULL_DIGEST = "a1474b360b87507ebc3f6998c6fb748987fffe57d5b592445a69303d916095c0"
 
 
 def strip_times(doc):
@@ -205,5 +205,5 @@ def test_report_seconds_time_each_check():
 
 def test_experiments_empty_in_range():
     result = verify_all(6)
-    assert result.zero_l_divergences == []
     assert result.order_dependence == []
+    assert "zero_l_divergences" not in result.to_json()

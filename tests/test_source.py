@@ -1,9 +1,12 @@
 """Rules on the library source itself."""
 
 import ast
+import importlib.util
 import pathlib
 
 import twosc
+from twosc import gcb
+from twosc.graphs import petersen_graph
 
 SRC = pathlib.Path(twosc.__file__).parent
 
@@ -18,3 +21,21 @@ def test_library_has_no_assert_and_no_debug_branch():
             if isinstance(node, ast.Assert) or (isinstance(node, ast.Name) and node.id == "__debug__"):
                 found.append(f"{path.name}:{node.lineno}")
     assert len(files) > 10 and found == []
+
+
+def test_benchmark_finds_what_it_calls():
+    # the benchmark wraps these functions by name and builds specs with
+    # build_gcb's zero_l_reading keyword; a rename or deletion in the
+    # library must fail here, not only in the benchmark's own smoke run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(mod, attr) for mod, attr in tracer.WRAPPED
+               if not callable(getattr(getattr(twosc, mod, None), attr, None))]
+    assert len(tracer.WRAPPED) > 20 and missing == []
+
+    g = petersen_graph()
+    gcb_spec, roles = gcb.decompose_triangle_free(g)
+    built = gcb.build_gcb(gcb.GcbSpec.from_json(gcb_spec.to_json()), zero_l_reading=gcb.PRINTED)
+    assert built == g.relabel(roles.order)

@@ -43,24 +43,39 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def first_bad_degree(adj: Sequence[int], n: int) -> int | None:
+    """The first vertex whose degree lies outside [2, n - 2], or None."""
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d < 2 or d > n - 2:
+            return v
+    return None
+
+
+def first_bad_pair(adj: Sequence[int], n: int) -> tuple[int, int] | None:
+    """The first non-adjacent pair (u, v), u < v, with no common neighbor, or None."""
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if not au >> v & 1 and not au & adj[v]:
+                return (u, v)
+    return None
+
+
 def conditions_ok(adj: Sequence[int], n: int) -> bool:
     """Whether the graph is 2-self-centered, by the local test.
 
     Radius = diameter = 2 holds exactly when n >= 4, every degree lies in
     [2, n - 2] and every non-adjacent pair has a common neighbor.
     """
-    if n < 4:
-        return False
-    for v in range(n):
-        d = adj[v].bit_count()
-        if d < 2 or d > n - 2:
-            return False
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if not au >> v & 1 and not au & adj[v]:
-                return False
-    return True
+    return n >= 4 and first_bad_degree(adj, n) is None and first_bad_pair(adj, n) is None
+
+
+def check_vertices(n: int, *vertices: int) -> None:
+    """Raise GraphError for a vertex id outside 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} outside 0..{n - 1}")
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -124,8 +139,7 @@ class Graph:
         for u, v in edges:
             if u == v:
                 raise LoopError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) outside 0..{n - 1}")
+            check_vertices(n, u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(tuple(adj))
@@ -139,12 +153,15 @@ class Graph:
         return (1 << len(self.adj)) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
+        check_vertices(len(self.adj), u, v)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
+        check_vertices(len(self.adj), v)
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
+        check_vertices(len(self.adj), v)
         return list(bits(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
@@ -285,9 +302,11 @@ def is_star(g: Graph, component: Iterable[int]) -> bool:
     """True iff the induced subgraph is a star with one center and >= 1 leaf.
 
     A single edge counts (either endpoint serves as the center); a single
-    vertex does not.
+    vertex does not.  Raises GraphError for a vertex outside g.
     """
-    comp = mask_of(component)
+    ids = tuple(component)
+    check_vertices(g.n, *ids)
+    comp = mask_of(ids)
     size = comp.bit_count()
     if size < 2:
         return False
@@ -327,8 +346,10 @@ def has_triangle(g: Graph) -> bool:
 
 
 def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
-    """True iff no edge of g joins two of the given vertices."""
-    m = mask_of(vertices)
+    """True iff no edge of g joins two of the given vertices; GraphError for one outside g."""
+    ids = tuple(vertices)
+    check_vertices(g.n, *ids)
+    m = mask_of(ids)
     for v in bits(m):
         if g.adj[v] & m:
             return False
@@ -338,8 +359,8 @@ def is_independent(g: Graph, vertices: Iterable[int]) -> bool:
 def edit(g: Graph, remove: tuple[int, int] | None = None, add: tuple[int, int] | None = None) -> Graph:
     """Return a copy of g with one edge removed and/or one edge added.
 
-    The removed edge must be present and the added edge absent; loops are
-    rejected.  The input graph is never modified.
+    The removed edge must be present and the added edge absent; loops and
+    vertices outside g are rejected.  The input graph is never modified.
     """
     adj = list(g.adj)
     if remove is not None:
@@ -354,8 +375,7 @@ def edit(g: Graph, remove: tuple[int, int] | None = None, add: tuple[int, int] |
         u, v = add
         if u == v:
             raise LoopError(f"cannot add a loop at {u}")
-        if not (0 <= u < g.n and 0 <= v < g.n):
-            raise GraphError(f"edge ({u}, {v}) outside 0..{g.n - 1}")
+        check_vertices(g.n, u, v)
         if adj[u] >> v & 1:
             raise EdgePresentError(f"edge ({u}, {v}) already present")
         adj[u] |= 1 << v

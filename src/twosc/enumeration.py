@@ -12,7 +12,9 @@ canonical form, and no second search runs per class.
 The n = 8 level splits the parents into one share per usable CPU:
 the caller works the first share and child processes the others, and
 only ints cross the pipes.  Smaller levels, and machines with one
-usable CPU, run one share in the caller and start no process.
+usable CPU, run one share in the caller and start no process.  The
+battery's worker processes (``harness.verify_all``) are shares of the
+same ``_split``.
 
 The published class counts are pinned here and checked by the test
 suite; connected counts additionally get a record-for-record cross-check
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .canon import _decode, partition_code
 from .core import Graph, GraphError, component_masks
@@ -68,7 +70,7 @@ def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Gra
     return tuple(Graph(masks) for masks in forms)
 
 
-def _codes(n: int, parents: Sequence[tuple[int, ...]]) -> set[int]:
+def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> set[int]:
     """The ``partition_code`` of every candidate from these parents."""
     codes: set[int] = set()
     for base in parents:
@@ -88,36 +90,39 @@ def _codes(n: int, parents: Sequence[tuple[int, ...]]) -> set[int]:
     return codes
 
 
-def _split(work: Callable[[int, Sequence[Any]], Any], n: int, items: Sequence[Any], shares: int) -> list[Any]:
-    """``work(n, items[i::shares])`` for each share i, in share order.
+def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[Any], shares: int) -> list[Any]:
+    """``work(arg, list(items)[i::shares])`` for each share i, in share order.
 
     The caller works share 0 while one child process per other share
-    works the rest, each sending its result back over a pipe.  A share
-    that raises or dies raises ``RuntimeError`` here, once every child
-    has been stopped and reaped.
+    works the rest, each sending its result back over a pipe.  One share
+    starts no process and hands ``items`` itself to ``work``, so an
+    iterator streams; more shares read ``items`` into a list first.  A
+    share that raises or dies raises ``RuntimeError`` here, once every
+    child has been stopped and reaped.
     """
     procs = []
     conns = []
     try:
         if shares > 1:
+            items = list(items)
             from multiprocessing import Pipe, Process
 
             for i in range(1, shares):
                 reader, writer = Pipe(duplex=False)
-                proc = Process(target=_share, args=(writer, work, n, items[i::shares]))
+                proc = Process(target=_share, args=(writer, work, arg, items[i::shares]))
                 proc.start()
                 writer.close()  # so a child that dies leaves the reader at EOF
                 procs.append(proc)
                 conns.append(reader)
-        results = [work(n, items[::shares])]
+        results = [work(arg, items[::shares] if shares > 1 else items)]
         for i, (proc, reader) in enumerate(zip(procs, conns), 1):
             try:
                 ok, value = reader.recv()
             except EOFError:
                 proc.join()
-                raise RuntimeError(f"generator share {i} of {shares} died with exit code {proc.exitcode}") from None
+                raise RuntimeError(f"share {i} of {shares} died with exit code {proc.exitcode}") from None
             if not ok:
-                raise RuntimeError(f"generator share {i} of {shares} failed:\n{value}")
+                raise RuntimeError(f"share {i} of {shares} failed:\n{value}")
             results.append(value)
         return results
     finally:
@@ -129,14 +134,14 @@ def _split(work: Callable[[int, Sequence[Any]], Any], n: int, items: Sequence[An
             reader.close()
 
 
-def _share(writer: Any, work: Callable[[int, Sequence[Any]], Any], n: int, items: Sequence[Any]) -> None:
+def _share(writer: Any, work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Sequence[Any]) -> None:
     """A child's share: send (True, result), or (False, the traceback).
 
     An interrupt or exit ends the child without a message, which the
     caller sees as a share that died.
     """
     try:
-        result = (True, work(n, items))
+        result = (True, work(arg, items))
     except Exception:
         import traceback
 

@@ -4,10 +4,13 @@ Every generated (or ingested) graph is pushed through each applicable
 check; failures become counterexample records carrying the graph6 string
 so they can be reproduced externally.  Graphs above the full-battery
 limit only run the decomposition round trip, which is the one check that
-stays cheap at 8 vertices.
+stays cheap at 8 vertices.  Worker processes take shares of the stream
+through ``enumeration._split``, and the parts' results merge as values.
 
-One open experiment rides along: whether a failed deterministic
-reduction order can be rescued by some other order.
+One open experiment rides along: where the deterministic reduction order
+fails on a graph whose triangle edges all have a critical endpoint,
+``reduction_succeeds_in_any_order`` searches the valid star steps for
+an order that succeeds.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from .core import Graph, has_triangle
-from .enumeration import RangeError, _usable_cpus, connected_classes
+from .enumeration import RangeError, _split, _usable_cpus, connected_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
@@ -159,13 +162,6 @@ class BatteryResult:
         }
 
 
-def _stable_hash(adj: Sequence[int]) -> int:
-    h = 1469598103934665603
-    for m in adj:
-        h = ((h ^ (m + 1)) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, VerificationReport]) -> None:
     """Run the battery on one graph and record its outcomes in ``part``.
 
@@ -278,9 +274,8 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
         )
 
 
-def _run_chunk(payload: tuple[Iterable[Graph], int]) -> BatteryResult:
-    """The battery over one stream of graphs, full up to the given n."""
-    graphs, full_max = payload
+def _run_chunk(full_max: int, graphs: Iterable[Graph]) -> BatteryResult:
+    """The battery over one stream of graphs, full up to ``full_max`` vertices."""
     start = time.perf_counter()
     part = BatteryResult.empty()
     reports = {rep.theorem: rep for rep in part.reports}
@@ -301,16 +296,16 @@ def verify_all(
     """Run the whole battery over the builtin generator or a graph6 file.
 
     Graphs with more than ``full_battery_max`` vertices only run the
-    decomposition round trip.  With ``workers > 1`` the stream is
-    partitioned by a stable hash of each graph's adjacency masks (the
-    canonical ones from the generator, the ones as read from a file);
-    reports merge associatively, so the outcome is identical for any
-    worker count.  The pool never holds more processes than there are
-    usable CPUs, since a forking pool starts all of them at once.  Each
-    input ``Graph`` is validated once, by the reader or the generator,
-    and reaches the checks as that value; workers get it pickled, which
-    does not validate it again.  Raises ``RangeError`` when
-    ``n_max < 1``, since such a run would check nothing.
+    decomposition round trip.  With ``workers > 1`` the stream is read
+    into a list and dealt into that many shares by position
+    (``enumeration._split``): the caller works the first and one child
+    process each of the others.  Reports merge associatively, so the
+    outcome is identical for any worker count.  There are never more
+    shares than usable CPUs, and one share streams the input without
+    holding it.  Each input ``Graph`` is validated once, by the reader
+    or the generator, and reaches the checks as that value; children get
+    it pickled, which does not validate it again.  Raises ``RangeError``
+    when ``n_max < 1``, since such a run would check nothing.
     """
     start = time.perf_counter()
     if n_max < 1:
@@ -324,17 +319,8 @@ def verify_all(
     else:
         raise ValueError(f"unknown source {source!r}")
 
-    workers = min(workers, _usable_cpus())
-    if workers <= 1:
-        parts = [_run_chunk((graphs, full_battery_max))]
-    else:
-        buckets: list[list[Graph]] = [[] for _ in range(workers)]
-        for g in graphs:
-            buckets[_stable_hash(g.adj) % workers].append(g)
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, [(b, full_battery_max) for b in buckets]))
+    workers = max(1, min(workers, _usable_cpus()))
+    parts = _split(_run_chunk, full_battery_max, graphs, workers)
     result = reduce(BatteryResult.merge, parts, BatteryResult.empty())
     result.seconds = time.perf_counter() - start
     return result

@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from .core import Graph, GraphError, bits, complement_masks, component_masks, has_triangle
+from .core import first_bad_degree, first_bad_pair
 from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
 
 
@@ -86,24 +87,8 @@ class TwoScVerdict:
 def condition_verdict(g: Graph) -> TwoScVerdict:
     """Degree-bound and common-neighbor test, no metric computation."""
     adj, n = g.adj, g.n
-    bad_vertex = None
-    for v in range(n):
-        d = adj[v].bit_count()
-        if d < 2 or d > n - 2:
-            bad_vertex = v
-            break
-    bad_pair = None
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if not au >> v & 1 and not au & adj[v]:
-                bad_pair = (u, v)
-                break
-        if bad_pair:
-            break
-    if n == 0:
-        return TwoScVerdict(False)  # vacuous loops above; the empty graph is still not 2sc
-    return TwoScVerdict(bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
+    bad_vertex, bad_pair = first_bad_degree(adj, n), first_bad_pair(adj, n)
+    return TwoScVerdict(n >= 4 and bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
 
 
 def metric_two_self_centered(g: Graph) -> bool:
@@ -141,30 +126,43 @@ def _require_two_sc(g: Graph) -> None:
         raise NotTwoSelfCenteredError("input graph is not 2-self-centered")
 
 
+def _partners(adj: Sequence[int], x: int, anchor: int) -> int:
+    """The mask of the w with x the unique common neighbor of anchor and w.
+
+    Such a w is adjacent to x, so only N(x) minus N[anchor] is walked.
+    """
+    a_adj, only = adj[anchor], 1 << x
+    out = 0
+    rest = adj[x] & ~a_adj & ~(1 << anchor)
+    while rest:
+        low = rest & -rest
+        if a_adj & adj[low.bit_length() - 1] == only:
+            out |= low
+        rest ^= low
+    return out
+
+
+def has_critical_endpoint(adj: Sequence[int], u: int, v: int) -> bool:
+    """Whether u or v is the unique common neighbor of the other endpoint and some w.
+
+    On a triangle edge uv of a 2-self-centered graph this decides both
+    rules that rest on it: deleting uv breaks the property iff it holds
+    (``edit_keeps_two_sc``), and the star step on uv needs it.
+    """
+    return bool(_partners(adj, u, v) or _partners(adj, v, u))
+
+
 def edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int) -> bool:
     """Whether toggling the pair uv of a 2-self-centered graph keeps it so.
 
     Adds uv when it is absent, deletes it when present; the caller must
     pass 2-self-centered ``adj``, for which the module docstring proves
-    the rule.  O(1) for an addition, O(n) for a deletion.  A vertex w for
-    which u is the only common neighbor of v and w is adjacent to u, so
-    the deletion test walks only the neighbors of u outside N[v] (and the
-    neighbors of v outside N[u]).
+    the rule.  O(1) for an addition, O(n) for a deletion.
     """
     au, av = adj[u], adj[v]
     if not au >> v & 1:
         return au.bit_count() < n - 2 and av.bit_count() < n - 2
-    if not au & av:
-        return False
-    for x, anchor in ((u, v), (v, u)):
-        a_adj, only = adj[anchor], 1 << x
-        rest = adj[x] & ~a_adj & ~(1 << anchor)
-        while rest:
-            low = rest & -rest
-            if a_adj & adj[low.bit_length() - 1] == only:
-                return False
-            rest ^= low
-    return True
+    return bool(au & av) and not has_critical_endpoint(adj, u, v)
 
 
 def star_edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int, added: Iterable[tuple[int, int]]) -> bool:

@@ -8,6 +8,10 @@ A step is valid when it creates no triangle and keeps the graph
 is what drives the classification.  Not every triangle edge of an
 edge-minimal graph gives a valid step: on ``G}aHOs`` the step on (0, 1)
 creates the triangle (1, 4, 5), while another order of steps succeeds.
+``reduce_to_triangle_free`` takes the first triangle edge with a
+critical endpoint (``recognition.has_critical_endpoint``) at each step
+and stops at the first invalid step; ``reduction_succeeds_in_any_order``
+searches every order of valid steps.
 
 A reduction edits one adjacency list in place (``_star_step``) and
 builds a ``Graph`` only for its result.  A step's validity is read from
@@ -31,8 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .core import Graph, GraphError, conditions_ok, triangles
-from .recognition import NotTwoSelfCenteredError, star_edit_keeps_two_sc
+from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
+from .recognition import NotTwoSelfCenteredError, _partners, has_critical_endpoint, star_edit_keeps_two_sc
+
+# Nodes the any-order search may visit before it gives up undecided.
+SEARCH_BUDGET = 200000
 
 
 class EdgeNotInTriangleError(GraphError):
@@ -51,33 +58,10 @@ class InvalidStepError(GraphError):
     """A star step created a triangle or broke the 2-self-centered property."""
 
 
-def _check_vertices(g: Graph, *vertices: int) -> None:
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
-
-
-def _partners(adj: Sequence[int], x: int, anchor: int) -> tuple[int, ...]:
-    """The w, ascending, with x the unique common neighbor of anchor and w.
-
-    Such a w is adjacent to x, so only N(x) minus N[anchor] is walked.
-    """
-    a_adj, only = adj[anchor], 1 << x
-    out = []
-    rest = adj[x] & ~a_adj & ~(1 << anchor)
-    while rest:
-        low = rest & -rest
-        w = low.bit_length() - 1
-        if a_adj & adj[w] == only:
-            out.append(w)
-        rest ^= low
-    return tuple(out)
-
-
 def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
     """All w, ascending, such that x is the unique common neighbor of anchor and w."""
-    _check_vertices(g, x, anchor)
-    return list(_partners(g.adj, x, anchor))
+    check_vertices(g.n, x, anchor)
+    return list(bits(_partners(g.adj, x, anchor)))
 
 
 @dataclass(frozen=True)
@@ -114,8 +98,8 @@ def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
         raise EdgeNotInTriangleError(f"({u}, {v}) is not an edge")
     if not au & av:
         raise EdgeNotInTriangleError(f"edge ({u}, {v}) lies on no triangle")
-    u_partners = _partners(adj, u, v)
-    v_partners = _partners(adj, v, u)
+    u_partners = tuple(bits(_partners(adj, u, v)))
+    v_partners = tuple(bits(_partners(adj, v, u)))
     if not u_partners and not v_partners:
         raise NoCriticalEndpointError(
             f"neither endpoint of ({u}, {v}) is critical for the other endpoint and any vertex"
@@ -132,13 +116,6 @@ def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
         adj[w] |= 1 << u
         added.append((min(u, w), max(u, w)))
     return ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
-
-
-def _raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
-    """The star step on g as a new graph, its validity unchecked."""
-    adj = list(g.adj)
-    step = _star_step(adj, u, v)
-    return Graph(tuple(adj)), step
 
 
 def _step_fault(adj: list[int], step: ReductionStep, two_sc: bool) -> str | None:
@@ -174,7 +151,7 @@ def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep
     creates a triangle (so the triangle count need not drop) or breaks
     the 2-self-centered property.
     """
-    _check_vertices(g, u, v)
+    check_vertices(g.n, u, v)
     adj = list(g.adj)
     step = _star_step(adj, u, v)
     fault = _step_fault(adj, step, g.two_sc)
@@ -217,7 +194,7 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     tris = triangles(g)
     two_sc = g.two_sc
     for step in trace.steps:
-        _check_vertices(g, step.u, step.v)
+        check_vertices(g.n, step.u, step.v)
         redo = _star_step(adj, step.u, step.v)
         if redo.added_edges != step.added_edges or _step_fault(adj, redo, two_sc) is not None:
             return False
@@ -233,7 +210,7 @@ def _pick_edge(adj: Sequence[int], tris: list[tuple[int, int, int]]) -> tuple[in
     """
     for a, b, c in tris:
         for u, v in ((a, b), (a, c), (b, c)):
-            if _partners(adj, u, v) or _partners(adj, v, u):
+            if has_critical_endpoint(adj, u, v):
                 return (u, v)
     return None
 
@@ -267,36 +244,40 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     return ReductionTrace(tuple(steps), final, fault is None, fault)
 
 
-def reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | None:
-    """Exhaustively try every edge choice order; None when the limit trips.
+def reduction_succeeds_in_any_order(g: Graph) -> bool | None:
+    """Whether some order of valid star steps reduces g to a triangle-free graph.
 
-    Used by the harness to tell apart 'this order fails' from 'no order
-    works' on graphs where the deterministic order gives up.
+    A depth-first search over the valid steps, in the order
+    ``reduce_to_triangle_free`` tries edges, on one adjacency list: each
+    step is undone by restoring the masks saved before it, and dead ends
+    are remembered by adjacency.  Every graph reached is 2-self-centered,
+    since each step is.  None when the search visits ``SEARCH_BUDGET``
+    nodes undecided.  Raises NotTwoSelfCenteredError on other input.
     """
+    if not g.two_sc:
+        raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
+    adj = list(g.adj)
     dead_ends: set[tuple[int, ...]] = set()
-    budget = limit
+    budget = SEARCH_BUDGET
 
-    def search(current: Graph) -> bool | None:
+    def search(tris: list[tuple[int, int, int]]) -> bool | None:
         nonlocal budget
         if budget <= 0:
             return None
         budget -= 1
-        tris = triangles(current)
         if not tris:
-            return current.two_sc
-        key = current.adj
+            return True
+        key = tuple(adj)
         if key in dead_ends:
             return False
         hit_limit = False
-        for tri in tris:
-            a, b, c = tri
+        for a, b, c in tris:
             for u, v in ((a, b), (a, c), (b, c)):
-                if not (_partners(current.adj, u, v) or _partners(current.adj, v, u)):
+                if not has_critical_endpoint(adj, u, v):
                     continue
-                nxt, _ = _raw_step(current, u, v)
-                if len(triangles(nxt)) >= len(tris):
-                    continue
-                sub = search(nxt)
+                step = _star_step(adj, u, v)
+                sub = _step_fault(adj, step, True) is None and search(_triangles_left(tris, step))
+                adj[:] = key
                 if sub:
                     return True
                 if sub is None:
@@ -306,7 +287,7 @@ def reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | Non
         dead_ends.add(key)
         return False
 
-    return search(g)
+    return search(triangles(g))
 
 
 @dataclass(frozen=True)
@@ -335,21 +316,26 @@ class TriangleClassification:
 
 
 def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
-    """Decide edge-minimality of a 2-self-centered graph with triangles.
+    """The local condition and the greedy reduction on a 2-self-centered graph with triangles.
 
-    The graph is edge-minimal iff every edge of every triangle has an
-    endpoint critical for the other endpoint, and the iterated star
-    reduction reaches a triangle-free 2-self-centered graph.
+    ``every_triangle_edge_critical`` is the local condition: every edge of
+    every triangle has an endpoint that is the only common neighbor of
+    the other endpoint and some vertex; ``failing_edge`` is the first
+    edge without one.  That condition alone decides edge-minimality, by
+    the deletion rule of ``recognition.edit_keeps_two_sc`` (deleting an
+    edge on no triangle always breaks the property).  ``minimal`` also
+    requires ``reduce_to_triangle_free``, the greedy order, to succeed,
+    so it is False on edge-minimal graphs where that order fails,
+    ``G}aHOs`` among them.
     """
     if not g.two_sc:
         raise NotTwoSelfCenteredError("classification requires a 2-self-centered graph")
     tris = triangles(g)
     if not tris:
         raise TriangleFreeInputError("classification requires at least one triangle")
-    for tri in sorted(tris):
-        a, b, c = tri
+    for a, b, c in tris:
         for u, v in ((a, b), (a, c), (b, c)):
-            if not (_partners(g.adj, u, v) or _partners(g.adj, v, u)):
+            if not has_critical_endpoint(g.adj, u, v):
                 return TriangleClassification(False, False, (u, v), None)
     trace = reduce_to_triangle_free(g)
     return TriangleClassification(trace.succeeded, True, None, trace)

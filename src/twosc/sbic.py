@@ -143,6 +143,19 @@ def _unhoused_pairs(far: list[int], masks: Sequence[int]) -> Iterator[tuple[int,
             rest ^= low
 
 
+def _stranded(x: Graph, from_masks: Sequence[int], to_masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Each (u, i), u then i ascending, with u far from ``from_masks[i]`` and no escape.
+
+    Far means the set misses N[u]; an escape is a set of ``to_masks``
+    disjoint from ``from_masks[i]`` that holds u.
+    """
+    for u, adj_u in enumerate(x.adj):
+        near = adj_u | 1 << u
+        for i, m in enumerate(from_masks):
+            if not m & near and not any(not (m & other) and other >> u & 1 for other in to_masks):
+                yield u, i
+
+
 def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
     """Check all five covering conditions; never raises on a failing witness.
 
@@ -186,14 +199,10 @@ def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
     c_pairs = ConditionVerdict(True) if pair is None else ConditionVerdict(False, {"pair": list(pair)})
 
     def escape(from_masks: tuple[int, ...], to_masks: tuple[int, ...], name: str) -> ConditionVerdict:
-        for u in range(n):
-            near = x.adj[u] | 1 << u
-            for i, m in enumerate(from_masks):
-                if m & near:
-                    continue
-                if not any(not (m & other) and other >> u & 1 for other in to_masks):
-                    return ConditionVerdict(False, {"vertex": u, "family": name, "index": i})
-        return ConditionVerdict(True)
+        hit = next(_stranded(x, from_masks, to_masks), None)
+        if hit is None:
+            return ConditionVerdict(True)
+        return ConditionVerdict(False, {"vertex": hit[0], "family": name, "index": hit[1]})
 
     c_a = escape(witness.a_masks, witness.b_masks, "a")
     c_b = escape(witness.b_masks, witness.a_masks, "b")
@@ -243,16 +252,10 @@ def construct_sbic(x: Graph) -> SbicWitness:
 
         def repairs(from_masks: list[int], to_masks: list[int]) -> list[int]:
             added: list[int] = []
-            for u in range(n):
-                near = x.adj[u] | 1 << u
-                for m in from_masks:
-                    if m & near:
-                        continue
-                    if any(not (m & other) and other >> u & 1 for other in to_masks):
-                        continue
-                    grown = _grow_independent(x, 1 << u, m)
-                    if grown not in added:
-                        added.append(grown)
+            for u, i in _stranded(x, from_masks, to_masks):
+                grown = _grow_independent(x, 1 << u, from_masks[i])
+                if grown not in added:
+                    added.append(grown)
             return added
 
         new_b.extend(repairs(a + new_a, b))

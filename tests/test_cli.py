@@ -112,6 +112,19 @@ def test_verify_small(capsys):
     assert "counterexamples: 0" in out
 
 
+def test_verify_json_is_the_same_for_any_worker_count(capsys):
+    docs = []
+    for workers in ("1", "2"):
+        code, out, _ = run(capsys, "verify", "--n-max", "6", "--workers", workers, "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        doc.pop("seconds")
+        for rep in doc["reports"]:
+            rep.pop("seconds")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n-max", "4", "--format", "json")
     assert code == 0

@@ -28,6 +28,7 @@ from twosc.graphs import (
     cycle_graph,
     empty_graph,
     path_graph,
+    petersen_graph,
     capped_k33,
 )
 
@@ -306,6 +307,25 @@ class TestGraphValue:
     @example((0b10, 0b101, 0b000))
     def test_validation_matches_reference(self, adj):
         assert raised(Graph, adj) is raised(reference_validate, adj)
+
+    @pytest.mark.parametrize("bad", [10, -1, -10])
+    def test_vertex_outside_the_graph_raises_graph_error(self, bad):
+        # n = 10: on Petersen, -1 used to read vertex 9, 10 to raise
+        # IndexError, and a negative shift a plain ValueError
+        g = petersen_graph()
+        calls = (
+            lambda: g.has_edge(bad, 4),
+            lambda: g.has_edge(4, bad),
+            lambda: g.degree(bad),
+            lambda: g.neighbors(bad),
+            lambda: is_independent(g, [bad]),
+            lambda: is_star(g, [0, bad]),
+            lambda: edit(g, remove=(bad, 4)),
+            lambda: edit(g, add=(4, bad)),
+        )
+        for call in calls:
+            with pytest.raises(GraphError, match=f"vertex {bad} outside 0..9"):
+                call()
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])

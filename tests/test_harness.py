@@ -63,7 +63,7 @@ def connected_up_to(n_max):
 
 def test_chunk_results_merge_associatively():
     graphs = connected_up_to(6)
-    a, b, c = (_run_chunk((graphs[i::3], FULL_BATTERY_MAX)) for i in range(3))
+    a, b, c = (_run_chunk(FULL_BATTERY_MAX, graphs[i::3]) for i in range(3))
     left = strip_times(a.merge(b).merge(c).to_json())
     right = strip_times(a.merge(b.merge(c)).to_json())
     assert left == right == strip_times(verify_all(6).to_json())
@@ -86,39 +86,32 @@ def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
     for c in rep.counterexamples:
         assert c["detail"]["rebuild_equal"] is False and c["detail"]["sbic"] is True
     # the records are sorted where parts merge, whatever order the stream had
-    backwards = _run_chunk((connected_up_to(6)[::-1], FULL_BATTERY_MAX))
+    backwards = _run_chunk(FULL_BATTERY_MAX, connected_up_to(6)[::-1])
     assert strip_times(BatteryResult.empty().merge(backwards).to_json()) == strip_times(result.to_json())
 
 
 def test_pool_never_exceeds_usable_cpus(monkeypatch):
-    import concurrent.futures
+    shares = []
 
-    sizes = []
+    def recording_split(work, arg, items, count):
+        """Stands in for enumeration._split: records the share count, works the shares in-process."""
+        shares.append(count)
+        if count == 1:
+            assert not isinstance(items, list)  # one share streams the graphs
+            return [work(arg, items)]
+        items = list(items)
+        return [work(arg, items[i::count]) for i in range(count)]
 
-    class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_split", recording_split)
     serial = strip_times(verify_all(5).to_json())
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     for workers in (2, 3, 5000):
         assert strip_times(verify_all(5, workers=workers).to_json()) == serial
-    assert sizes == [2, 2, 2]
+    assert shares == [1, 2, 2, 2]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert strip_times(verify_all(5, workers=5000).to_json()) == serial
-    assert sizes == [2, 2, 2]  # one usable CPU runs in the caller
+    for workers in (0, 5000):
+        assert strip_times(verify_all(5, workers=workers).to_json()) == serial
+    assert shares == [1, 2, 2, 2, 1, 1]
 
 
 def test_repeat_runs_are_identical():

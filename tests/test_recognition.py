@@ -31,6 +31,7 @@ from twosc.recognition import (
     MaximalityCertificate,
     MinimalityWitness,
     NotTwoSelfCenteredError,
+    TwoScVerdict,
     check_bipartite_proposition,
     check_triangle_free_lemma,
     complement_star_certificate,
@@ -88,15 +89,17 @@ class TestTwoSelfCentered:
 
     def test_fast_test_matches_verdict_on_every_class_up_to_seven(self):
         # The battery and the input guards use the early-exit bool form;
-        # it must agree with the reporting form everywhere.
+        # it must agree with the reporting form everywhere, and both with
+        # the test-local reference scans
         for n in range(1, 8):
             for g in graph_classes(n):
-                assert conditions_ok(g.adj, n) == condition_verdict(g).is_2sc, g
+                assert_scans_match_reference(g)
 
     @settings(max_examples=200, deadline=None)
-    @given(graphs(max_n=12))
+    @given(st.one_of(graphs(max_n=16), two_sc_graphs(max_n=16)))
     def test_fast_test_matches_verdict_on_random_graphs(self, g):
-        assert conditions_ok(g.adj, g.n) == condition_verdict(g).is_2sc
+        # few graphs drawn edge by edge are 2SC, so 2SC ones are drawn as well
+        assert_scans_match_reference(g)
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(graphs(max_n=16), two_sc_graphs(max_n=16)))
@@ -110,6 +113,50 @@ class TestTwoSelfCentered:
     def test_verdict_matches_the_metric_on_unions_and_their_complements(self, g):
         for h in (g, complement(g)):
             assert condition_verdict(h).is_2sc == metric_two_self_centered(h), h
+
+
+def ref_conditions_ok(adj, n: int) -> bool:
+    if n < 4:
+        return False
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d < 2 or d > n - 2:
+            return False
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if not au >> v & 1 and not au & adj[v]:
+                return False
+    return True
+
+
+def ref_condition_verdict(g: Graph) -> TwoScVerdict:
+    adj, n = g.adj, g.n
+    bad_vertex = None
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d < 2 or d > n - 2:
+            bad_vertex = v
+            break
+    bad_pair = None
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if not au >> v & 1 and not au & adj[v]:
+                bad_pair = (u, v)
+                break
+        if bad_pair:
+            break
+    if n == 0:
+        return TwoScVerdict(False)
+    return TwoScVerdict(bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
+
+
+def assert_scans_match_reference(g: Graph) -> None:
+    """Both forms of the local test against the reference scans."""
+    verdict = condition_verdict(g)
+    assert verdict == ref_condition_verdict(g), g
+    assert conditions_ok(g.adj, g.n) == ref_conditions_ok(g.adj, g.n) == verdict.is_2sc, g
 
 
 class TestEdgeMaximal:

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+from twosc import reduction
 from twosc.canon import are_isomorphic
 from twosc.core import Graph, GraphError, edit, has_triangle, triangles
 from twosc.enumeration import graph_classes
@@ -53,6 +54,15 @@ def five_cycle_with_chord():
 # first qualifying edge (0, 1) adds 1-4 and 1-5 and so creates the
 # triangle (1, 4, 5); another edge order reduces it to triangle-free.
 ORDER_SENSITIVE_MINIMAL = "G}aHOs"
+
+
+# Edge-minimal graphs, as labelled, on which the greedy order fails: the
+# one known with n <= 8 and 13 with n = 9 found by the n <= 9 battery.
+GREEDY_FAILS = (
+    ORDER_SENSITIVE_MINIMAL,
+    "HovTb?p", r"Hr\cmA_", "Hsza`eO", "H{d@?kM", "H}aH`SU", "H}aHpOX", "H}aIPgJ",
+    "H}aIPoJ", "H}aK@SX", "H}aKPGR", "H}arQqG", "H}iQYCM", "H}mCJHS",
+)
 
 
 def order_sensitive_minimal():
@@ -212,6 +222,26 @@ class TestAnyOrderSearch:
     def test_fixture_succeeds(self):
         assert reduction_succeeds_in_any_order(minimal_with_triangle()) is True
 
+    def test_no_valid_order(self):
+        # 2SC and not minimal; every order of valid steps dead-ends
+        g = graph6_decode("D}K")
+        assert not reduce_to_triangle_free(g).succeeded
+        assert reduction_succeeds_in_any_order(g) is False
+
+    def test_some_order_where_greedy_fails_on_a_graph_that_is_not_minimal(self):
+        g = graph6_decode("E|pO")
+        assert not is_edge_minimal(g).minimal
+        assert not reduce_to_triangle_free(g).succeeded
+        assert reduction_succeeds_in_any_order(g) is True
+
+    def test_exhausted_budget_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(reduction, "SEARCH_BUDGET", 1)
+        assert reduction_succeeds_in_any_order(order_sensitive_minimal()) is None
+
+    def test_requires_two_self_centered(self):
+        with pytest.raises(NotTwoSelfCenteredError):
+            reduction_succeeds_in_any_order(graph6_decode("C{"))
+
     def test_chorded_cycle_succeeds(self):
         assert reduction_succeeds_in_any_order(five_cycle_with_chord()) is True
 
@@ -321,6 +351,44 @@ def ref_reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     return ReductionTrace(tuple(steps), current, True)
 
 
+def ref_reduction_succeeds_in_any_order(g: Graph, limit: int = 200000) -> bool | None:
+    """The search that takes any step lowering the triangle count, 2SC tested at the leaves."""
+    dead_ends: set[tuple[int, ...]] = set()
+    budget = limit
+
+    def search(current: Graph) -> bool | None:
+        nonlocal budget
+        if budget <= 0:
+            return None
+        budget -= 1
+        tris = triangles(current)
+        if not tris:
+            return current.two_sc
+        key = current.adj
+        if key in dead_ends:
+            return False
+        hit_limit = False
+        for tri in tris:
+            a, b, c = tri
+            for u, v in ((a, b), (a, c), (b, c)):
+                if not (ref_critical_partners(current, u, v) or ref_critical_partners(current, v, u)):
+                    continue
+                nxt, _ = ref_raw_step(current, u, v)
+                if len(triangles(nxt)) >= len(tris):
+                    continue
+                sub = search(nxt)
+                if sub:
+                    return True
+                if sub is None:
+                    hit_limit = True
+        if hit_limit:
+            return None
+        dead_ends.add(key)
+        return False
+
+    return search(g)
+
+
 def outcome(fn, *args):
     """fn's result, or the class and message of what it raised."""
     try:
@@ -354,6 +422,7 @@ def assert_matches_reference(g: Graph, both_orientations: bool = True) -> None:
     assert trace.final == ref.final
     assert replay_trace(g, ref) == ref_replay_trace(g, ref), g
     assert_steps_match_reference(g, both_orientations)
+    assert reduction_succeeds_in_any_order(g) == ref_reduction_succeeds_in_any_order(g), g
 
 
 class TestMatchesGraphPerStepReference:
@@ -370,6 +439,14 @@ class TestMatchesGraphPerStepReference:
     @given(two_sc_graphs(max_n=14))
     def test_random_two_sc_graphs(self, g):
         assert_matches_reference(g)
+
+    def test_search_on_the_graphs_greedy_fails_and_the_pinned_inputs(self):
+        named = [graph6_decode(s) for s in GREEDY_FAILS]
+        for g in named:
+            assert is_edge_minimal(g).minimal and not reduce_to_triangle_free(g).succeeded, g
+            assert reduction_succeeds_in_any_order(g) is ref_reduction_succeeds_in_any_order(g) is True, g
+        for g in pinned_reduce_inputs():
+            assert reduction_succeeds_in_any_order(g) == ref_reduction_succeeds_in_any_order(g), g
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_n=3, max_n=10))

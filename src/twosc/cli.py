@@ -3,8 +3,9 @@
 Graphs travel as graph6 on stdin/stdout so the tool composes with
 external generators; structured results are JSON documents.  Exit status
 0 means success, 1 means a property verdict came back false (a non
-2-self-centered input to `check`, counterexamples from `verify`), and 2
-means bad input or usage.
+2-self-centered input to `check`, counterexamples from `verify`, a
+`reduce` that found no order of valid steps), and 2 means bad input or
+usage.
 """
 
 from __future__ import annotations

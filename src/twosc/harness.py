@@ -3,14 +3,11 @@
 Every generated (or ingested) graph is pushed through each applicable
 check; failures become counterexample records carrying the graph6 string
 so they can be reproduced externally.  Graphs above the full-battery
-limit only run the decomposition round trip, which is the one check that
-stays cheap at 8 vertices.  Worker processes take shares of the stream
-through ``enumeration._split``, and the parts' results merge as values.
-
-One open experiment rides along: where the deterministic reduction order
-fails on a graph whose triangle edges all have a critical endpoint,
-``reduction_succeeds_in_any_order`` searches the valid star steps for
-an order that succeeds.
+limit (``FULL_BATTERY_MAX`` by default, every size the generator reaches)
+only run the decomposition round trip.  The triangle classification
+requires that a minimal graph's reduction trace succeed and replay.
+Worker processes take shares of the stream through
+``enumeration._split``, and the parts' results merge as values.
 """
 
 from __future__ import annotations
@@ -34,13 +31,9 @@ from .recognition import (
     is_edge_minimal,
     metric_two_self_centered,
 )
-from .reduction import (
-    classify_edge_minimal_with_triangles,
-    reduction_succeeds_in_any_order,
-    replay_trace,
-)
+from .reduction import classify_edge_minimal_with_triangles, replay_trace
 
-FULL_BATTERY_MAX = 7
+FULL_BATTERY_MAX = 8
 
 COUNTS = ("graphs", "two_sc", "edge_minimal", "edge_maximal", "triangle_free_two_sc")
 
@@ -62,9 +55,9 @@ class VerificationReport:
     ``seconds`` is the time inside this theorem's check, summed over graphs
     and worker processes, so with workers it can exceed the wall time.  The
     shared prelude (the 2SC test, the counting table's minimality and
-    maximality, and the complement certificate) is charged to no theorem;
-    the reduction-order experiment to ``triangle_classification``, which
-    triggers it.  ``n_min`` is 0 while no graph has been examined.
+    maximality, and the complement certificate) is charged to no theorem,
+    and the reduction's search to ``triangle_classification``.  ``n_min``
+    is 0 while no graph has been examined.
     """
 
     theorem: str
@@ -115,7 +108,7 @@ class VerificationReport:
 
 @dataclass
 class BatteryResult:
-    """All reports plus the per-n counting table and reduction-order notes.
+    """All reports plus the per-n counting table.
 
     ``seconds`` is the wall time of the run that produced the result; a
     merge adds the parts' times, and ``verify_all`` reports its own.
@@ -123,20 +116,19 @@ class BatteryResult:
 
     reports: list[VerificationReport]
     counting: dict[int, dict[str, int]]
-    order_dependence: list[dict[str, Any]]
     seconds: float
 
     @staticmethod
     def empty() -> BatteryResult:
         """The result over no graphs, which merging leaves unchanged."""
-        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, [], 0.0)
+        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, 0.0)
 
     def merge(self, other: BatteryResult) -> BatteryResult:
         """The result over both streams.
 
-        Associative, and the only place where the counterexamples and
-        the order notes are sorted, so a run gives the same JSON however
-        its graphs were split.
+        Associative, and the only place where the counterexamples are
+        sorted, so a run gives the same JSON however its graphs were
+        split.
         """
         counting = {n: dict(row) for n, row in self.counting.items()}
         for n, row in other.counting.items():
@@ -146,7 +138,6 @@ class BatteryResult:
         return BatteryResult(
             [mine.merge(theirs) for mine, theirs in zip(self.reports, other.reports)],
             counting,
-            sorted(self.order_dependence + other.order_dependence, key=lambda d: d["graph6"]),
             self.seconds + other.seconds,
         )
 
@@ -157,7 +148,6 @@ class BatteryResult:
         return {
             "reports": [r.to_json() for r in self.reports],
             "counting": {str(n): row for n, row in sorted(self.counting.items())},
-            "order_dependence": self.order_dependence,
             "seconds": round(self.seconds, 3),
         }
 
@@ -216,16 +206,7 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
                 start = clock()
                 cls = classify_edge_minimal_with_triangles(g)
                 agree = cls.minimal == minimal
-                trace_ok = True
-                if cls.trace is not None and cls.trace.succeeded:
-                    trace_ok = replay_trace(g, cls.trace)
-                if cls.every_triangle_edge_critical and cls.trace is not None and not cls.trace.succeeded:
-                    part.order_dependence.append({
-                        "graph6": graph6_encode(g),
-                        "default_order_failed": True,
-                        "some_order_succeeds": reduction_succeeds_in_any_order(g),
-                        "edge_minimal": minimal,
-                    })
+                trace_ok = cls.trace is None or (cls.trace.succeeded and replay_trace(g, cls.trace))
                 reports["triangle_classification"].record(
                     g,
                     agree and trace_ok,
@@ -356,12 +337,6 @@ def render_table(result: BatteryResult) -> str:
     short = [rep for rep in result.reports if rep.n_max < top]
     if short:
         lines.append(f"checked below n = {top} only: " + ", ".join(f"{r.theorem} ({_ran(r)})" for r in short))
-    if result.order_dependence:
-        lines.append(f"reduction order notes: {result.order_dependence}")
-    else:
-        classified = next(r for r in result.reports if r.theorem == "triangle_classification")
-        note = f"deterministic order never failed ({_ran(classified)})" if classified.examined else "none ran"
-        lines.append(f"reduction order notes: {note}")
     total = f"total counterexamples: {result.counterexample_total()}"
     if result.counting:
         total += f" over n = {min(result.counting)}..{top}"

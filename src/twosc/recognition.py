@@ -85,7 +85,9 @@ class TwoScVerdict:
 
 
 def condition_verdict(g: Graph) -> TwoScVerdict:
-    """Degree-bound and common-neighbor test, no metric computation."""
+    """Degree-bound and common-neighbor test; the violation scans run only where ``g.two_sc`` fails."""
+    if g.two_sc:
+        return TwoScVerdict(True)
     adj, n = g.adj, g.n
     bad_vertex, bad_pair = first_bad_degree(adj, n), first_bad_pair(adj, n)
     return TwoScVerdict(n >= 4 and bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
@@ -170,7 +172,8 @@ def star_edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int, added: It
 
     ``adj`` is the adjacency after the edit; the caller must know the
     graph before it to be 2-self-centered, for which the module docstring
-    proves the rule.  O(n + the number of added edges).
+    proves the rule.  An endpoint x passes when N[x] and the neighbors
+    of N(x) cover every vertex.  O(n + the number of added edges).
     """
     touched = 1 << u | 1 << v
     for a, b in added:
@@ -183,13 +186,14 @@ def star_edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int, added: It
         touched ^= low
     full = (1 << n) - 1
     for x in (u, v):
-        ax = adj[x]
-        far = full & ~ax & ~(1 << x)
-        while far:
-            low = far & -far
-            if not ax & adj[low.bit_length() - 1]:
-                return False
-            far ^= low
+        rest = adj[x]
+        reach = rest | 1 << x
+        while rest:
+            low = rest & -rest
+            reach |= adj[low.bit_length() - 1]
+            rest ^= low
+        if reach != full:
+            return False
     return True
 
 

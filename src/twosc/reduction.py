@@ -5,13 +5,12 @@ that depended on the removed edge: whenever u was the unique common
 neighbor of v and some w, the edge vw is added (and symmetrically for v).
 A step is valid when it creates no triangle and keeps the graph
 2-self-centered; a valid step strictly lowers the triangle count, which
-is what drives the classification.  Not every triangle edge of an
-edge-minimal graph gives a valid step: on ``G}aHOs`` the step on (0, 1)
-creates the triangle (1, 4, 5), while another order of steps succeeds.
-``reduce_to_triangle_free`` takes the first triangle edge with a
-critical endpoint (``recognition.has_critical_endpoint``) at each step
-and stops at the first invalid step; ``reduction_succeeds_in_any_order``
-searches every order of valid steps.
+is what drives the classification.  The reading of arXiv:1910.12110
+implemented here is an existence claim: on an edge-minimal graph *some*
+order of valid steps reaches a triangle-free 2-self-centered graph.  Not
+every order does: on ``G}aHOs`` the step on (0, 1) creates the triangle
+(1, 4, 5).  ``reduce_to_triangle_free`` searches the orders, depth
+first, and returns the first that succeeds as the trace.
 
 A reduction edits one adjacency list in place (``_star_step``) and
 builds a ``Graph`` only for its result.  A step's validity is read from
@@ -33,12 +32,12 @@ its own edits, not from the whole result:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
 from .recognition import NotTwoSelfCenteredError, _partners, has_critical_endpoint, star_edit_keeps_two_sc
 
-# Nodes the any-order search may visit before it gives up undecided.
+# Nodes the reduction's search may visit before it gives up undecided.
 SEARCH_BUDGET = 200000
 
 
@@ -81,13 +80,12 @@ class ReductionStep:
     added_edges: tuple[tuple[int, int], ...]
 
     def to_json(self) -> dict[str, Any]:
+        """u, v and the partners; the removed and added edges follow from them."""
         return {
-            "removed": list(self.removed_edge),
             "u": self.u,
             "v": self.v,
             "u_critical_partners": list(self.u_partners),
             "v_critical_partners": list(self.v_partners),
-            "added": [list(e) for e in self.added_edges],
         }
 
 
@@ -98,21 +96,24 @@ def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
         raise EdgeNotInTriangleError(f"({u}, {v}) is not an edge")
     if not au & av:
         raise EdgeNotInTriangleError(f"edge ({u}, {v}) lies on no triangle")
-    u_partners = tuple(bits(_partners(adj, u, v)))
-    v_partners = tuple(bits(_partners(adj, v, u)))
-    if not u_partners and not v_partners:
+    u_mask, v_mask = _partners(adj, u, v), _partners(adj, v, u)
+    if not u_mask and not v_mask:
         raise NoCriticalEndpointError(
             f"neither endpoint of ({u}, {v}) is critical for the other endpoint and any vertex"
         )
-    adj[u] = au & ~(1 << v)
-    adj[v] = av & ~(1 << u)
+    return _join_partners(adj, u, v, u_mask, v_mask)
+
+
+def _join_partners(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> ReductionStep:
+    """Delete the edge uv and join v to each w of ``u_mask``, u to each of ``v_mask``, in place."""
+    adj[u] = adj[u] & ~(1 << v) | v_mask
+    adj[v] = adj[v] & ~(1 << u) | u_mask
+    u_partners, v_partners = tuple(bits(u_mask)), tuple(bits(v_mask))
     added = []
     for w in u_partners:
-        adj[v] |= 1 << w
         adj[w] |= 1 << v
         added.append((min(v, w), max(v, w)))
     for w in v_partners:
-        adj[u] |= 1 << w
         adj[w] |= 1 << u
         added.append((min(u, w), max(u, w)))
     return ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
@@ -203,60 +204,32 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     return not tris and tuple(adj) == trace.final.adj
 
 
-def _pick_edge(adj: Sequence[int], tris: list[tuple[int, int, int]]) -> tuple[int, int] | None:
-    """The first qualifying edge: smallest triangle, smallest edge inside it.
-
-    ``tris`` is in ascending order, as ``triangles`` lists it.
-    """
-    for a, b, c in tris:
-        for u, v in ((a, b), (a, c), (b, c)):
-            if has_critical_endpoint(adj, u, v):
-                return (u, v)
-    return None
+_NO_ORDER = "no order of valid star steps reaches a triangle-free graph"
+_OUT_OF_BUDGET = "the search visited SEARCH_BUDGET nodes undecided"
 
 
 def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
-    """Iterate the star step until no triangle remains.
+    """Find an order of valid star steps that leaves no triangle.
 
-    Fails (succeeded=False) when no triangle edge has a critical endpoint
-    or when the step on the first qualifying edge is invalid.  The second
-    also happens on some edge-minimal inputs (``G}aHOs``), where another
-    edge order succeeds.
+    A depth-first search on one adjacency list.  At each node it tries
+    the triangle edges with a critical endpoint, smallest triangle first
+    and smallest edge inside it, pushes each valid step onto the trace
+    and pops it when the search backtracks; the masks saved at the node
+    undo the step, and dead ends are remembered by adjacency.  So the
+    first descent is the order that always takes the first such edge,
+    and wherever that order succeeds its trace is the result.  Every
+    graph reached is 2-self-centered, since each step is, and the depth
+    is at most the triangle count of g.
+
+    On failure the trace has no steps, ``final`` is g and the reason
+    says whether no order exists or the search visited ``SEARCH_BUDGET``
+    nodes undecided; it never reports success then.  Raises
+    NotTwoSelfCenteredError on input that is not 2-self-centered.
     """
     if not g.two_sc:
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
+    adj = list(g.adj)
     steps: list[ReductionStep] = []
-    adj = list(g.adj)
-    tris = triangles(g)
-    fault = None
-    while tris:
-        choice = _pick_edge(adj, tris)
-        if choice is None:
-            fault = "no triangle edge has a critical endpoint"
-            break
-        step = _star_step(adj, *choice)
-        steps.append(step)
-        fault = _step_fault(adj, step, True)
-        if fault is not None:
-            break
-        tris = _triangles_left(tris, step)
-    final = Graph(tuple(adj)) if steps else g
-    return ReductionTrace(tuple(steps), final, fault is None, fault)
-
-
-def reduction_succeeds_in_any_order(g: Graph) -> bool | None:
-    """Whether some order of valid star steps reduces g to a triangle-free graph.
-
-    A depth-first search over the valid steps, in the order
-    ``reduce_to_triangle_free`` tries edges, on one adjacency list: each
-    step is undone by restoring the masks saved before it, and dead ends
-    are remembered by adjacency.  Every graph reached is 2-self-centered,
-    since each step is.  None when the search visits ``SEARCH_BUDGET``
-    nodes undecided.  Raises NotTwoSelfCenteredError on other input.
-    """
-    if not g.two_sc:
-        raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
-    adj = list(g.adj)
     dead_ends: set[tuple[int, ...]] = set()
     budget = SEARCH_BUDGET
 
@@ -273,33 +246,50 @@ def reduction_succeeds_in_any_order(g: Graph) -> bool | None:
         hit_limit = False
         for a, b, c in tris:
             for u, v in ((a, b), (a, c), (b, c)):
-                if not has_critical_endpoint(adj, u, v):
+                u_mask, v_mask = _partners(adj, u, v), _partners(adj, v, u)
+                if not u_mask and not v_mask:
                     continue
-                step = _star_step(adj, u, v)
-                sub = _step_fault(adj, step, True) is None and search(_triangles_left(tris, step))
+                step = _join_partners(adj, u, v, u_mask, v_mask)
+                if _step_fault(adj, step, True) is None:
+                    steps.append(step)
+                    sub = search(_triangles_left(tris, step))
+                    if sub:
+                        return True
+                    steps.pop()
+                    hit_limit = hit_limit or sub is None
                 adj[:] = key
-                if sub:
-                    return True
-                if sub is None:
-                    hit_limit = True
         if hit_limit:
             return None
         dead_ends.add(key)
         return False
 
-    return search(triangles(g))
+    found = search(triangles(g))
+    if not found:
+        return ReductionTrace((), g, False, _NO_ORDER if found is False else _OUT_OF_BUDGET)
+    return ReductionTrace(tuple(steps), Graph(tuple(adj)) if steps else g, True)
+
+
+def reduction_succeeds_in_any_order(g: Graph) -> bool | None:
+    """Whether ``reduce_to_triangle_free`` finds an order; None when its budget ran out.
+
+    A thin wrapper over the reduction, kept because the benchmark's
+    tracer wraps it by name.
+    """
+    trace = reduce_to_triangle_free(g)
+    if trace.succeeded:
+        return True
+    return None if trace.failure_reason == _OUT_OF_BUDGET else False
 
 
 @dataclass(frozen=True)
 class TriangleClassification:
     """Evidence for the minimal-with-triangles test.
 
-    ``every_triangle_edge_critical`` is the local condition; the trace is
-    the iterated reduction, present whenever the local condition held.
+    ``failing_edge`` is the first triangle edge without a critical
+    endpoint; the trace, present when there is none, is the reduction.
     """
 
     minimal: bool
-    every_triangle_edge_critical: bool
     failing_edge: tuple[int, int] | None
     trace: ReductionTrace | None
 
@@ -309,24 +299,21 @@ class TriangleClassification:
     def to_json(self) -> dict[str, Any]:
         return {
             "minimal": self.minimal,
-            "every_triangle_edge_critical": self.every_triangle_edge_critical,
             "failing_edge": list(self.failing_edge) if self.failing_edge else None,
             "trace": self.trace.to_json() if self.trace else None,
         }
 
 
 def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
-    """The local condition and the greedy reduction on a 2-self-centered graph with triangles.
+    """The local condition, and the reduction as its evidence, on a 2-self-centered graph with triangles.
 
-    ``every_triangle_edge_critical`` is the local condition: every edge of
-    every triangle has an endpoint that is the only common neighbor of
-    the other endpoint and some vertex; ``failing_edge`` is the first
-    edge without one.  That condition alone decides edge-minimality, by
-    the deletion rule of ``recognition.edit_keeps_two_sc`` (deleting an
-    edge on no triangle always breaks the property).  ``minimal`` also
-    requires ``reduce_to_triangle_free``, the greedy order, to succeed,
-    so it is False on edge-minimal graphs where that order fails,
-    ``G}aHOs`` among them.
+    ``minimal`` is the local condition: every edge of every triangle has
+    an endpoint that is the only common neighbor of the other endpoint
+    and some vertex; ``failing_edge`` is the first edge without one.
+    That condition alone decides edge-minimality, by the deletion rule of
+    ``recognition.edit_keeps_two_sc`` (deleting an edge on no triangle
+    always breaks the property).  When it holds, the trace is
+    ``reduce_to_triangle_free``'s, which by the classification succeeds.
     """
     if not g.two_sc:
         raise NotTwoSelfCenteredError("classification requires a 2-self-centered graph")
@@ -336,6 +323,5 @@ def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
     for a, b, c in tris:
         for u, v in ((a, b), (a, c), (b, c)):
             if not has_critical_endpoint(g.adj, u, v):
-                return TriangleClassification(False, False, (u, v), None)
-    trace = reduce_to_triangle_free(g)
-    return TriangleClassification(trace.succeeded, True, None, trace)
+                return TriangleClassification(False, (u, v), None)
+    return TriangleClassification(True, None, reduce_to_triangle_free(g))

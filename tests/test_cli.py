@@ -6,7 +6,9 @@ import pytest
 from twosc.canon import canonical_graph
 from twosc.cli import main
 from twosc.graphs import complete_bipartite, cycle_graph, minimal_with_triangle, path_graph, capped_k33
+from twosc.core import has_triangle
 from twosc.io import graph6_decode, graph6_encode
+from twosc.reduction import apply_star_procedure
 
 
 def run(capsys, *argv):
@@ -81,6 +83,23 @@ def test_reduce_fixture(capsys):
     doc = json.loads(out)
     assert doc["succeeded"] is True
     assert len(doc["steps"]) == 1
+
+
+def test_reduce_where_the_greedy_order_fails(capsys):
+    # the greedy order's first step creates a triangle on G}aHOs (it
+    # exited 1); the search finds another order, and the printed steps
+    # replay one valid star step at a time
+    code, out, _ = run(capsys, "reduce", "G}aHOs")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["succeeded"] is True and doc["failure_reason"] is None
+    g = graph6_decode("G}aHOs")
+    for printed in doc["steps"]:
+        assert set(printed) == {"u", "v", "u_critical_partners", "v_critical_partners"}
+        g, step = apply_star_procedure(g, printed["u"], printed["v"])
+        assert list(step.u_partners) == printed["u_critical_partners"]
+        assert list(step.v_partners) == printed["v_critical_partners"]
+    assert graph6_encode(g) == doc["final"] and not has_triangle(g) and g.two_sc
 
 
 def test_sample_deterministic(capsys):

@@ -21,14 +21,12 @@ EXPECTED_COUNTING = {
 
 # sha256 of verify_all(7).to_json() with timings stripped, dumped with
 # sorted keys.  Speed-ups of the battery must leave it unchanged.
-BATTERY_7_DIGEST = "ee2b0186fb3c92d37b89b888ead31addc082359f832c2d6b1055cbe63a522075"
+BATTERY_7_DIGEST = "77f74dbfa439f699e854e643779875ce8851d7977790488fa5b7b5654ec91e56"
 
 # The same digest for verify_all(8, full_battery_max=8), the full battery
-# over every connected class with n <= 8.  No check fails there: G}aHOs,
-# the one graph with n <= 8 known to defeat the deterministic reduction
-# order, is represented by GthQ]?, which that order reduces, so
-# test_known_counterexample_from_a_file pins the defect on G}aHOs itself.
-BATTERY_8_FULL_DIGEST = "a1474b360b87507ebc3f6998c6fb748987fffe57d5b592445a69303d916095c0"
+# over every connected class with n <= 8, which the default range now
+# runs.  No check fails there.
+BATTERY_8_FULL_DIGEST = "5bc9bf084e1d5ee27b712c082278f7d8e5ae374bb3504ba0464887a3dfa4348d"
 
 
 def strip_times(doc):
@@ -152,17 +150,16 @@ def test_full_battery_json_pinned_up_to_eight():
 
 
 def test_known_counterexample_from_a_file(tmp_path):
-    # The deterministic reduction order depends on the labels: on G}aHOs
-    # its first step creates a triangle, on the isomorphic GthQ]? it
-    # succeeds.  A reduction that searches for an order fixes this, and
-    # changes this test on purpose.
+    # The greedy reduction order depends on the labels: on G}aHOs its
+    # first step creates a triangle, on the isomorphic GthQ]? it
+    # succeeds.  The reduction searches for an order, so both labellings
+    # pass, as does the n = 9 graph H}iQYCM, which greedy also fails.
     path = tmp_path / "graphs.g6"
-    path.write_text("G}aHOs\nGthQ]?\n")
-    result = verify_all(8, source="file", path=str(path), full_battery_max=8)
+    path.write_text("G}aHOs\nGthQ]?\nH}iQYCM\n")
+    result = verify_all(9, source="file", path=str(path), full_battery_max=9)
     rep = next(r for r in result.reports if r.theorem == "triangle_classification")
-    assert (rep.examined, rep.passes) == (2, 1)
-    assert [c["graph6"] for c in rep.counterexamples] == ["G}aHOs"]
-    assert result.counterexample_total() == 1
+    assert (rep.examined, rep.passes) == (3, 3)
+    assert result.counterexample_total() == 0
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
@@ -182,7 +179,7 @@ def test_render_table_names_what_it_skipped():
     for theorem in THEOREMS:
         assert (theorem in skipped) == (theorem != "gcb_round_trip")
     assert "triangle_classification (n = 5..5)" in skipped
-    assert "reduction order notes: deterministic order never failed (n = 5..5)" in lines
+    assert not any(line.startswith("reduction order notes") for line in lines)
     assert lines[-1] == "total counterexamples: 0 over n = 1..6, 6 of 7 theorems checked below n = 6 only"
 
 
@@ -197,6 +194,6 @@ def test_report_seconds_time_each_check():
 
 
 def test_experiments_empty_in_range():
-    result = verify_all(6)
-    assert result.order_dependence == []
-    assert "zero_l_divergences" not in result.to_json()
+    # the reduction-order and zero-l experiments are gone from the report
+    doc = verify_all(6).to_json()
+    assert set(doc) == {"reports", "counting", "seconds"}

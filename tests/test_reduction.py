@@ -56,13 +56,19 @@ def five_cycle_with_chord():
 ORDER_SENSITIVE_MINIMAL = "G}aHOs"
 
 
-# Edge-minimal graphs, as labelled, on which the greedy order fails: the
-# one known with n <= 8 and 13 with n = 9 found by the n <= 9 battery.
+# Edge-minimal graphs, as labelled, on which the greedy order (always the
+# first triangle edge with a critical endpoint) fails: the one known with
+# n <= 8 and 13 with n = 9 found by the n <= 9 battery.
 GREEDY_FAILS = (
     ORDER_SENSITIVE_MINIMAL,
     "HovTb?p", r"Hr\cmA_", "Hsza`eO", "H{d@?kM", "H}aH`SU", "H}aHpOX", "H}aIPgJ",
     "H}aIPoJ", "H}aK@SX", "H}aKPGR", "H}arQqG", "H}iQYCM", "H}mCJHS",
 )
+
+# Fixtures the reduction must reduce where the greedy order fails: the
+# n = 8 graph, the n = 9 graph whose search visits the most states, and
+# pinned_reduce_inputs()[11], with n = 10.
+GREEDY_FAILS_FIXTURES = (ORDER_SENSITIVE_MINIMAL, "H}iQYCM", "IB?OD{Pqo")
 
 
 def order_sensitive_minimal():
@@ -199,14 +205,15 @@ class TestClassify:
     def test_fixture_is_minimal(self):
         cls = classify_edge_minimal_with_triangles(minimal_with_triangle())
         assert cls.minimal
-        assert cls.every_triangle_edge_critical
+        assert cls.failing_edge is None
         assert cls.trace is not None and cls.trace.succeeded
+        assert "every_triangle_edge_critical" not in cls.to_json()
 
     def test_chorded_cycle_is_not(self):
         cls = classify_edge_minimal_with_triangles(five_cycle_with_chord())
         assert not cls.minimal
-        assert not cls.every_triangle_edge_critical
         assert cls.failing_edge == (0, 2)
+        assert cls.trace is None
         assert not is_edge_minimal(five_cycle_with_chord()).minimal
 
     def test_triangle_free_rejected(self):
@@ -225,18 +232,26 @@ class TestAnyOrderSearch:
     def test_no_valid_order(self):
         # 2SC and not minimal; every order of valid steps dead-ends
         g = graph6_decode("D}K")
-        assert not reduce_to_triangle_free(g).succeeded
+        trace = reduce_to_triangle_free(g)
+        assert not trace.succeeded and trace.steps == () and trace.final == g
+        assert trace.failure_reason == "no order of valid star steps reaches a triangle-free graph"
         assert reduction_succeeds_in_any_order(g) is False
 
     def test_some_order_where_greedy_fails_on_a_graph_that_is_not_minimal(self):
         g = graph6_decode("E|pO")
         assert not is_edge_minimal(g).minimal
-        assert not reduce_to_triangle_free(g).succeeded
+        assert not ref_reduce_to_triangle_free(g).succeeded
+        trace = reduce_to_triangle_free(g)
+        assert trace.succeeded and replay_trace(g, trace)
         assert reduction_succeeds_in_any_order(g) is True
 
     def test_exhausted_budget_is_undecided(self, monkeypatch):
         monkeypatch.setattr(reduction, "SEARCH_BUDGET", 1)
-        assert reduction_succeeds_in_any_order(order_sensitive_minimal()) is None
+        g = order_sensitive_minimal()
+        trace = reduce_to_triangle_free(g)
+        assert not trace.succeeded and trace.steps == () and trace.final == g
+        assert trace.failure_reason == "the search visited SEARCH_BUDGET nodes undecided"
+        assert reduction_succeeds_in_any_order(g) is None
 
     def test_requires_two_self_centered(self):
         with pytest.raises(NotTwoSelfCenteredError):
@@ -250,6 +265,17 @@ class TestAnyOrderSearch:
         assert is_edge_minimal(g).minimal
         assert len(triangles(g)) == 4
         assert reduction_succeeds_in_any_order(g) is True
+
+    @pytest.mark.parametrize("record", GREEDY_FAILS_FIXTURES)
+    def test_reduces_where_the_greedy_order_fails(self, record):
+        g = graph6_decode(record)
+        assert is_edge_minimal(g).minimal
+        assert not ref_reduce_to_triangle_free(g).succeeded
+        trace = reduce_to_triangle_free(g)
+        assert trace.succeeded and not has_triangle(trace.final) and trace.final.two_sc
+        assert replay_trace(g, trace) and ref_replay_trace(g, trace)
+        cls = classify_edge_minimal_with_triangles(g)
+        assert cls.minimal and cls.trace == trace
 
 
 # --- the Graph-per-step reduction, kept as the reference --------------------
@@ -413,16 +439,27 @@ def assert_steps_match_reference(g: Graph, both_orientations: bool = True) -> No
 
 
 def assert_matches_reference(g: Graph, both_orientations: bool = True) -> None:
+    """The reduction against the greedy and any-order references.
+
+    Where the greedy order succeeds the search's first descent is that
+    order, so the traces are equal; elsewhere the search succeeds iff
+    some order does, and each success replays under both replays.
+    """
     for x in range(g.n):
         for anchor in range(g.n):
             assert critical_partners(g, x, anchor) == ref_critical_partners(g, x, anchor)
     trace = reduce_to_triangle_free(g)
     ref = ref_reduce_to_triangle_free(g)
-    assert trace.to_json() == ref.to_json(), g
-    assert trace.final == ref.final
+    if ref.succeeded:
+        assert trace.steps == ref.steps and trace.final == ref.final, g
+    else:
+        assert trace.succeeded == (ref_reduction_succeeds_in_any_order(g) is True), g
+    if trace.succeeded:
+        assert replay_trace(g, trace) and ref_replay_trace(g, trace), g
+    else:
+        assert trace.steps == () and trace.final == g
     assert replay_trace(g, ref) == ref_replay_trace(g, ref), g
     assert_steps_match_reference(g, both_orientations)
-    assert reduction_succeeds_in_any_order(g) == ref_reduction_succeeds_in_any_order(g), g
 
 
 class TestMatchesGraphPerStepReference:
@@ -443,10 +480,11 @@ class TestMatchesGraphPerStepReference:
     def test_search_on_the_graphs_greedy_fails_and_the_pinned_inputs(self):
         named = [graph6_decode(s) for s in GREEDY_FAILS]
         for g in named:
-            assert is_edge_minimal(g).minimal and not reduce_to_triangle_free(g).succeeded, g
-            assert reduction_succeeds_in_any_order(g) is ref_reduction_succeeds_in_any_order(g) is True, g
+            assert is_edge_minimal(g).minimal and not ref_reduce_to_triangle_free(g).succeeded, g
+            assert ref_reduction_succeeds_in_any_order(g) is True, g
+            assert_matches_reference(g)
         for g in pinned_reduce_inputs():
-            assert reduction_succeeds_in_any_order(g) == ref_reduction_succeeds_in_any_order(g), g
+            assert_matches_reference(g, both_orientations=False)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_n=3, max_n=10))
@@ -458,7 +496,7 @@ class TestMatchesGraphPerStepReference:
 # sha256 of the reduce_to_triangle_free(...).to_json() documents of
 # pinned_reduce_inputs(), one sorted-key JSON line each.  The reduction's
 # edge order decides these traces, so changing that order changes it.
-REDUCE_DIGEST = "7a8fe47df39c0a732e0c3a88e6eecf3bba8860d35b630ae1cf30a61e6c72fd7d"
+REDUCE_DIGEST = "2d534d33ed7af46be7096eb33e63f42d51644cdc50468cdaae313a3e21c5478a"
 
 
 def pinned_reduce_inputs() -> list[Graph]:
@@ -485,8 +523,9 @@ def pinned_reduce_inputs() -> list[Graph]:
 def test_reduce_outputs_pinned_above_eight():
     gs = pinned_reduce_inputs()
     assert min(g.n for g in gs) == 9 and max(g.n for g in gs) == 24
-    docs = [reduce_to_triangle_free(g).to_json() for g in gs]
-    # both outcomes are pinned: 22 traces succeed, 42 fail
-    assert sum(d["succeeded"] for d in docs) == 22
+    traces = [reduce_to_triangle_free(g) for g in gs]
+    # every input reduces, and each trace replays
+    assert all(t.succeeded and replay_trace(g, t) for g, t in zip(gs, traces))
+    docs = [t.to_json() for t in traces]
     text = "".join(json.dumps(d, sort_keys=True) + "\n" for d in docs)
     assert hashlib.sha256(text.encode()).hexdigest() == REDUCE_DIGEST

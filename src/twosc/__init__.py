@@ -7,7 +7,7 @@ star reduction for the triangle case, and an exhaustive small-graph
 verification harness tying it all together.
 """
 
-from .canon import are_isomorphic, canonical_graph, canonical_masks, canonical_order
+from .canon import are_isomorphic, canonical_graph, canonical_masks
 from .core import (
     DistanceProfile,
     EdgeAbsentError,

@@ -1,4 +1,4 @@
-"""Canonical labeling for small graphs.
+"""Canonical form for small graphs.
 
 The canonical form is defined over a restricted set of vertex orders.
 A vertex's rank is its degree, then the sum of its neighbours' degrees;
@@ -7,26 +7,24 @@ rank, form an isomorphism-invariant ordered partition (the first step
 of vertex-invariant refinement; McKay, *Isomorph-free exhaustive
 generation*, J. Algorithms 1998; McKay and Piperno, *Practical graph
 isomorphism, II*, JSC 2014).  The admissible orders place the cells
-one after another.  The canonical order is, among the admissible
-orders, one that maximizes the bit string read off column by column
-(each new vertex's adjacencies to the vertices placed before it), and
-among those the lexicographically smallest.
+one after another.  The code of an order is the bit string read off
+column by column (each new vertex's adjacencies to the vertices placed
+before it), and ``partition_code`` is the maximal code over the
+admissible orders.
 
 Isomorphic graphs admit the same orders up to relabelling, so the
-maximal code, ``partition_code``, is a complete invariant, and it
-determines its graph: after a leading 1 bit, level j holds j bits, the
-adjacency of position j to positions 0..j-1 (``_decode``).  So it is
-the canonical form too: ``canonical_masks`` relabels a graph by its
-canonical order, which gives exactly ``_decode(partition_code(g))``,
-and two graphs are isomorphic iff they have the same vertex count and
-the same canonical form.
+maximal code is a complete invariant, and it determines its graph:
+after a leading 1 bit, level j holds j bits, the adjacency of position
+j to positions 0..j-1 (``_decode``).  So the code is the canonical
+form: ``canonical_masks`` is ``_decode(partition_code(g))``, and two
+graphs are isomorphic iff they have the same code.
 
 The search keeps, level by level, every partial order that attains the
 maximal bit prefix, and collapses partial orders that are exchangeable:
 two prefixes over the same vertex set are interchangeable whenever every
-unplaced vertex sees the same adjacency pattern toward both.  Of two
-collapsed prefixes the lexicographically smaller one is kept: both have
-the same completions, so the smallest optimal order survives.
+unplaced vertex sees the same adjacency pattern toward both.  Collapsed
+prefixes have the same completions, so keeping one of them keeps the
+maximal code.
 
 Each state carries, per unplaced vertex, the bit pattern of its
 adjacencies to the placed prefix, so extending a state costs one
@@ -63,15 +61,14 @@ exploding into factorially many states:
   fields for the two new cells come for all lanes at once from the
   summed neighbour lanes.  A state whose cells are all single vertices
   is an ordinary state; others collapse only when their multi-vertex
-  cells match too.  A state's order lists each cell ascending, the
-  smallest order it stands for.
+  cells match too.
 - Twins.  Two vertices with equal open or equal closed neighbourhoods
   share a rank, and swapping them is an automorphism: it maps an
-  optimal order to an optimal order.  So the smallest optimal order
-  places twins in ascending index order, and the search places a
-  vertex (or seeds a clique holding it) only after its smaller twins.
-  Whether a vertex may be placed depends only on the set already
-  placed, so two collapsed states still have the same completions.
+  order to an order with the same code.  So some optimal order places
+  twins in ascending index order, and the search places a vertex (or
+  seeds a clique holding it) only after its smaller twins.  Whether a
+  vertex may be placed depends only on the set already placed, so two
+  collapsed states still have the same completions.
 """
 
 from __future__ import annotations
@@ -159,16 +156,14 @@ def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Seque
     return out
 
 
-def _canonical_order_packed(
-    adj: Sequence[int], n: int, allowed: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
+def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int]) -> int:
     """Pattern-packed search over lanes of w = max(n, 8) bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``,
     the cells of the ordered partition in turn.  Returns the maximal
     code over those orders, the per-level maxima packed into one int
     after a leading 1 bit (so graphs of different sizes get different
-    codes), and the lexicographically smallest order attaining it.
+    codes).
     """
     if n <= 8:
         w, bits_of = 8, _BITS
@@ -181,10 +176,11 @@ def _canonical_order_packed(
     # every lane but its top bit: a pattern has at most n - 1 bits, so
     # clearing the top one before the shift keeps it inside its lane
     low = ((1 << w * w) - 1) // lane * (lane >> 1)
-    # A state is (order, mask, lanes, placed lanes).  Bits 0..n-1 of the
-    # mask are the placed vertices; above them, the n bits of slot p
-    # hold the multi-vertex cell that starts at position p, if any, so
-    # states collapse only when their cells match too.
+    # A state is (mask, lanes, placed lanes).  Bits 0..n-1 of the mask
+    # are the placed vertices; above them, the n bits of slot p hold
+    # the multi-vertex cell that starts at position p, if any, so
+    # states collapse only when their cells match too.  The placed
+    # lanes follow from the mask, so equal states collapse in a set.
     full = (1 << n) - 1
     before = _twins_before(adj)
     twinned = sum(1 << v for v in range(n) if before[v])
@@ -205,18 +201,18 @@ def _canonical_order_packed(
             members = bits_of[clique]
             pb = sum(lane << c * w for c in members)
             pats = _unary(row_exp, members, w - size, under, top) & ~pb
-            pool.append((members, clique | clique << n, pats, pb))
+            pool.append((clique | clique << n, pats, pb))
         # the leading 1, then levels 1..size-1 all ones
         code = (2 << size * (size - 1) // 2) - 1
     else:
         size = code = 1
-        pool = [((v,), 1 << v, row_exp[v], lane << v * w) for v in bits_of[first] if not before[v]]
+        pool = [(1 << v, row_exp[v], lane << v * w) for v in bits_of[first] if not before[v]]
     for level in range(size, n):
         allow = allowed[level]
         best = -1
-        grown: list[tuple[tuple[tuple[int, ...], int, int, int], int]] = []
+        grown: list[tuple[tuple[int, int, int], int]] = []
         for state in pool:
-            _, mask, pats, _ = state
+            mask, pats, _ = state
             free = allow & ~mask
             for v in bits_of[free & twinned]:
                 if before[v] & ~mask:
@@ -230,8 +226,8 @@ def _canonical_order_packed(
                     grown = []
                 grown.append((state, v))
         code = code << level | best
-        states: dict[tuple[int, int], tuple[tuple[int, ...], int, int, int]] = {}
-        for (order, mask, pats, pb), v in grown:
+        states: set[tuple[int, int, int]] = set()
+        for (mask, pats, pb), v in grown:
             mask |= 1 << v
             pb |= lane << v * w
             pats = (((pats & low) << 1) | row_exp[v]) & ~pb
@@ -254,24 +250,27 @@ def _canonical_order_packed(
                         pats |= _unary(row_exp, bits_of[a], shift, under, top)
                         pats |= _unary(row_exp, bits_of[b], shift + k, under, top)
                         pats &= ~pb
-                        order = order[:pos] + bits_of[a] + bits_of[b] + order[pos + s:]
                         if k > 1:
                             mask |= a << n * (pos + 1)
                         if s - k > 1:
                             mask |= b << n * (pos + k + 1)
                     pos += 1
-            state = (order + (v,), mask, pats, pb)
-            # a split reorders its cell, so states do not arrive in
-            # lexicographic order: keep the smaller of two that collapse
-            first = states.setdefault((mask, pats), state)
-            if first is not state and state[0] < first[0]:
-                states[mask, pats] = state
-        pool = states.values()
-    return code, min(pool)[0]
+            states.add((mask, pats, pb))
+        pool = states
+    return code
 
 
-def _canonical(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
-    """The maximal code and the canonical order of a graph on n >= 1 vertices."""
+def partition_code(adj: Sequence[int]) -> int:
+    """The canonical form of a graph on n >= 1 vertices, packed into an int.
+
+    The maximal column-major code over the orders that place the rank
+    cells one after another: a complete isomorphism invariant, which
+    ``_decode`` turns back into ``canonical_masks``.  The generator's
+    dedupe key.  Raises ``GraphError`` on the empty graph.
+    """
+    n = len(adj)
+    if n < 1:
+        raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
     members = _BITS.__getitem__ if n <= 8 else bits
     deg = [m.bit_count() for m in adj]
     # a neighbour-degree sum is below n * n, so this ranks by degree,
@@ -287,34 +286,7 @@ def _canonical(adj: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
     for r in sorted(cells, reverse=True):
         cell = cells[r]
         allowed += [cell] * cell.bit_count()
-    return _canonical_order_packed(adj, n, allowed)
-
-
-def canonical_order(adj: Sequence[int]) -> tuple[int, ...]:
-    """The canonical order: cells in descending rank, maximal code, smallest.
-
-    Among the orders that place the rank cells one after another, the
-    lexicographically smallest of those achieving the maximal
-    column-major adjacency code.
-    """
-    n = len(adj)
-    if n <= 1:
-        return tuple(range(n))
-    return _canonical(adj, n)[1]
-
-
-def partition_code(adj: Sequence[int]) -> int:
-    """The canonical form of a graph on n >= 1 vertices, packed into an int.
-
-    The maximal column-major code over the orders that place the rank
-    cells one after another: a complete isomorphism invariant, which
-    ``_decode`` turns back into ``canonical_masks``.  The generator's
-    dedupe key.  Raises ``GraphError`` on the empty graph.
-    """
-    n = len(adj)
-    if n < 1:
-        raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
-    return _canonical(adj, n)[0]
+    return _maximal_code(adj, n, allowed)
 
 
 def _decode(code: int, n: int) -> list[int]:
@@ -335,19 +307,9 @@ def _decode(code: int, n: int) -> list[int]:
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency masks of the graph relabelled by its canonical order (a full invariant)."""
+    """Adjacency masks of the canonical form, ``_decode(partition_code(adj))``; () for n = 0."""
     n = len(adj)
-    order = canonical_order(adj)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    out = []
-    for v in order:
-        m = 0
-        for u in bits(adj[v]):
-            m |= 1 << pos[u]
-        out.append(m)
-    return tuple(out)
+    return tuple(_decode(partition_code(adj), n)) if n else ()
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -356,4 +318,4 @@ def canonical_graph(g: Graph) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    return g.n == h.n and canonical_masks(g.adj) == canonical_masks(h.adj)
+    return g.n == h.n and (g.n == 0 or partition_code(g.adj) == partition_code(h.adj))

@@ -31,6 +31,7 @@ from itertools import combinations
 from typing import Any
 
 from .core import Graph, GraphError, bits, has_triangle
+from .io import FormatError
 from .recognition import NotTwoSelfCenteredError
 from .sbic import HasTriangleError, SbicReport, SbicWitness, WitnessError, construct_sbic, verify_sbic
 
@@ -85,10 +86,30 @@ class GcbSpec:
         return doc
 
     @staticmethod
-    def from_json(doc: dict[str, Any]) -> GcbSpec:
-        x = Graph.from_edges(int(doc["x"]["n"]), [tuple(e) for e in doc["x"]["edges"]])
-        witness = SbicWitness.from_families(doc.get("a_family", []), doc.get("b_family", []))
-        return GcbSpec(int(doc["k"]), int(doc["l"]), x, witness)
+    def from_json(doc: Any) -> GcbSpec:
+        """Parse a spec document; raises ``FormatError`` if its shape is wrong."""
+        x = doc.get("x") if isinstance(doc, dict) else None
+        if not isinstance(x, dict):
+            raise FormatError("a spec document is an object whose 'x' is an object")
+        k, l, n = doc.get("k"), doc.get("l"), x.get("n")
+        if not all(type(v) is int for v in (k, l, n)):
+            raise FormatError("'k', 'l' and 'x.n' must be ints")
+        edges = x.get("edges")
+        if not _int_lists(edges, n, 2):
+            raise FormatError(f"'x.edges' must be a list of pairs of ints in 0..{n - 1}")
+        a_family, b_family = doc.get("a_family", []), doc.get("b_family", [])
+        if not (_int_lists(a_family, n) and _int_lists(b_family, n)):
+            raise FormatError(f"'a_family' and 'b_family' must be lists of lists of ints in 0..{n - 1}")
+        witness = SbicWitness.from_families(a_family, b_family)
+        return GcbSpec(k, l, Graph.from_edges(n, [tuple(e) for e in edges]), witness)
+
+
+def _int_lists(value: Any, n: int, width: int | None = None) -> bool:
+    """Whether value is a list of lists of ints in 0..n-1, each of length ``width`` if given."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and width in (None, len(row)) and all(type(v) is int and 0 <= v < n for v in row)
+        for row in value
+    )
 
 
 @dataclass(frozen=True)

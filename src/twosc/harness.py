@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Any, Iterable
 
 from .core import Graph, has_triangle
-from .enumeration import RangeError, _split, _usable_cpus, connected_classes
+from .enumeration import GENERATOR_MAX, RangeError, _split, _usable_cpus, connected_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
@@ -286,12 +286,15 @@ def verify_all(
     holding it.  Each input ``Graph`` is validated once, by the reader
     or the generator, and reaches the checks as that value; children get
     it pickled, which does not validate it again.  Raises ``RangeError``
-    when ``n_max < 1``, since such a run would check nothing.
+    when ``n_max < 1``, since such a run would check nothing, and, before
+    any work, when the builtin source gets ``n_max > GENERATOR_MAX``.
     """
     start = time.perf_counter()
     if n_max < 1:
         raise RangeError(f"the battery needs n_max >= 1, got {n_max}")
     if source == "builtin":
+        if n_max > GENERATOR_MAX:
+            raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got n_max = {n_max}")
         graphs: Iterable[Graph] = (g for n in range(1, n_max + 1) for g in connected_classes(n))
     elif source == "file":
         if path is None:

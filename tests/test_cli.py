@@ -161,6 +161,12 @@ def test_verify_empty_range_exits_two(capsys, tmp_path, n_max):
         assert not out and "n_max >= 1" in err
 
 
+def test_verify_beyond_the_generator_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--n-max", "9")
+    assert code == 2
+    assert not out and "generator supports" in err
+
+
 def test_bad_graph6_exits_two(capsys):
     code, _, err = run(capsys, "check", "C@ $")
     assert code == 2
@@ -172,6 +178,31 @@ def test_bad_spec_document_exits_two(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "build", "--input", str(path))
     assert code == 2 and err
+
+
+_EDGE = {"n": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param([], id="not-an-object"),
+    pytest.param({"k": 1, "l": 1, "x": []}, id="x-not-an-object"),
+    pytest.param({"k": 2.5, "l": 3, "x": {"n": 0, "edges": []}}, id="float-k"),
+    pytest.param({"k": 2, "l": True, "x": {"n": 0, "edges": []}}, id="bool-l"),
+    pytest.param({"k": 1, "l": 1, "x": {"n": "2", "edges": []}}, id="string-n"),
+    pytest.param({"k": 1, "l": 1, "x": {"n": 2, "edges": [[0]]}}, id="edge-not-a-pair"),
+    pytest.param({"k": 1, "l": 1, "x": {"n": 2, "edges": [[0, 1.0]]}}, id="edge-not-ints"),
+    pytest.param({"k": 1, "l": 1, "x": _EDGE, "a_family": ["a"]}, id="member-not-a-list"),
+    pytest.param({"k": 1, "l": 1, "x": _EDGE, "a_family": [["a"]]}, id="member-not-ints"),
+    pytest.param({"k": 1, "l": 1, "x": _EDGE, "b_family": [[-1]]}, id="negative-vertex"),
+    pytest.param({"k": 1, "l": 1, "x": _EDGE, "b_family": [[2]]}, id="vertex-beyond-x"),
+    pytest.param({"k": 1, "l": 1, "x": _EDGE, "a_family": {}}, id="family-not-a-list"),
+])
+def test_malformed_spec_document_exits_two(capsys, tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "build", "--input", str(path))
+    assert code == 2
+    assert not out and err.startswith("twosc build:")
 
 
 def test_decompose_wants_one_graph(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from twosc import gcb, harness
 from twosc.core import Graph
-from twosc.enumeration import RangeError, connected_classes
+from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
 from twosc.harness import FULL_BATTERY_MAX, THEOREMS, BatteryResult, _run_chunk, render_table, verify_all
 from twosc.io import write_graph6
 
@@ -171,6 +171,15 @@ def test_empty_range_is_rejected(tmp_path, n_max):
         verify_all(n_max)
     with pytest.raises(RangeError):
         verify_all(n_max, source="file", path=str(path))
+
+
+def test_builtin_range_beyond_the_generator_is_rejected_before_any_work(monkeypatch):
+    def generate(n):
+        raise AssertionError(f"connected_classes({n}) ran before the range check")
+
+    monkeypatch.setattr(harness, "connected_classes", generate)
+    with pytest.raises(RangeError, match="generator supports"):
+        verify_all(GENERATOR_MAX + 1)
 
 
 def test_render_table_names_what_it_skipped():

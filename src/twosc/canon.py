@@ -260,17 +260,13 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int]) -> int:
     return code
 
 
-def partition_code(adj: Sequence[int]) -> int:
-    """The canonical form of a graph on n >= 1 vertices, packed into an int.
+def _cells(adj: Sequence[int], n: int) -> list[int]:
+    """The rank partition as ``_maximal_code``'s ``allowed``: per position, its cell.
 
-    The maximal column-major code over the orders that place the rank
-    cells one after another: a complete isomorphism invariant, which
-    ``_decode`` turns back into ``canonical_masks``.  The generator's
-    dedupe key.  Raises ``GraphError`` on the empty graph.
+    A vertex's rank is its degree, then the sum of its neighbours'
+    degrees; the cells, in descending rank, each fill as many positions
+    as they have vertices, so the last entry is the lowest-rank cell.
     """
-    n = len(adj)
-    if n < 1:
-        raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
     members = _BITS.__getitem__ if n <= 8 else bits
     deg = [m.bit_count() for m in adj]
     # a neighbour-degree sum is below n * n, so this ranks by degree,
@@ -286,7 +282,23 @@ def partition_code(adj: Sequence[int]) -> int:
     for r in sorted(cells, reverse=True):
         cell = cells[r]
         allowed += [cell] * cell.bit_count()
-    return _maximal_code(adj, n, allowed)
+    return allowed
+
+
+def partition_code(adj: Sequence[int]) -> int:
+    """The canonical form of a graph on n >= 1 vertices, packed into an int.
+
+    The maximal column-major code over the orders that place the rank
+    cells (``_cells``) one after another: a complete isomorphism
+    invariant, which ``_decode`` turns back into ``canonical_masks``.
+    The generator's dedupe key, though it calls the two steps itself
+    so as to test the new vertex's cell in between.  Raises
+    ``GraphError`` on the empty graph.
+    """
+    n = len(adj)
+    if n < 1:
+        raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
+    return _maximal_code(adj, n, _cells(adj, n))
 
 
 def _decode(code: int, n: int) -> list[int]:

@@ -1,13 +1,48 @@
 """Exhaustive small-graph generation, one representative per isomorphism class.
 
-Graphs on k+1 vertices are produced by attaching a new vertex to every
-k-vertex class representative, with every neighborhood that leaves the
-new vertex of minimum degree (every graph arises so).  A level is one
-pass: the candidates are deduplicated by ``partition_code``, each share
-of the parents yielding the set of its candidates' codes, and the sets
-are merged.  The code is the canonical form packed into an int, so each
-distinct code decodes straight into its class representative, the
-canonical form, and no second search runs per class.
+Graphs on k+1 vertices are produced by attaching a new vertex x to
+every k-vertex class representative P, with a neighbourhood mask M over
+P's vertices.  A level is one pass: the candidates are deduplicated by
+``partition_code``, each share of the parents yielding the set of its
+candidates' codes, and the sets are merged.  The code is the canonical
+form packed into an int, so each distinct code decodes straight into
+its class representative, the canonical form, and no second search runs
+per class.
+
+Most masks give a class that another mask gives too.  Three exact rules
+drop such candidates before any canonical search; each names a property
+that some candidate of every class has:
+
+- Minimum degree.  Deleting a vertex of minimum degree leaves a parent
+  class, so x may be required to have minimum degree: M has at most one
+  more vertex than P's minimum degree, and then holds every vertex of
+  P of that minimum degree.
+- Lowest rank cell.  A vertex's rank is its degree, then the sum of its
+  neighbours' degrees, as in ``canon``.  A vertex of minimum rank has
+  minimum degree, and deleting it also leaves a parent class, so x may
+  be required to lie in the lowest-rank cell of the candidate.  The
+  rank partition is the first step of the canonical search
+  (``canon._cells``), so the test costs nothing beyond it, and a
+  candidate that fails it never reaches ``_maximal_code``.
+- Twin prefix.  Two vertices of P with equal open or equal closed
+  neighbourhoods are twins.  The twins fall into classes, and any
+  permutation inside a class is an automorphism of P.  Extended by
+  fixing x, it maps the candidate with M to the one with the permuted
+  mask, with x's degree and rank unchanged.  So M may contain a vertex
+  only if it also contains every smaller twin of it
+  (``canon._twins_before``, once per parent).
+
+Together they keep a candidate of every class: for a graph G and a
+vertex v of minimum rank, G - v is some parent P under an isomorphism
+that maps v's neighbourhood to a mask M; that candidate passes the
+first two rules, and permuting M inside P's twin classes makes it pass
+the third without changing its class or x's rank.  None of the rules
+depends on how the parents are labelled.  At n = 8 they leave 15,918
+of the 29,755 minimum-degree candidates to search, for 12,346 classes.
+Orbits of the whole automorphism group of P are not pruned: even a
+perfect pruning would still search 13,268 candidates at n = 8, the
+distinct codes, per parent, of the candidates the first two rules
+keep.
 
 The n = 8 level splits the parents into one share per usable CPU:
 the caller works the first share and child processes the others, and
@@ -28,7 +63,7 @@ import os
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .canon import _decode, partition_code
+from .canon import _cells, _decode, _maximal_code, _twins_before
 from .core import Graph, GraphError, component_masks
 
 GENERATOR_MAX = 8
@@ -71,22 +106,28 @@ def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Gra
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> set[int]:
-    """The ``partition_code`` of every candidate from these parents."""
+    """The ``partition_code`` of every candidate from these parents.
+
+    Only the candidates that pass the module's three rules are searched;
+    the others' classes are reached by a candidate that does.
+    """
     codes: set[int] = set()
+    new = 1 << (n - 1)
     for base in parents:
-        # Every graph is its minimum-degree vertex attached to a parent
-        # class, so only candidates whose new vertex has minimum degree
-        # are needed: at most one more than the parent's minimum, and
-        # then adjacent to every parent vertex of that minimum degree.
         low = min(m.bit_count() for m in base)
         lowest = sum(1 << v for v, m in enumerate(base) if m.bit_count() == low)
-        for mask in range(1 << (n - 1)):
+        twins = [(v, b) for v, b in enumerate(_twins_before(base)) if b]
+        for mask in range(new):
             d = mask.bit_count()
-            if d > low + 1 or (d == low + 1 and lowest & ~mask):
+            if d > low + 1 or (d == low + 1 and lowest & ~mask):  # minimum degree
+                continue
+            if any(mask >> v & 1 and b & ~mask for v, b in twins):  # twin prefix
                 continue
             adj = [m | ((mask >> v & 1) << (n - 1)) for v, m in enumerate(base)]
             adj.append(mask)
-            codes.add(partition_code(adj))
+            allowed = _cells(adj, n)
+            if allowed[-1] & new:  # lowest rank cell
+                codes.add(_maximal_code(adj, n, allowed))
     return codes
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 
 import twosc
+import twosc.enumeration
 from twosc.canon import _decode, canonical_masks, partition_code
 from twosc.core import Graph
 from twosc.enumeration import (
     ALL_GRAPH_COUNTS,
     CONNECTED_GRAPH_COUNTS,
     RangeError,
+    _codes,
     _level,
     connected_classes,
     enumerate_connected,
@@ -51,6 +54,65 @@ def test_partition_code_decodes_to_its_graph(g):
     decoded = _decode(code, g.n)
     assert partition_code(decoded) == code
     assert canonical_masks(decoded) == canonical_masks(g.adj)
+
+
+def unpruned_codes(n: int, parents) -> tuple[set[int], int]:
+    """``partition_code`` of every candidate whose new vertex has minimum
+    degree, and how many there are: the generator without its pruning."""
+    codes = set()
+    count = 0
+    for base in parents:
+        for mask in range(1 << (n - 1)):
+            adj = [m | (mask >> v & 1) << (n - 1) for v, m in enumerate(base)] + [mask]
+            if mask.bit_count() == min(m.bit_count() for m in adj):
+                codes.add(partition_code(adj))
+                count += 1
+    return codes, count
+
+
+def test_pruned_codes_match_unpruned_reference():
+    # the rules speak of the candidate, not of a labelling, so they keep
+    # every class for relabelled parents too
+    rng = random.Random(16)
+    for n in range(2, 8):
+        parents = [g.adj for g in graph_classes(n - 1)]
+        want, _ = unpruned_codes(n, parents)
+        assert _codes(n, parents) == want, n
+        for _ in range(3):
+            relabelled = []
+            for adj in parents:
+                order = list(range(n - 1))
+                rng.shuffle(order)
+                relabelled.append(Graph(adj).relabel(order).adj)
+            assert _codes(n, relabelled) == want, n
+
+
+@pytest.mark.parametrize("n, searched, unpruned", [(5, 37, 70), (6, 181, 348), (7, 1347, 2690)])
+def test_searched_candidates_are_pinned(monkeypatch, n, searched, unpruned):
+    parents = [g.adj for g in graph_classes(n - 1)]
+    assert unpruned_codes(n, parents)[1] == unpruned
+    calls = []
+    search = twosc.enumeration._maximal_code
+
+    def counted(*args):
+        calls.append(1)
+        return search(*args)
+
+    monkeypatch.setattr(twosc.enumeration, "_maximal_code", counted)
+    assert len(_codes(n, parents)) == ALL_GRAPH_COUNTS[n - 1]
+    assert len(calls) == searched
+
+
+# graph6_digest of the n = 9 level, computed with every minimum-degree
+# candidate searched
+LEVEL_9_DIGEST = "6a4c92db50c2a4679a499b8371e4e1379c5d8737d5d5135408ba7fa0d52cbd3d"
+
+
+@pytest.mark.slow
+def test_nine_vertex_level():
+    classes = _level([g.adj for g in graph_classes(8)], 9, 2)
+    assert len(classes) == 274668  # OEIS A000088
+    assert graph6_digest(classes) == LEVEL_9_DIGEST
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(twosc.__file__)))

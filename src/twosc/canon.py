@@ -17,7 +17,12 @@ maximal code is a complete invariant, and it determines its graph:
 after a leading 1 bit, level j holds j bits, the adjacency of position
 j to positions 0..j-1 (``_decode``).  So the code is the canonical
 form: ``canonical_masks`` is ``_decode(partition_code(g))``, and two
-graphs are isomorphic iff they have the same code.
+graphs are isomorphic iff they have the same code.  The bits below the
+leading 1 are the upper triangle column by column, most significant
+first, which is exactly how graph6 lays out a record's body (McKay's
+format): the graph6 body of ``canonical_graph(g)`` is those bits,
+padded with zeros to a multiple of six.  So ``_decode`` and the graph6
+reader share one decoder, ``core.columns_to_masks``.
 
 The search keeps, level by level, every partial order that attains the
 maximal bit prefix, and collapses partial orders that are exchangeable:
@@ -75,7 +80,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Graph, GraphError, bits
+from .core import Graph, GraphError, bits, columns_to_masks
 
 
 # For each byte-sized mask: its vertex ids, ascending, and the mask
@@ -301,27 +306,21 @@ def partition_code(adj: Sequence[int]) -> int:
     return _maximal_code(adj, n, _cells(adj, n))
 
 
-def _decode(code: int, n: int) -> list[int]:
+def _decode(code: int, n: int) -> tuple[int, ...]:
     """The adjacency masks, in code order, of the graph a code determines.
 
     The inverse of ``partition_code``: it returns ``canonical_masks``.
+    Below its leading 1 bit the code is the column stream of a graph6
+    record's body, so ``columns_to_masks`` reads both.
     """
-    adj = [0] * n
-    shift = n * (n - 1) // 2
-    for j in range(1, n):
-        shift -= j
-        row = code >> shift
-        for i in range(j):
-            if row >> (j - 1 - i) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    nbits = n * (n - 1) // 2
+    return columns_to_masks(code ^ 1 << nbits, n)
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:
     """Adjacency masks of the canonical form, ``_decode(partition_code(adj))``; () for n = 0."""
     n = len(adj)
-    return tuple(_decode(partition_code(adj), n)) if n else ()
+    return _decode(partition_code(adj), n) if n else ()
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -8,6 +8,7 @@ target; readers of external files reject anything larger.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -86,6 +87,133 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# ------------------------------------------------------ packed bit matrix
+#
+# A square bit matrix of n <= 64 rows lives in one int: row v in lane v,
+# bits v*w .. v*w + w - 1, where w = 8, 16, 32 or 64 is the narrowest
+# lane that holds n bits.  Rows go in and out through ``struct`` with
+# standard sizes, little-endian on every platform, so packing and
+# unpacking cost O(1) Python operations, and the transpose costs
+# log2(w) masked swaps (the block-swap transpose; Warren, *Hacker's
+# Delight*, 2nd ed., ch. 7).
+
+
+def _lane_width(n: int) -> int:
+    """The narrowest lane width that holds n bits, for n <= 64."""
+    return 8 if n <= 8 else 16 if n <= 16 else 32 if n <= 32 else 64
+
+
+# the struct format letter of each lane width, and per row count n the
+# struct of n lanes
+_LANE_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+_ROWS = tuple(struct.Struct(f"<{n}{_LANE_FORMATS[_lane_width(n)]}") for n in range(MAX_VERTICES + 1))
+
+
+def _every(period: int, width: int) -> int:
+    """Bit 0 of every ``period``-bit block of a ``width``-bit int (period divides width)."""
+    return ((1 << width) - 1) // ((1 << period) - 1)
+
+
+def _swaps(w: int) -> tuple[tuple[int, int], ...]:
+    """The transpose's (shift, mask) pairs for w-bit lanes, one per block size j.
+
+    The swap for block size j exchanges entry (r, c), where r has bit j
+    clear and c has it set, with entry (r + j, c - j), j * (w - 1) bits up.
+    """
+    swaps = []
+    j = w >> 1
+    while j:
+        rows = _every(2 * j * w, w * w) * _every(w, j * w)
+        cols = _every(2 * j, w) * (((1 << j) - 1) << j)
+        swaps.append((j * (w - 1), rows * cols))
+        j >>= 1
+    return tuple(swaps)
+
+
+_SWAPS = {w: _swaps(w) for w in _LANE_FORMATS}
+_DIAGONAL = {w: _every(w + 1, (w + 1) * w) for w in _LANE_FORMATS}
+
+
+def _reversed_bytes() -> bytes:
+    """The 256-entry table of each byte with its bit order reversed."""
+    x = int.from_bytes(bytes(range(256)), "little")
+    for s, pattern in ((1, 0x55), (2, 0x33), (4, 0x0F)):
+        m = pattern * _every(8, 2048)
+        x = (x >> s & m) | (x & m) << s
+    return x.to_bytes(256, "little")
+
+
+_REVERSED = _reversed_bytes()
+
+
+def _pack(rows: Sequence[int]) -> int:
+    """Row v in lane v; every row must be an int in 0..2**w - 1 (struct.error otherwise)."""
+    return int.from_bytes(_ROWS[len(rows)].pack(*rows), "little")
+
+
+def _unpack(x: int, n: int) -> tuple[int, ...]:
+    """The first n lanes of x, as ints."""
+    rows = _ROWS[n]
+    return rows.unpack(x.to_bytes(rows.size, "little"))
+
+
+def _transpose(x: int, w: int) -> int:
+    """The transpose of the w x w bit matrix packed in x."""
+    for s, m in _SWAPS[w]:
+        t = (x ^ x >> s) & m
+        x ^= t | t << s
+    return x
+
+
+def _reverse(x: int, nbits: int) -> int:
+    """The low nbits of x in reverse order."""
+    size = nbits + 7 >> 3
+    return int.from_bytes(x.to_bytes(size, "little").translate(_REVERSED), "big") >> (size << 3) - nbits
+
+
+# Column v of the upper triangle: its offset in a column stream read
+# from the least significant bit, and its width v.
+_COLUMNS = tuple((v * (v - 1) >> 1, (1 << v) - 1) for v in range(MAX_VERTICES))
+
+
+def columns_to_masks(stream: int, n: int) -> tuple[int, ...]:
+    """The neighbor masks whose upper triangle, column by column, is ``stream``.
+
+    ``stream`` holds the n(n - 1)/2 bits adj(u, v), u < v, for v = 1..n-1
+    and within each column u = 0..v-1, the first bit most significant:
+    the body of a graph6 record, and ``partition_code`` without its
+    leading 1 bit.
+    """
+    # reversed, the stream is column after column from the least
+    # significant bit, and bit u of column v is adj(u, v)
+    low = _reverse(stream, n * (n - 1) >> 1)
+    upper = _pack([low >> at & m for at, m in _COLUMNS[:n]])
+    return _unpack(upper | _transpose(upper, _lane_width(n)), n)
+
+
+def masks_to_columns(adj: Sequence[int]) -> int:
+    """The upper triangle of ``adj``, column by column: the inverse of ``columns_to_masks``."""
+    n = len(adj)
+    low = 0
+    for v in range(n - 1, 0, -1):
+        low = low << v | adj[v] & _COLUMNS[v][1]
+    return _reverse(low, n * (n - 1) >> 1)
+
+
+def _first_bad_mask(adj: Sequence[int]) -> GraphError:
+    """The error for the first vertex whose neighbor mask is no int, reaches outside the graph or holds a loop."""
+    n = len(adj)
+    full = (1 << n) - 1
+    for v, m in enumerate(adj):
+        if not isinstance(m, int):
+            return GraphError(f"neighbor mask of {v} is {m!r}, not an int")
+        if m & ~full:
+            return GraphError(f"neighbor mask of {v} references vertices outside 0..{n - 1}")
+        if m >> v & 1:
+            return LoopError(f"self-loop at vertex {v}")
+    return GraphError("neighbor masks must be ints")
+
+
 @dataclass(frozen=True)
 class Graph:
     """A simple undirected graph; ``adj[v]`` is the neighbor bitmask of v.
@@ -104,24 +232,30 @@ class Graph:
 
     def __post_init__(self) -> None:
         adj = self.adj
+        if type(adj) is not tuple:
+            adj = tuple(adj)
+            object.__setattr__(self, "adj", adj)
         n = len(adj)
         if n > MAX_VERTICES:
             raise VertexLimitError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
-        full = (1 << n) - 1
-        for v, m in enumerate(adj):
-            if m & ~full:
-                raise GraphError(f"neighbor mask of {v} references vertices outside 0..{n - 1}")
-            if m >> v & 1:
-                raise LoopError(f"self-loop at vertex {v}")
-        # symmetry in O(m): every set bit uv needs its mirror vu
-        for u, m in enumerate(adj):
-            bit = 1 << u
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                if not adj[v] & bit:
-                    raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
-                m ^= low
+        if not n:
+            return
+        w = _lane_width(n)
+        try:
+            x = _pack(adj) if min(adj) >= 0 and max(adj) >> n == 0 else None
+        except (TypeError, struct.error):
+            x = None
+        if x is None:
+            raise _first_bad_mask(adj)
+        loops = x & _DIAGONAL[w]
+        if loops:
+            raise LoopError(f"self-loop at vertex {(loops & -loops).bit_length() // (w + 1)}")
+        # a set bit (u, v) without its mirror (v, u); the lowest one is
+        # the first such pair in row order
+        onesided = x & ~_transpose(x, w)
+        if onesided:
+            u, v = divmod((onesided & -onesided).bit_length() - 1, w)
+            raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
 
     @cached_property
     def two_sc(self) -> bool:

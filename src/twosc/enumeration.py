@@ -100,7 +100,7 @@ def _usable_cpus() -> int:
 def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Graph, ...]:
     """The sorted canonical classes on n vertices from the (n-1)-vertex parents."""
     codes = set().union(*_split(_codes, n, parents, shares))
-    forms = sorted(tuple(_decode(code, n)) for code in codes)
+    forms = sorted(_decode(code, n) for code in codes)
     del codes  # not held while the graphs are built
     return tuple(Graph(masks) for masks in forms)
 

@@ -4,14 +4,22 @@ graph6 packing is bit-exact: the size header N(n), then the upper
 triangle in column order, six bits per printable character (byte values
 63..126).  Encoding always emits the canonical byte form, so a
 decode/encode round trip is byte-identical for canonical records.
+
+The body's bit stream, before its zero padding to a multiple of six,
+is the column stream of ``core.columns_to_masks`` and
+``core.masks_to_columns``; ``canon.partition_code`` is the same stream
+of the canonical form after a leading 1 bit.  So the body of the
+record of ``canonical_graph(g)`` is the bits of ``partition_code(g)``
+below its leading 1, padded, and one decoder reads both.
 """
 
 from __future__ import annotations
 
 import io as _io
+from binascii import a2b_base64, b2a_base64
 from typing import IO, Iterable, Iterator
 
-from .core import Graph, GraphError, MAX_VERTICES, bits
+from .core import Graph, GraphError, MAX_VERTICES, columns_to_masks, masks_to_columns
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -26,11 +34,12 @@ class FormatError(GraphError):
         super().__init__(message)
 
 
-def _triangle_bits(g: Graph) -> Iterator[int]:
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            yield col >> u & 1
+# A graph6 character carries six bits, as a base64 digit does, so the
+# C codec in binascii does the packing: the tables map base64 digits to
+# graph6 characters (value + 63) and back.
+_BASE64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64_DIGITS, bytes(range(63, 127)))
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64_DIGITS)
 
 
 def graph6_encode(g: Graph) -> str:
@@ -40,19 +49,11 @@ def graph6_encode(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + chr((n >> 12 & 63) + 63) + chr((n >> 6 & 63) + 63) + chr((n & 63) + 63)
-    chunk = 0
-    filled = 0
-    body = []
-    for bit in _triangle_bits(g):
-        chunk = chunk << 1 | bit
-        filled += 1
-        if filled == 6:
-            body.append(chr(chunk + 63))
-            chunk = 0
-            filled = 0
-    if filled:
-        body.append(chr((chunk << (6 - filled)) + 63))
-    return head + "".join(body)
+    nbits = n * (n - 1) // 2
+    # zero bits up to whole base64 groups of 24 bits
+    fill = -nbits % 24
+    data = (masks_to_columns(g.adj) << fill).to_bytes((nbits + fill) // 8, "big")
+    return head + b2a_base64(data, newline=False)[:(nbits + 5) // 6].translate(_FROM_BASE64).decode("ascii")
 
 
 def graph6_decode(record: str) -> Graph:
@@ -62,40 +63,35 @@ def graph6_decode(record: str) -> Graph:
         s = s[len(GRAPH6_HEADER):]
     if not s:
         raise FormatError("empty graph6 record")
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError:
+        data = None
+    if data is None or min(data) < 63 or max(data) > 126:
         raise FormatError("graph6 record contains bytes outside 63..126")
-    if data[0] == 63:  # '~' long-form size
+    if data[0] == 126:  # '~' long-form size
         if len(data) < 4:
             raise FormatError("truncated graph6 size header")
-        if data[1] == 63:
+        if data[1] == 126:
             raise FormatError("graph6 records beyond 258047 vertices are not supported")
-        n = data[1] << 12 | data[2] << 6 | data[3]
+        n = data[1] - 63 << 12 | data[2] - 63 << 6 | data[3] - 63
         body = data[4:]
     else:
-        n = data[0]
+        n = data[0] - 63
         body = data[1:]
     if n > MAX_VERTICES:
         raise FormatError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex core")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise FormatError(f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}")
-    stream = 0
-    for x in body:
-        stream = stream << 6 | x
-    total = 6 * len(body)
-    pad = total - nbits
-    if pad and stream & ((1 << pad) - 1):
+    # whole base64 groups of four digits; the padding bits, and the fill
+    # digits' bits, are the low ``pad`` bits
+    fill = -len(body) % 4
+    stream = int.from_bytes(a2b_base64(body.translate(_TO_BASE64) + b"A" * fill), "big")
+    pad = 6 * (len(body) + fill) - nbits
+    if stream & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits in graph6 record")
-    adj = [0] * n
-    pos = total - 1
-    for v in range(1, n):
-        for u in range(v):
-            if stream >> pos & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            pos -= 1
-    return Graph(tuple(adj))
+    return Graph(columns_to_masks(stream >> pad, n))
 
 
 def read_graph6(handle: IO[str]) -> Iterator[Graph]:

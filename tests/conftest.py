@@ -53,15 +53,23 @@ def graph6_digest(gs) -> str:
 
 @st.composite
 def graphs(draw, min_n: int = 1, max_n: int = 8):
-    """Arbitrary labeled simple graphs, uniform over the edge bitmask."""
+    """Arbitrary labeled simple graphs: an edge density, then one byte per pair.
+
+    Pair k is an edge iff its byte is below the density, out of 256, so
+    sparse, dense, empty and complete graphs all appear; the density
+    shrinks toward 1/2.  One integer over the whole edge mask shrank
+    toward 0: at max_n = 16 about 2 % of the draws were 2-self-centered,
+    against about 12 % here.
+    """
     n = draw(st.integers(min_n, max_n))
     nbits = n * (n - 1) // 2
-    packed = draw(st.integers(0, (1 << nbits) - 1)) if nbits else 0
+    density = draw(st.sampled_from((128, 160, 192, 224, 96, 64, 32, 256, 0)))
+    coins = draw(st.binary(min_size=nbits, max_size=nbits))
     adj = [0] * n
     pos = 0
     for u in range(n):
         for v in range(u + 1, n):
-            if packed >> pos & 1:
+            if coins[pos] < density:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             pos += 1

@@ -16,7 +16,7 @@ from twosc.canon import (
 from twosc.core import Graph, GraphError, complement
 from twosc.enumeration import graph_classes
 from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
-from twosc.io import graph6_decode
+from twosc.io import graph6_decode, graph6_encode
 
 from conftest import graphs
 
@@ -220,6 +220,46 @@ def test_partition_code_decodes_to_the_canonical_form_above_eight(g):
     # for every class only up to n = 8
     code = partition_code(g.adj)
     assert partition_code(_decode(code, g.n)) == code
+
+
+def reference_decode(code: int, n: int) -> list[int]:
+    """The per-bit decoder the packed kernel replaced."""
+    adj = [0] * n
+    shift = n * (n - 1) // 2
+    for j in range(1, n):
+        shift -= j
+        row = code >> shift
+        for i in range(j):
+            if row >> (j - 1 - i) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=1, max_n=14), st.randoms(use_true_random=False))
+def test_decode_matches_reference(g, rng):
+    n = g.n
+    nbits = n * (n - 1) // 2
+    for code in (partition_code(g.adj), 1 << nbits | rng.getrandbits(nbits)):
+        assert list(_decode(code, n)) == reference_decode(code, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=1, max_n=14))
+def test_graph6_body_is_the_code_below_its_leading_one(g):
+    # one decoder reads both: the body of the canonical form's record is
+    # partition_code without its leading 1, zero-padded to whole characters
+    n = g.n
+    nbits = n * (n - 1) // 2
+    code = partition_code(g.adj)
+    assert code >> nbits == 1
+    pad = -nbits % 6
+    stream = (code ^ 1 << nbits) << pad
+    body = "".join(chr((stream >> s & 63) + 63) for s in range(nbits + pad - 6, -1, -6))
+    record = graph6_encode(canonical_graph(g))
+    assert record == chr(n + 63) + body
+    assert graph6_decode(record).adj == _decode(code, n)
 
 
 @pytest.mark.parametrize("n", [0])

@@ -77,41 +77,71 @@ def sparse_graphs(draw, max_n: int = 16):
 
 
 def reference_validate(adj: tuple[int, ...]) -> None:
-    """The quadratic Graph validation the bit-walking check replaced."""
+    """The per-bit Graph validation the packed bit-matrix check replaced, messages included."""
     n = len(adj)
     if n > MAX_VERTICES:
-        raise VertexLimitError(n)
+        raise VertexLimitError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
     full = (1 << n) - 1
     for v, m in enumerate(adj):
         if m & ~full:
-            raise GraphError(v)
+            raise GraphError(f"neighbor mask of {v} references vertices outside 0..{n - 1}")
         if m >> v & 1:
-            raise LoopError(v)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                raise GraphError((u, v))
+            raise LoopError(f"self-loop at vertex {v}")
+    for u, m in enumerate(adj):
+        bit = 1 << u
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            if not adj[v] & bit:
+                raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
+            m ^= low
 
 
 def raised(make, adj):
     try:
         make(adj)
     except GraphError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return None
 
 
 @st.composite
-def mask_tuples(draw, max_n: int = 10):
-    """Symmetric adjacency with a few bits flipped: loops, one-sided and out-of-range bits."""
+def mask_tuples(draw, max_n: int = MAX_VERTICES):
+    """Symmetric adjacency with a few bits flipped and masks replaced.
+
+    A flipped bit (u, v) is one-sided, a loop when u == v, or outside the
+    graph when v >= n; a replaced mask is negative or far out of range.
+    """
     adj = list(draw(graphs(min_n=0, max_n=max_n)).adj)
     if adj:
-        for u, v in draw(st.lists(st.tuples(st.integers(0, len(adj) - 1), st.integers(0, len(adj) + 1)), max_size=3)):
+        n = len(adj)
+        vertex = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, st.integers(0, n + 1)), max_size=3)):
             adj[u] ^= 1 << v
+        for v, m in draw(st.lists(st.tuples(vertex, st.integers(-(1 << 70), -1) | st.integers(1 << n, 1 << 70)), max_size=2)):
+            adj[v] = m
     return tuple(adj)
 
 
 arbitrary_masks = st.lists(st.integers(0, (1 << 11) - 1), max_size=10).map(tuple)
+
+
+def lane_boundary_examples(test):
+    """Force each lane boundary: a valid graph, a one-sided pair, a loop and a stray bit in the last row."""
+    for n in (8, 9, 16, 17, 32, 33, 64):
+        full = (1 << n) - 1
+        complete = tuple(full ^ 1 << v for v in range(n))
+        last = (1 << n - 1) - 1
+        for adj in (
+            complete,
+            complete[:-1] + (last ^ 1,),
+            (0,) * (n - 1) + (1,),
+            (0,) * (n - 1) + (1 << n - 1,),
+            (0,) * (n - 1) + (1 << n,),
+            (0,) * (n - 1) + (-1,),
+        ):
+            test = example(adj)(test)
+    return test
 
 
 class TestDistanceProfile:
@@ -300,13 +330,25 @@ class TestGraphValue:
         with pytest.raises(VertexLimitError):
             Graph.from_edges(65, [])
 
-    @settings(max_examples=300)
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(mask_tuples(), arbitrary_masks))
     @example((0,) * (MAX_VERTICES + 1))
     @example((0b10, 0b10))
     @example((0b10, 0b101, 0b000))
+    @lane_boundary_examples
     def test_validation_matches_reference(self, adj):
-        assert raised(Graph, adj) is raised(reference_validate, adj)
+        # the same exception class and message, and the first bad vertex or pair
+        assert raised(Graph, adj) == raised(reference_validate, adj)
+
+    def test_list_input_is_stored_as_a_tuple(self):
+        g = Graph([2, 1])
+        assert type(g.adj) is tuple
+        assert g == Graph((2, 1)) and hash(g) == hash(Graph((2, 1)))
+
+    @pytest.mark.parametrize("adj", [("a",), (1.0, 0), (None,), (0b10, 1.0), (2, "1")])
+    def test_non_int_mask_raises_graph_error(self, adj):
+        with pytest.raises(GraphError, match="not an int"):
+            Graph(adj)
 
     @pytest.mark.parametrize("bad", [10, -1, -10])
     def test_vertex_outside_the_graph_raises_graph_error(self, bad):

@@ -36,8 +36,9 @@ adjacencies to the placed prefix, so extending a state costs one
 shift-or per vertex instead of a rescan.  One search serves every
 vertex count: all patterns of a state are packed into one integer, in
 lanes of w bits, one lane per vertex.  Up to 8 vertices w = 8, and the
-byte lanes are read through tables built at import; above that w = n,
-since a pattern never has more than n - 1 bits.
+byte lanes are read through tables built at import (the byte-lane
+spread comes from ``core``); above that w = n, since a pattern never
+has more than n - 1 bits.
 
 A cell whose vertices no rank tells apart (a regular graph is one cell)
 leaves many orders tied.  Three exact rules keep those ties from
@@ -80,13 +81,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .core import _BYTE_LANES as _LANES  # each byte spread to one bit per byte lane
 from .core import Graph, GraphError, bits, columns_to_masks
-
-
-# For each byte-sized mask: its vertex ids, ascending, and the mask
-# spread to one bit per byte lane (bit u -> bit 8u).
-_BITS = tuple(tuple(v for v in range(8) if m >> v & 1) for m in range(256))
-_LANES = tuple(sum(1 << (v << 3) for v in vs) for vs in _BITS)
 
 
 class _Members(dict):
@@ -95,6 +91,17 @@ class _Members(dict):
     def __missing__(self, mask: int) -> tuple[int, ...]:
         vs = self[mask] = tuple(bits(mask))
         return vs
+
+
+def _byte_members() -> tuple[tuple[int, ...], ...]:
+    """The vertex ids of each byte-sized mask, ascending: each power of two doubles the table."""
+    table: list[tuple[int, ...]] = [()]
+    for v in range(8):
+        table += [vs + (v,) for vs in table]
+    return tuple(table)
+
+
+_BITS = _byte_members()
 
 
 def _maximum_cliques(adj: Sequence[int], within: int) -> list[int]:

@@ -4,6 +4,22 @@ Vertices are dense integers 0..n-1 and every vertex set is a Python int
 bitmask, so all set predicates reduce to bitwise operations.  The cap of
 64 vertices keeps masks in a single machine word for every desk-scale
 target; readers of external files reject anything larger.
+
+The 2-self-centered test, the critical triples, edge-minimality and the
+far pairs of the coverings are all questions about common neighbours,
+so they are read from one kernel, ``common_neighbours``: the Boolean
+square of the packed adjacency matrix with a count that saturates at 2,
+computed in n shift-and-multiply steps, at most once per ``Graph``
+(``Graph.common``).  Its ``far`` matrix holds the non-adjacent pairs
+without a common neighbour, and the local test's report names the first
+one in scan order (u ascending, then v > u).  Bit v of lane u is bit
+u * w + v, so ascending bits are that scan order, and the lowest set bit
+of ``far`` is the first pair: it lies in the first row holding a far
+pair, at its smallest column, which is above the diagonal because the
+matrix is symmetric (a far pair (u, v) with v < u would put (v, u) in
+the earlier row v).  ``CommonNeighbours.pairs`` reads the pairs of any
+field in that order; the first removable edge of ``is_edge_minimal`` is
+found the same way.
 """
 
 from __future__ import annotations
@@ -11,7 +27,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -53,23 +69,18 @@ def first_bad_degree(adj: Sequence[int], n: int) -> int | None:
     return None
 
 
-def first_bad_pair(adj: Sequence[int], n: int) -> tuple[int, int] | None:
-    """The first non-adjacent pair (u, v), u < v, with no common neighbor, or None."""
-    for u in range(n):
-        au = adj[u]
-        for v in range(u + 1, n):
-            if not au >> v & 1 and not au & adj[v]:
-                return (u, v)
-    return None
-
-
-def conditions_ok(adj: Sequence[int], n: int) -> bool:
+def conditions_ok(adj: Sequence[int], n: int, kernel: Callable[[], CommonNeighbours] | None = None) -> bool:
     """Whether the graph is 2-self-centered, by the local test.
 
     Radius = diameter = 2 holds exactly when n >= 4, every degree lies in
-    [2, n - 2] and every non-adjacent pair has a common neighbor.
+    [2, n - 2] and every non-adjacent pair has a common neighbor.  The
+    pair half reads the common-neighbour kernel of ``adj`` only when the
+    degrees pass: ``kernel()`` where the caller keeps that kernel
+    (``Graph.two_sc`` passes its ``Graph.common``), else one computed here.
     """
-    return n >= 4 and first_bad_degree(adj, n) is None and first_bad_pair(adj, n) is None
+    if n < 4 or first_bad_degree(adj, n) is not None:
+        return False
+    return not (common_neighbours(adj) if kernel is None else kernel()).far
 
 
 def check_vertices(n: int, *vertices: int) -> None:
@@ -146,6 +157,19 @@ def _reversed_bytes() -> bytes:
 _REVERSED = _reversed_bytes()
 
 
+def _byte_lanes() -> tuple[int, ...]:
+    """The 256-entry table of each byte spread to one bit per byte lane (bit v to bit 8v)."""
+    table = struct.Struct("<256Q")
+    x = int.from_bytes(table.pack(*range(256)), "little")
+    every = _every(64, 256 * 64)
+    for s, pattern in ((28, 0x0000000F0000000F), (14, 0x0003000300030003), (7, 0x0101010101010101)):
+        x = (x | x << s) & pattern * every
+    return table.unpack(x.to_bytes(table.size, "little"))
+
+
+_BYTE_LANES = _byte_lanes()
+
+
 def _pack(rows: Sequence[int]) -> int:
     """Row v in lane v; every row must be an int in 0..2**w - 1 (struct.error otherwise)."""
     return int.from_bytes(_ROWS[len(rows)].pack(*rows), "little")
@@ -200,6 +224,92 @@ def masks_to_columns(adj: Sequence[int]) -> int:
     return _reverse(low, n * (n - 1) >> 1)
 
 
+# ------------------------------------------------ common-neighbour kernel
+#
+# Vertex k is a common neighbour of exactly the pairs inside N(k), so
+# the lane product t = (column k of x) * N(k), which copies N(k) into
+# the lane of every neighbour of k, is the matrix of the pairs k serves.
+# A pair that is already in ``one`` when t holds it has two common
+# neighbours.  So n shift-and-multiply steps square the adjacency
+# matrix over the Booleans with a count that saturates at 2 (SWAR lane
+# arithmetic; Warren, *Hacker's Delight*, 2nd ed., ch. 7).
+
+_ONES = {w: _every(w, w * w) for w in _LANE_FORMATS}
+# lane u holds bits u + 1 .. w - 1, which is (1 << w) - (2 << u); summed
+# over the lanes, that is the ones shifted up a lane minus twice the diagonal
+_UPPER = {w: (_ONES[w] << w) - 2 * _DIAGONAL[w] for w in _LANE_FORMATS}
+
+
+class CommonNeighbours(NamedTuple):
+    """A graph's vertex pairs by how many common neighbours they have.
+
+    Every field but n and w is a symmetric n x n bit matrix packed in
+    lanes of w bits, bit v of lane u standing for the pair (u, v):
+
+    - ``one``: u and v have a common neighbour (on the diagonal: deg u >= 1);
+    - ``many``: they have two or more (on the diagonal: deg u >= 2);
+    - ``far``: u != v are non-adjacent without a common neighbour, that
+      is at distance 3 or more, or unreachable;
+    - ``crit``: u != v are non-adjacent with exactly one common
+      neighbour, a critical pair;
+    - ``adjacency``: the adjacency matrix itself.
+    """
+
+    n: int
+    w: int
+    adjacency: int
+    one: int
+    many: int
+    far: int
+    crit: int
+
+    def rows(self, matrix: int) -> tuple[int, ...]:
+        """The n lanes of one of the fields, as vertex masks."""
+        return _unpack(matrix, self.n)
+
+    def pairs(self, matrix: int) -> Iterator[tuple[int, int]]:
+        """The pairs (u, v), u < v, of one of the fields, ascending."""
+        w = self.w
+        upper = matrix & _UPPER[w]
+        while upper:
+            low = upper & -upper
+            yield divmod(low.bit_length() - 1, w)
+            upper ^= low
+
+    def deletable(self) -> int:
+        """The edges uv whose deletion keeps a 2-self-centered graph so, as a packed matrix.
+
+        The deletion rule of ``recognition.edit_keeps_two_sc``: u and v
+        have a common neighbour, and neither N(u) meets the critical
+        pairs of v nor N(v) those of u.  The meeting is one more lane
+        product per vertex k with critical pairs: (column k) * crit[k]
+        marks every u adjacent to k against the critical partners of k.
+        """
+        w, x = self.w, self.adjacency
+        ones = _ONES[w]
+        meets = 0
+        for k, row in enumerate(self.rows(self.crit)):
+            if row:
+                meets |= (x >> k & ones) * row
+        return x & self.one & ~(meets | _transpose(meets, w))
+
+
+def common_neighbours(adj: Sequence[int]) -> CommonNeighbours:
+    """The common-neighbour kernel of valid neighbor masks: n shift-and-multiply steps."""
+    n = len(adj)
+    w = _lane_width(n)
+    x = _pack(adj)
+    ones = _ONES[w]
+    one = many = 0
+    for k, m in enumerate(adj):
+        t = (x >> k & ones) * m
+        many |= one & t
+        one |= t
+    lanes = (ones >> (w - n) * w) * ((1 << n) - 1)
+    near = x | _DIAGONAL[w]
+    return CommonNeighbours(n, w, x, one, many, lanes & ~(near | one), one & ~(near | many))
+
+
 def _first_bad_mask(adj: Sequence[int]) -> GraphError:
     """The error for the first vertex whose neighbor mask is no int, reaches outside the graph or holds a loop."""
     n = len(adj)
@@ -223,9 +333,10 @@ class Graph:
     The empty graph (no vertices) is a legal value; it shows up as the
     core of degenerate generalized complete bipartite specs.
 
-    ``two_sc`` runs ``conditions_ok`` the first time it is read and keeps
-    the answer on the value.  It is not a field, so it takes no part in
-    ``==`` or ``hash``, and a pickled graph carries it along.
+    ``two_sc`` runs ``conditions_ok`` the first time it is read, and
+    ``common`` the common-neighbour kernel; each keeps its answer on the
+    value.  Neither is a field, so they take no part in ``==`` or
+    ``hash``, and a pickled graph carries them along.
     """
 
     adj: tuple[int, ...]
@@ -260,7 +371,12 @@ class Graph:
     @cached_property
     def two_sc(self) -> bool:
         """Whether the graph is 2-self-centered (radius = diameter = 2)."""
-        return conditions_ok(self.adj, len(self.adj))
+        return conditions_ok(self.adj, len(self.adj), lambda: self.common)
+
+    @cached_property
+    def common(self) -> CommonNeighbours:
+        """The graph's pairs by their number of common neighbours (``common_neighbours``)."""
+        return common_neighbours(self.adj)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -320,16 +436,11 @@ class Graph:
         n = len(self.adj)
         if sorted(order) != list(range(n)):
             raise GraphError("relabeling must be a permutation of all vertices")
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        adj = [0] * n
-        for i, v in enumerate(order):
-            m = 0
-            for u in bits(self.adj[v]):
-                m |= 1 << pos[u]
-            adj[i] = m
-        return Graph(tuple(adj))
+        # rows in the new order, still indexed by old labels; transposed,
+        # row u of that holds the new labels of u's neighbours
+        rows = [self.adj[v] for v in order]
+        cols = _unpack(_transpose(_pack(rows), _lane_width(n)), n)
+        return Graph(tuple(cols[v] for v in order))
 
     def __repr__(self) -> str:
         return f"Graph(n={len(self.adj)}, edges={self.edges()!r})"

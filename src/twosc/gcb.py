@@ -57,12 +57,17 @@ class GcbSpec:
 
     The core x may be the empty graph; in that case both families must be
     empty and k, l >= 2, which builds the plain complete bipartite graph.
+    A negative side size raises GraphError.
     """
 
     k: int
     l: int
     x: Graph
     witness: SbicWitness
+
+    def __post_init__(self) -> None:
+        if self.k < 0 or self.l < 0:
+            raise GraphError(f"side sizes must be non-negative, got k = {self.k}, l = {self.l}")
 
     @property
     def r(self) -> int:
@@ -94,6 +99,8 @@ class GcbSpec:
         k, l, n = doc.get("k"), doc.get("l"), x.get("n")
         if not all(type(v) is int for v in (k, l, n)):
             raise FormatError("'k', 'l' and 'x.n' must be ints")
+        if k < 0 or l < 0:
+            raise FormatError(f"'k' and 'l' must be non-negative, got {k} and {l}")
         edges = x.get("edges")
         if not _int_lists(edges, n, 2):
             raise FormatError(f"'x.edges' must be a list of pairs of ints in 0..{n - 1}")
@@ -182,8 +189,6 @@ def validate_gcb_spec(spec: GcbSpec) -> GcbValidation:
 
     Never raises on a bad spec; every failure is a reported verdict.
     """
-    if spec.k < 0 or spec.l < 0:
-        raise ValueError("side sizes must be non-negative")
     try:
         sbic_report: SbicReport | None = verify_sbic(spec.x, spec.witness)
         sbic_error = None

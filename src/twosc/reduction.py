@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
-from .recognition import NotTwoSelfCenteredError, _partners, has_critical_endpoint, star_edit_keeps_two_sc
+from .recognition import NotTwoSelfCenteredError, _partners, star_edit_keeps_two_sc
 
 # Nodes the reduction's search may visit before it gives up undecided.
 SEARCH_BUDGET = 200000
@@ -320,8 +320,10 @@ def classify_edge_minimal_with_triangles(g: Graph) -> TriangleClassification:
     tris = triangles(g)
     if not tris:
         raise TriangleFreeInputError("classification requires at least one triangle")
+    adj, common = g.adj, g.common
+    crit = common.rows(common.crit)
     for a, b, c in tris:
         for u, v in ((a, b), (a, c), (b, c)):
-            if not has_critical_endpoint(g.adj, u, v):
+            if not adj[u] & crit[v] and not adj[v] & crit[u]:
                 return TriangleClassification(False, (u, v), None)
     return TriangleClassification(True, None, reduce_to_triangle_free(g))

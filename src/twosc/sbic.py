@@ -8,8 +8,10 @@ certificate structure underneath generalized complete bipartite graphs.
 
 Both conditions on distances are read from neighbor masks, without
 all-pairs distances: v is at distance >= 3 from u, or unreachable,
-exactly when v lies outside the two-level neighborhood N[u] and N(N(u));
-a set m is within distance 1 of u exactly when m meets N[u].
+exactly when v is not u, not adjacent to u and shares no neighbor with
+u, which is the ``far`` matrix of the graph's cached common-neighbour
+kernel (``core.common_neighbours``); a set m is within distance 1 of u
+exactly when m meets N[u].
 """
 
 from __future__ import annotations
@@ -113,34 +115,13 @@ class SbicReport:
         }
 
 
-def _far_masks(adj: Sequence[int], n: int) -> list[int]:
-    """For each vertex u, the vertices at distance >= 3 from u or unreachable.
-
-    That is every vertex outside the two-level neighborhood N[u] and N(N(u)).
-    """
-    full = (1 << n) - 1
-    out = []
-    for u in range(n):
-        first = adj[u]
-        reach = first | 1 << u
-        while first:
-            low = first & -first
-            reach |= adj[low.bit_length() - 1]
-            first ^= low
-        out.append(full & ~reach)
-    return out
-
-
-def _unhoused_pairs(far: list[int], masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+def _unhoused_pairs(x: Graph, masks: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Each far pair (u, v), u < v in order, that no set in ``masks`` holds."""
-    for u, far_u in enumerate(far):
-        rest = far_u >> (u + 1) << (u + 1)
-        while rest:
-            low = rest & -rest
-            pair_mask = 1 << u | low
-            if not any(m & pair_mask == pair_mask for m in masks):
-                yield u, low.bit_length() - 1
-            rest ^= low
+    common = x.common
+    for u, v in common.pairs(common.far):
+        pair_mask = 1 << u | 1 << v
+        if not any(m & pair_mask == pair_mask for m in masks):
+            yield u, v
 
 
 def _stranded(x: Graph, from_masks: Sequence[int], to_masks: Sequence[int]) -> Iterator[tuple[int, int]]:
@@ -163,7 +144,6 @@ def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
     Pairs in different components count as distance >= 3, so disconnected
     cores are handled uniformly.
     """
-    n = x.n
     full = x.full_mask
     for m in witness.a_masks + witness.b_masks:
         if m & ~full:
@@ -194,8 +174,7 @@ def verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
             c_cover = ConditionVerdict(False, bad)
             break
 
-    far = _far_masks(x.adj, n)
-    pair = next(_unhoused_pairs(far, witness.a_masks + witness.b_masks), None)
+    pair = next(_unhoused_pairs(x, witness.a_masks + witness.b_masks), None)
     c_pairs = ConditionVerdict(True) if pair is None else ConditionVerdict(False, {"pair": list(pair)})
 
     def escape(from_masks: tuple[int, ...], to_masks: tuple[int, ...], name: str) -> ConditionVerdict:
@@ -237,7 +216,6 @@ def construct_sbic(x: Graph) -> SbicWitness:
     n = x.n
     a = [1 << v for v in range(n)]
     b = [1 << v for v in range(n)]
-    far = _far_masks(x.adj, n)
 
     # One added set per far pair plus one per vertex/set incidence suffices;
     # anything past that means the repair loop is broken.
@@ -245,7 +223,7 @@ def construct_sbic(x: Graph) -> SbicWitness:
         new_a: list[int] = []
         new_b: list[int] = []
 
-        for u, v in _unhoused_pairs(far, a + b):
+        for u, v in _unhoused_pairs(x, a + b):
             grown = _grow_independent(x, 1 << u | 1 << v, 0)
             if grown not in new_a:
                 new_a.append(grown)

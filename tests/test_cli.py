@@ -189,6 +189,8 @@ _EDGE = {"n": 2, "edges": [[0, 1]]}
     pytest.param({"k": 2.5, "l": 3, "x": {"n": 0, "edges": []}}, id="float-k"),
     pytest.param({"k": 2, "l": True, "x": {"n": 0, "edges": []}}, id="bool-l"),
     pytest.param({"k": 1, "l": 1, "x": {"n": "2", "edges": []}}, id="string-n"),
+    pytest.param({"k": -1, "l": 3, "x": {"n": 0, "edges": []}}, id="negative-k"),
+    pytest.param({"k": 2, "l": -2, "x": _EDGE}, id="negative-l"),
     pytest.param({"k": 1, "l": 1, "x": {"n": 2, "edges": [[0]]}}, id="edge-not-a-pair"),
     pytest.param({"k": 1, "l": 1, "x": {"n": 2, "edges": [[0, 1.0]]}}, id="edge-not-ints"),
     pytest.param({"k": 1, "l": 1, "x": _EDGE, "a_family": ["a"]}, id="member-not-a-list"),

@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import hypothesis.strategies as st
@@ -12,6 +13,8 @@ from twosc.core import (
     GraphError,
     LoopError,
     VertexLimitError,
+    _BYTE_LANES,
+    common_neighbours,
     complement,
     connected_components,
     distance_profile,
@@ -142,6 +145,46 @@ def lane_boundary_examples(test):
         ):
             test = example(adj)(test)
     return test
+
+
+# every lane width, at both ends
+LANE_SIZES = (0, 1, 2, 3, 8, 9, 16, 17, 32, 33, 63, 64)
+DENSITIES = (0.0, 0.1, 0.5, 0.9, 1.0)
+
+
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(tuple(adj))
+
+
+def counted_rows(adj) -> tuple[list[int], ...]:
+    """Rows of one, many, far and crit, from each pair's common-neighbour count."""
+    n = len(adj)
+    one, many, far, crit = ([0] * n for _ in range(4))
+    for u in range(n):
+        for v in range(n):
+            count = (adj[u] & adj[v]).bit_count()
+            apart = u != v and not adj[u] >> v & 1
+            one[u] |= (count >= 1) << v
+            many[u] |= (count >= 2) << v
+            far[u] |= (apart and count == 0) << v
+            crit[u] |= (apart and count == 1) << v
+    return one, many, far, crit
+
+
+def assert_kernel_matches_counts(g: Graph) -> None:
+    c = common_neighbours(g.adj)
+    assert (c.n, c.rows(c.adjacency)) == (g.n, g.adj)
+    rows = (c.rows(c.one), c.rows(c.many), c.rows(c.far), c.rows(c.crit))
+    assert rows == tuple(tuple(r) for r in counted_rows(g.adj)), g
+    for matrix, field in zip((c.far, c.crit), rows[2:]):
+        assert list(c.pairs(matrix)) == [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if field[u] >> v & 1]
+    assert g.common == c
 
 
 class TestDistanceProfile:
@@ -382,3 +425,47 @@ class TestGraphValue:
         for i, v in enumerate(order):
             inverse[v] = i
         assert h.relabel(inverse) == g
+
+    @pytest.mark.parametrize("n", LANE_SIZES)
+    def test_relabel_matches_the_definition(self, n):
+        # B[j][i] = A[order[j]][order[i]], at every lane width
+        rng = random.Random(n)
+        for p in DENSITIES:
+            g = random_graph(rng, n, p)
+            order = list(range(n))
+            rng.shuffle(order)
+            h = g.relabel(order)
+            assert h.adj == tuple(
+                sum(1 << i for i in range(n) if g.adj[order[j]] >> order[i] & 1) for j in range(n)
+            )
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1]])
+    def test_relabel_rejects_a_non_permutation(self, order):
+        with pytest.raises(GraphError, match="permutation"):
+            path_graph(3).relabel(order)
+
+
+class TestCommonNeighbours:
+    @pytest.mark.parametrize("n", LANE_SIZES)
+    def test_counts_at_every_lane_width(self, n):
+        rng = random.Random(n)
+        for p in DENSITIES:
+            assert_kernel_matches_counts(random_graph(rng, n, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=0, max_n=20))
+    def test_counts_on_random_graphs(self, g):
+        assert_kernel_matches_counts(g)
+
+    def test_every_class_up_to_six(self):
+        for n in range(1, 7):
+            for g in graph_classes(n):
+                assert_kernel_matches_counts(g)
+
+    def test_computed_once_per_value(self):
+        g = petersen_graph()
+        assert g.common is g.common
+        assert "common" not in vars(petersen_graph())
+
+    def test_byte_lane_table(self):
+        assert _BYTE_LANES == tuple(sum(1 << 8 * v for v in range(8) if m >> v & 1) for m in range(256))

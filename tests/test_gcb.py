@@ -7,7 +7,7 @@ from hypothesis import given, settings
 
 from twosc import gcb
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, bits, has_triangle
+from twosc.core import Graph, GraphError, bits, has_triangle
 from twosc.gcb import (
     GcbSpec,
     InvalidGcbSpecError,
@@ -27,7 +27,7 @@ from twosc.graphs import (
     petersen_graph,
     capped_k33,
 )
-from twosc.io import graph6_decode
+from twosc.io import FormatError, graph6_decode
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict
 from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
 
@@ -162,6 +162,15 @@ class TestValidate:
         spec = GcbSpec(2, 2, Graph((0,)), SbicWitness((), ()))
         validation = validate_gcb_spec(spec)
         assert not validation.passed
+
+    @pytest.mark.parametrize("k, l", [(-1, 2), (2, -1), (-3, -3)])
+    def test_negative_side_size_is_a_typed_error(self, k, l):
+        # rejected where the spec is made, so validation never sees one
+        with pytest.raises(GraphError, match="non-negative"):
+            empty_spec(k, l)
+        doc = {"k": k, "l": l, "x": {"n": 0, "edges": []}}
+        with pytest.raises(FormatError, match="non-negative"):
+            GcbSpec.from_json(doc)
 
     def test_readings_must_be_known(self):
         # build_gcb keeps a keyword that accepts the one value PRINTED

@@ -43,6 +43,8 @@ from twosc.recognition import (
     edit_keeps_two_sc,
     greedy_edge_maximal,
     greedy_edge_minimal,
+    _partners,
+    has_critical_endpoint,
     has_critical_triple,
     is_edge_maximal,
     is_edge_minimal,
@@ -227,18 +229,18 @@ def toggled(adj, u, v) -> list[int]:
 
 
 def sweep_edge_minimal(g: Graph) -> MinimalityWitness:
-    """Reference: the first edge whose deletion passes the full O(n^2) test."""
+    """Reference: the first edge whose deletion passes the full O(n^2) pair scan."""
     for u, v in g.edges():
-        if conditions_ok(toggled(g.adj, u, v), g.n):
+        if ref_conditions_ok(toggled(g.adj, u, v), g.n):
             return MinimalityWitness(False, (u, v))
     return MinimalityWitness(True)
 
 
 def sweep_edge_maximal(g: Graph) -> bool:
-    """Reference: no absent edge whose addition passes the full O(n^2) test."""
+    """Reference: no absent edge whose addition passes the full O(n^2) pair scan."""
     n = g.n
     return not any(
-        not g.has_edge(u, v) and conditions_ok(toggled(g.adj, u, v), n)
+        not g.has_edge(u, v) and ref_conditions_ok(toggled(g.adj, u, v), n)
         for u in range(n)
         for v in range(u + 1, n)
     )
@@ -303,6 +305,70 @@ class TestStarEditRule:
                     for u, v in g.edges():
                         after = toggled(g.adj, u, v)
                         assert star_edit_keeps_two_sc(after, n, u, v, ()) == edit_keeps_two_sc(g.adj, n, u, v)
+
+
+def ref_critical_triples(g: Graph) -> list[tuple[int, int, int]]:
+    """Reference: (x, u, v) for each absent uv, u < v, by a scan of every pair."""
+    adj, n = g.adj, g.n
+    out = []
+    for u in range(n):
+        au = adj[u]
+        for v in range(u + 1, n):
+            if au >> v & 1:
+                continue
+            common = au & adj[v]
+            if common.bit_count() == 1:
+                out.append((common.bit_length() - 1, u, v))
+    return out
+
+
+def assert_kernel_readings_match_references(g: Graph, sweep: bool = True) -> None:
+    """The predicates that read the kernel against the pair scans and the scalar walk.
+
+    ``sweep`` also runs the O(n^4) deletion sweep on 2SC input.
+    """
+    adj, n = g.adj, g.n
+    c = g.common
+    crit = c.rows(c.crit)
+    assert condition_verdict(g) == ref_condition_verdict(g), g
+    assert has_critical_triple(g) == bool(ref_critical_triples(g)), g
+    for u, v in g.edges():
+        # the scalar walk, which the in-place edits keep, reads the same rows
+        assert _partners(adj, u, v) == adj[u] & crit[v] and _partners(adj, v, u) == adj[v] & crit[u], (g, u, v)
+        assert has_critical_endpoint(adj, u, v) == bool(adj[u] & crit[v] or adj[v] & crit[u]), (g, u, v)
+    if not g.two_sc:
+        return
+    assert [(t.x, t.u, t.v) for t in critical_triples(g)] == ref_critical_triples(g), g
+    deletable = c.rows(c.deletable())
+    for u in range(n):
+        assert not deletable[u] & ~adj[u], (g, u)
+        for v in bits(adj[u]):
+            assert bool(deletable[u] >> v & 1) == edit_keeps_two_sc(adj, n, u, v), (g, u, v)
+    if sweep:
+        assert is_edge_minimal(g) == sweep_edge_minimal(g), g
+
+
+class TestKernelReadings:
+    """Verdicts, violating pairs, removable edges and critical triples, in
+    order, against the scans the kernel replaced."""
+
+    def test_every_class_up_to_seven(self):
+        examined = 0
+        for n in range(1, 8):
+            for g in graph_classes(n):
+                examined += g.two_sc
+                assert_kernel_readings_match_references(g)
+        assert examined == 249
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(graphs(min_n=0, max_n=20), two_sc_graphs(max_n=20)))
+    def test_random_graphs(self, g):
+        assert_kernel_readings_match_references(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_sc_graphs(min_n=17, max_n=40))
+    def test_random_two_sc_graphs_on_wider_lanes(self, g):
+        assert_kernel_readings_match_references(g, sweep=False)
 
 
 class TestCriticalTriples:

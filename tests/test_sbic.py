@@ -321,3 +321,28 @@ class TestMatchesDistanceProfileReference:
         b = tuple(m for m in w.b_masks if rng.random() < 0.7)
         part = SbicWitness(a, b)
         assert verify_sbic(g, part).to_json() == ref_verify_sbic(g, part).to_json()
+
+
+def ref_far_masks(g: Graph) -> list[int]:
+    """Reference: per vertex u, the complement of the two-level neighborhood N[u] and N(N(u))."""
+    out = []
+    for u in range(g.n):
+        reach = g.adj[u] | 1 << u
+        for v in bits(g.adj[u]):
+            reach |= g.adj[v]
+        out.append(g.full_mask & ~reach)
+    return out
+
+
+class TestFarPairsFromTheKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(any_graphs, graphs(min_n=17, max_n=40)))
+    def test_far_rows_match_the_two_level_walk(self, g):
+        far = ref_far_masks(g)
+        assert list(g.common.rows(g.common.far)) == far
+        # and agree with the distance profile, unreachable pairs included
+        if g.n:
+            profile = distance_profile(g)
+            assert far == [
+                sum(1 << v for v, d in enumerate(row) if d >= 3 or d == profile.infinity) for row in profile.distances
+            ]

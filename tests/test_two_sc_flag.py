@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import twosc.core
-from twosc.core import Graph, conditions_ok
+from twosc.core import Graph, common_neighbours, conditions_ok
 from twosc.enumeration import graph_classes
 from twosc.gcb import decompose_triangle_free
 from twosc.graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -76,18 +76,24 @@ def test_flag_survives_a_pickle_round_trip():
 
 
 def test_one_local_test_per_value(monkeypatch):
-    calls = []
+    calls, kernels = [], []
 
-    def counting(adj, n):
+    def counting(adj, n, kernel=None):
         calls.append(adj)
-        return conditions_ok(adj, n)
+        return conditions_ok(adj, n, kernel)
+
+    def counting_kernel(adj):
+        kernels.append(adj)
+        return common_neighbours(adj)
 
     monkeypatch.setattr(twosc.core, "conditions_ok", counting)
+    monkeypatch.setattr(twosc.core, "common_neighbours", counting_kernel)
     g = petersen_graph()
     for guard in GUARDS:
         guard(g)
     is_edge_minimal(greedy_edge_minimal(g))
     assert calls == [g.adj, g.adj]  # g, then the builder's new value
+    assert sum(adj is g.adj for adj in kernels) == 1  # every guard reads g's one kernel
 
 
 @pytest.mark.parametrize("guard", GUARDS, ids=lambda f: f.__name__)

@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -310,6 +309,29 @@ def common_neighbours(adj: Sequence[int]) -> CommonNeighbours:
     return CommonNeighbours(n, w, x, one, many, lanes & ~(near | one), one & ~(near | many))
 
 
+class _memo:
+    """A computed attribute that fills the instance dict on its first read.
+
+    A non-data descriptor, so every later read finds the value in
+    ``vars(obj)`` and never calls it again.  ``functools.cached_property``
+    does the same, but takes a lock on each first read on CPython 3.10
+    and 3.11; the attributes here are pure functions of a frozen value,
+    so two threads that race on a first read compute the same answer and
+    no lock is needed.
+    """
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.func(obj)
+        return value
+
+
 def _first_bad_mask(adj: Sequence[int]) -> GraphError:
     """The error for the first vertex whose neighbor mask is no int, reaches outside the graph or holds a loop."""
     n = len(adj)
@@ -368,12 +390,12 @@ class Graph:
             u, v = divmod((onesided & -onesided).bit_length() - 1, w)
             raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
 
-    @cached_property
+    @_memo
     def two_sc(self) -> bool:
         """Whether the graph is 2-self-centered (radius = diameter = 2)."""
         return conditions_ok(self.adj, len(self.adj), lambda: self.common)
 
-    @cached_property
+    @_memo
     def common(self) -> CommonNeighbours:
         """The graph's pairs by their number of common neighbours (``common_neighbours``)."""
         return common_neighbours(self.adj)

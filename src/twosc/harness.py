@@ -164,7 +164,9 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
     minimal = is_edge_minimal(g).minimal if two_sc else False
     cert = complement_star_certificate(g) if two_sc else None
     maximal_char = cert is not None and cert.maximal
-    row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
+    row = part.counting.get(g.n)
+    if row is None:
+        row = part.counting[g.n] = dict.fromkeys(COUNTS, 0)
     for key, val in zip(COUNTS, (1, two_sc, minimal, maximal_char, two_sc and triangle_free)):
         row[key] += val
 
@@ -218,12 +220,12 @@ def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, V
             sub = greedy_edge_minimal(g)
             sup = greedy_edge_maximal(g)
             sub_ok = (
-                all(not (sub.adj[v] & ~g.adj[v]) for v in range(g.n))
+                all(not s & ~m for s, m in zip(sub.adj, g.adj))
                 and sub.two_sc
                 and is_edge_minimal(sub).minimal
             )
             sup_ok = (
-                all(not (g.adj[v] & ~sup.adj[v]) for v in range(g.n))
+                all(not m & ~s for s, m in zip(sup.adj, g.adj))
                 and sup.two_sc
                 and edge_maximal_by_definition(sup)
             )

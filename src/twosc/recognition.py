@@ -54,6 +54,22 @@ must be x.  Every w outside N[u] has v or x as a common neighbor with u,
 and v is not the only one, so w is adjacent to x.  Then x is adjacent to
 every other vertex, which a 2-self-centered graph forbids.
 
+Read over the whole graph, the addition rule names the pairs that can
+gain an edge.  Call a vertex *open* when its degree is below n - 2: an
+absent pair passes exactly when both endpoints are open.  So a
+2-self-centered graph is edge-maximal iff its open vertices are
+pairwise adjacent, which ``edge_maximal_by_definition`` checks in O(n),
+and ``greedy_edge_maximal`` tries only pairs of open vertices.  The
+lexicographic scan of the absent pairs (u ascending, then v > u) that
+the greedy builder stands for adds uv whenever u and v are both open at
+that moment.  While u is fixed, its additions change only the degrees
+of u and of those v, and degrees only grow, so a vertex that closes
+never opens again.  The scan's turn of u therefore adds uv for each
+open non-neighbour v above u, ascending, until u closes, and skips
+everything else.  One pass over the open vertices, ascending, each
+taking its open non-neighbours above it, is that scan without its
+failing pairs: the same graph in O(n + the number of additions).
+
 The star step of ``reduction`` deletes one edge uv and adds several.
 ``star_edit_keeps_two_sc`` generalizes the deletion rule to that edit:
 deleting uv from a 2-self-centered graph and adding any set of edges
@@ -275,15 +291,19 @@ def complement_star_certificate(g: Graph) -> MaximalityCertificate:
 def edge_maximal_by_definition(g: Graph) -> bool:
     """Direct check: no absent edge can be added keeping the graph 2-self-centered.
 
-    That is, no two non-adjacent vertices both have degree < n - 2.
+    By the addition rule of ``edit_keeps_two_sc`` that is: the open
+    vertices, those of degree < n - 2, are pairwise adjacent.  One pass,
+    O(n), which stops at the first open vertex that misses an earlier one.
     Raises NotTwoSelfCenteredError on other input.
     """
     _require_two_sc(g)
-    adj, n = g.adj, g.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
+    top = g.n - 2
+    opened = 0
+    for v, m in enumerate(g.adj):
+        if m.bit_count() < top:
+            if opened & ~m:
                 return False
+            opened |= 1 << v
     return True
 
 
@@ -411,14 +431,20 @@ def greedy_edge_minimal(g: Graph) -> Graph:
     graph is 2-self-centered, so each deletion is decided by the one-edge
     rule of ``edit_keeps_two_sc``: the endpoints keep a common neighbor,
     and neither is the only common neighbor of the other and a third
-    vertex.
+    vertex.  Row u's edges to higher vertices are g's until u's turn, so
+    the pass walks each row's upper mask.
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
-    for u, v in g.edges():
-        if edit_keeps_two_sc(adj, n, u, v):
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+    for u in range(n):
+        upper = adj[u] >> u + 1 << u + 1
+        while upper:
+            low = upper & -upper
+            v = low.bit_length() - 1
+            if edit_keeps_two_sc(adj, n, u, v):
+                adj[u] ^= low
+                adj[v] ^= 1 << u
+            upper ^= low
     return Graph(tuple(adj))
 
 
@@ -432,13 +458,32 @@ def greedy_edge_maximal(g: Graph) -> Graph:
     after later additions, and the result equals that of restarting the
     scan after every successful addition.  Every kept graph is
     2-self-centered, so by the one-edge rule of ``edit_keeps_two_sc`` an
-    addition is decided by the two endpoint degrees alone.
+    addition is decided by the two endpoint degrees alone, and only pairs
+    of open vertices (degree < n - 2) are tried: each open u, ascending,
+    takes the open non-neighbours above it, ascending, until u closes.
+    O(n + the number of additions).
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+    top = n - 2
+    opened = 0
+    for v, m in enumerate(adj):
+        if m.bit_count() < top:
+            opened |= 1 << v
+    while opened:
+        bit_u = opened & -opened
+        u = bit_u.bit_length() - 1
+        # what is left of ``opened`` lies above u
+        opened ^= bit_u
+        free = opened & ~adj[u]
+        degree = adj[u].bit_count()
+        while free and degree < top:
+            low = free & -free
+            v = low.bit_length() - 1
+            adj[u] |= low
+            adj[v] |= bit_u
+            if adj[v].bit_count() == top:
+                opened ^= low
+            degree += 1
+            free ^= low
     return Graph(tuple(adj))

@@ -30,12 +30,23 @@ class HasTriangleError(GraphError):
     """The operation requires triangle-free input."""
 
 
+def _masks(family: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    out = []
+    for members in family:
+        ids = tuple(members)
+        if ids and min(ids) < 0:
+            raise WitnessError(f"witness set holds the negative vertex id {min(ids)}")
+        out.append(mask_of(ids))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SbicWitness:
     """Two ordered families of vertex sets, stored as bitmasks.
 
     Sets may repeat; empty sets are rejected (a cover never needs them and
-    distance to an empty set would be undefined).
+    distance to an empty set would be undefined), and so are negative
+    masks, which stand for no vertex set.
     """
 
     a_masks: tuple[int, ...]
@@ -43,15 +54,13 @@ class SbicWitness:
 
     def __post_init__(self) -> None:
         for m in self.a_masks + self.b_masks:
-            if m == 0:
-                raise WitnessError("covering sets must be non-empty")
+            if m <= 0:
+                raise WitnessError("covering sets must be non-empty" if m == 0 else f"set mask {m} is negative")
 
     @staticmethod
     def from_families(a_family: Iterable[Iterable[int]], b_family: Iterable[Iterable[int]]) -> SbicWitness:
-        return SbicWitness(
-            tuple(mask_of(s) for s in a_family),
-            tuple(mask_of(s) for s in b_family),
-        )
+        """The witness of two families of vertex-id sets; WitnessError for a negative id."""
+        return SbicWitness(_masks(a_family), _masks(b_family))
 
     @property
     def r(self) -> int:

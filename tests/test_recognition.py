@@ -583,3 +583,60 @@ class TestGreedyMatchesRestart:
     def test_random_two_sc_graphs(self, g):
         assert greedy_edge_minimal(g) == restart_edge_minimal(g)
         assert greedy_edge_maximal(g) == restart_edge_maximal(g)
+
+
+def pair_loop_edge_maximal_by_definition(g: Graph) -> bool:
+    """Reference: the addition rule tried on every absent pair, u < v in order."""
+    adj, n = g.adj, g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
+                return False
+    return True
+
+
+def pair_loop_edge_minimal(g: Graph) -> Graph:
+    """Reference: the deletion rule tried once on each edge of ``g.edges()``."""
+    adj, n = list(g.adj), g.n
+    for u, v in g.edges():
+        if edit_keeps_two_sc(adj, n, u, v):
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+    return Graph(tuple(adj))
+
+
+def pair_loop_edge_maximal(g: Graph) -> Graph:
+    """Reference: the addition rule tried once on each absent pair, u < v in order."""
+    adj, n = list(g.adj), g.n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not adj[u] >> v & 1 and edit_keeps_two_sc(adj, n, u, v):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return Graph(tuple(adj))
+
+
+def assert_passes_match_pair_loops(g: Graph) -> None:
+    sub, sup = greedy_edge_minimal(g), greedy_edge_maximal(g)
+    assert sub.adj == pair_loop_edge_minimal(g).adj, g
+    assert sup.adj == pair_loop_edge_maximal(g).adj, g
+    for h in (g, sub, sup):
+        assert edge_maximal_by_definition(h) == pair_loop_edge_maximal_by_definition(h), h
+
+
+class TestMaskPassesMatchPairLoops:
+    """The open-vertex and upper-mask passes against the pair loops they replaced."""
+
+    def test_every_two_sc_connected_class_up_to_eight(self):
+        examined = 0
+        for n in range(4, 9):
+            for g in connected_classes(n):
+                if g.two_sc:
+                    examined += 1
+                    assert_passes_match_pair_loops(g)
+        assert examined == 3360
+
+    @settings(max_examples=200, deadline=None)
+    @given(two_sc_graphs(max_n=24))
+    def test_random_two_sc_graphs(self, g):
+        assert_passes_match_pair_loops(g)

@@ -82,6 +82,16 @@ class TestVerify:
         with pytest.raises(WitnessError):
             SbicWitness((0,), (1,))
 
+    def test_negative_mask_rejected(self):
+        with pytest.raises(WitnessError):
+            SbicWitness((-1,), (1,))
+
+    def test_negative_vertex_id_raises(self):
+        with pytest.raises(WitnessError):
+            SbicWitness.from_families([[-1]], [[0]])
+        with pytest.raises(WitnessError):
+            SbicWitness.from_families([[0]], [[1, -2]])
+
 
 class TestConstruct:
     def test_single_vertex(self):

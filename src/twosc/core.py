@@ -210,8 +210,22 @@ def columns_to_masks(stream: int, n: int) -> tuple[int, ...]:
     # reversed, the stream is column after column from the least
     # significant bit, and bit u of column v is adj(u, v)
     low = _reverse(stream, n * (n - 1) >> 1)
-    upper = _pack([low >> at & m for at, m in _COLUMNS[:n]])
-    return _unpack(upper | _transpose(upper, _lane_width(n)), n)
+    return symmetric_masks([low >> at & m for at, m in _COLUMNS[:n]])
+
+
+def symmetric_masks(rows: Sequence[int]) -> tuple[int, ...]:
+    """The neighbor masks with an edge uv wherever row u holds v or row v holds u (n <= 64 rows over 0..n-1)."""
+    x = _pack(rows)
+    return _unpack(x | _transpose(x, _lane_width(len(rows))), len(rows))
+
+
+def relabel_masks(adj: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The neighbor masks with old vertex ``order[i]`` renamed to i; ``order`` must be a permutation."""
+    n = len(adj)
+    # rows in the new order, still indexed by old labels; transposed,
+    # row u of that holds the new labels of u's neighbours
+    cols = _unpack(_transpose(_pack([adj[v] for v in order]), _lane_width(n)), n)
+    return [cols[v] for v in order]
 
 
 def masks_to_columns(adj: Sequence[int]) -> int:
@@ -458,11 +472,7 @@ class Graph:
         n = len(self.adj)
         if sorted(order) != list(range(n)):
             raise GraphError("relabeling must be a permutation of all vertices")
-        # rows in the new order, still indexed by old labels; transposed,
-        # row u of that holds the new labels of u's neighbours
-        rows = [self.adj[v] for v in order]
-        cols = _unpack(_transpose(_pack(rows), _lane_width(n)), n)
-        return Graph(tuple(cols[v] for v in order))
+        return Graph(tuple(relabel_masks(self.adj, order)))
 
     def __repr__(self) -> str:
         return f"Graph(n={len(self.adj)}, edges={self.edges()!r})"

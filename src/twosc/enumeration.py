@@ -59,6 +59,7 @@ for byte by digest.
 
 from __future__ import annotations
 
+import gc
 import os
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -140,12 +141,19 @@ def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[
     iterator streams; more shares read ``items`` into a list first.  A
     share that raises or dies raises ``RuntimeError`` here, once every
     child has been stopped and reaped.
+
+    More shares freeze the collector's objects (the list, the cached
+    classes) until they end, unless the caller froze some; forked
+    children inherit the frozen set, and no collection traverses it.
     """
     procs = []
     conns = []
+    froze = shares > 1 and not gc.get_freeze_count()
     try:
         if shares > 1:
             items = list(items)
+            if froze:
+                gc.freeze()
             from multiprocessing import Pipe, Process
 
             for i in range(1, shares):
@@ -173,6 +181,8 @@ def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[
             proc.join()
         for reader in conns:
             reader.close()
+        if froze:
+            gc.unfreeze()
 
 
 def _share(writer: Any, work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Sequence[Any]) -> None:

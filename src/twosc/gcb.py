@@ -21,6 +21,15 @@ The l = 0 rule is its mirror, with a and b swapped and k in place of l.
 Together with the SBIC conditions and the three rules on side sizes, a
 spec passes validation exactly when ``assemble(spec)`` is 2-self-centered
 (and triangle-free), which the tests check against the definition.
+
+The built graph's vertices lie in blocks: K, L, the y connectors, the z
+connectors and the core X, from offsets 0, k, off_y, off_z and off_x.
+``assemble`` writes each edge in the row of its lower block (K: L | Y;
+L: Z; y_i: a_i << off_x and the z_j with b_j disjoint from a_i; z_j:
+b_j << off_x; X: its core row << off_x), and one packed transpose
+(``core.symmetric_masks``) mirrors them.  ``decompose_triangle_free``
+relabels the input into that layout (``core.relabel_masks``) and reads
+the core's rows and the covering sets from off_x up.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Any
 
-from .core import Graph, GraphError, bits, has_triangle
+from .core import MAX_VERTICES, Graph, GraphError, VertexLimitError, bits, relabel_masks, symmetric_masks
 from .io import FormatError
 from .recognition import NotTwoSelfCenteredError
 from .sbic import HasTriangleError, SbicReport, SbicWitness, WitnessError, construct_sbic, verify_sbic
@@ -92,7 +101,7 @@ class GcbSpec:
 
     @staticmethod
     def from_json(doc: Any) -> GcbSpec:
-        """Parse a spec document; raises ``FormatError`` if its shape is wrong."""
+        """Parse a spec document; raises ``FormatError`` if its shape is wrong, ``LoopError`` for an edge (v, v)."""
         x = doc.get("x") if isinstance(doc, dict) else None
         if not isinstance(x, dict):
             raise FormatError("a spec document is an object whose 'x' is an object")
@@ -101,6 +110,8 @@ class GcbSpec:
             raise FormatError("'k', 'l' and 'x.n' must be ints")
         if k < 0 or l < 0:
             raise FormatError(f"'k' and 'l' must be non-negative, got {k} and {l}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise FormatError(f"'x.n' must lie in 0..{MAX_VERTICES}, got {n}")
         edges = x.get("edges")
         if not _int_lists(edges, n, 2):
             raise FormatError(f"'x.edges' must be a list of pairs of ints in 0..{n - 1}")
@@ -108,7 +119,11 @@ class GcbSpec:
         if not (_int_lists(a_family, n) and _int_lists(b_family, n)):
             raise FormatError(f"'a_family' and 'b_family' must be lists of lists of ints in 0..{n - 1}")
         witness = SbicWitness.from_families(a_family, b_family)
-        return GcbSpec(k, l, Graph.from_edges(n, [tuple(e) for e in edges]), witness)
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return GcbSpec(k, l, Graph(tuple(adj)), witness)
 
 
 def _int_lists(value: Any, n: int, width: int | None = None) -> bool:
@@ -250,37 +265,22 @@ def expected_edge_count(spec: GcbSpec) -> int:
 def assemble(spec: GcbSpec) -> Graph:
     """Wire up the graph of a spec without validating it first.
 
-    Vertex layout: K first, then L, then the y connectors, the z
-    connectors, and finally the core X.
+    The vertices and rows are laid out as the module docstring says.
+    Raises WitnessError when a set reaches outside the core.
     """
-    k, l, r, s = spec.k, spec.l, spec.r, spec.s
-    x = spec.x
-    off_l = k
-    off_y = k + l
-    off_z = k + l + r
-    off_x = k + l + r + s
-    edges: list[tuple[int, int]] = []
-    for a in range(k):
-        for t in range(l):
-            edges.append((a, off_l + t))
-        for i in range(r):
-            edges.append((a, off_y + i))
-    for b in range(l):
-        for j in range(s):
-            edges.append((off_l + b, off_z + j))
-    for i, m in enumerate(spec.witness.a_masks):
-        for t in bits(m):
-            edges.append((off_y + i, off_x + t))
-    for j, m in enumerate(spec.witness.b_masks):
-        for t in bits(m):
-            edges.append((off_z + j, off_x + t))
-    for i, m in enumerate(spec.witness.a_masks):
-        for j, p in enumerate(spec.witness.b_masks):
-            if not (m & p):
-                edges.append((off_y + i, off_z + j))
-    for u, v in x.edges():
-        edges.append((off_x + u, off_x + v))
-    return Graph.from_edges(spec.total_vertices, edges)
+    k, l, t = spec.k, spec.l, spec.x.n
+    a, b = spec.witness.a_masks, spec.witness.b_masks
+    if any(m >> t for m in a + b):
+        raise WitnessError("witness set references vertices outside the core")
+    if spec.total_vertices > MAX_VERTICES:
+        raise VertexLimitError(f"{spec.total_vertices} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
+    off_z = k + l + len(a)
+    off_x = off_z + len(b)
+    rows = [(1 << off_z) - (1 << k)] * k + [(1 << off_x) - (1 << off_z)] * l
+    rows += [sum(1 << off_z + j for j, p in enumerate(b) if not m & p) | m << off_x for m in a]
+    rows += [p << off_x for p in b]
+    rows += [m << off_x for m in spec.x.adj]
+    return Graph(symmetric_masks(rows))
 
 
 def build_gcb(spec: GcbSpec, zero_l_reading: str = PRINTED) -> Graph:
@@ -361,43 +361,29 @@ def decompose_triangle_free(g: Graph) -> tuple[GcbSpec, GcbRoles]:
     """
     if not g.two_sc:
         raise NotTwoSelfCenteredError("decomposition requires a 2-self-centered graph")
-    if has_triangle(g):
+    common = g.common
+    # a triangle is an edge whose endpoints have a common neighbour
+    if common.adjacency & common.one:
         raise HasTriangleError("decomposition requires triangle-free input")
 
-    full = g.full_mask
+    adj, full = g.adj, g.full_mask
     y_prime = greedy_max_independent(g, full)
     z_prime = greedy_max_independent(g, full & ~y_prime)
     x_mask = full & ~(y_prime | z_prime)
+    near_x = 0
+    for v, m in enumerate(adj):
+        if m & x_mask:
+            near_x |= 1 << v
+    roles = GcbRoles(*(tuple(bits(m)) for m in (
+        z_prime & ~near_x, y_prime & ~near_x, y_prime & near_x, z_prime & near_x, x_mask)))
 
-    def x_neighbors(v: int) -> int:
-        return g.adj[v] & x_mask
-
-    k_vertices = tuple(v for v in bits(z_prime) if not x_neighbors(v))
-    l_vertices = tuple(v for v in bits(y_prime) if not x_neighbors(v))
-    y_vertices = tuple(v for v in bits(y_prime) if x_neighbors(v))
-    z_vertices = tuple(v for v in bits(z_prime) if x_neighbors(v))
-    x_vertices = tuple(bits(x_mask))
-
-    pos_in_x = {v: i for i, v in enumerate(x_vertices)}
-
-    def to_core_mask(mask: int) -> int:
-        out = 0
-        for v in bits(mask):
-            out |= 1 << pos_in_x[v]
-        return out
-
-    core_edges = [
-        (pos_in_x[u], pos_in_x[v])
-        for u, v in g.edges()
-        if u in pos_in_x and v in pos_in_x
-    ]
-    core = Graph.from_edges(len(x_vertices), core_edges)
-    witness = SbicWitness(
-        tuple(to_core_mask(x_neighbors(y)) for y in y_vertices),
-        tuple(to_core_mask(x_neighbors(z)) for z in z_vertices),
-    )
-    spec = GcbSpec(len(k_vertices), len(l_vertices), core, witness)
-    return spec, GcbRoles(k_vertices, l_vertices, y_vertices, z_vertices, x_vertices)
+    # g in the layout's labels: the core's rows and the connectors'
+    # covering sets are the rows' bits from the core's offset up
+    off_y = len(roles.k_vertices) + len(roles.l_vertices)
+    off_z, off_x = off_y + len(roles.y_vertices), g.n - len(roles.x_vertices)
+    rows = tuple(m >> off_x for m in relabel_masks(adj, roles.order))
+    witness = SbicWitness(rows[off_y:off_z], rows[off_z:off_x])
+    return GcbSpec(len(roles.k_vertices), len(roles.l_vertices), Graph(rows[off_x:]), witness), roles
 
 
 def _random_triangle_free(rng: random.Random, n: int, density: float = 0.6) -> Graph:

@@ -69,26 +69,12 @@ open non-neighbour v above u, ascending, until u closes, and skips
 everything else.  One pass over the open vertices, ascending, each
 taking its open non-neighbours above it, is that scan without its
 failing pairs: the same graph in O(n + the number of additions).
-
-The star step of ``reduction`` deletes one edge uv and adds several.
-``star_edit_keeps_two_sc`` generalizes the deletion rule to that edit:
-deleting uv from a 2-self-centered graph and adding any set of edges
-keeps the property iff every touched vertex (u, v and the endpoints of
-the added edges) has a degree in [2, n - 2], and every vertex not
-adjacent to u shares a neighbor with u, and likewise for v.
-
-Proof: only the touched vertices change degree, so every other degree
-stays in range.  The only pair that the edit makes non-adjacent is uv.
-No vertex other than u and v loses a neighbor, so the common
-neighborhood of any pair that contains neither u nor v can only grow;
-such a pair, if non-adjacent now, was non-adjacent before and had a
-common neighbor, which it keeps.  The pairs left are those at u and at v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .core import Graph, GraphError, bits, complement_masks, component_masks, has_triangle
 from .core import first_bad_degree
@@ -200,36 +186,6 @@ def edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int) -> bool:
     if not au >> v & 1:
         return au.bit_count() < n - 2 and av.bit_count() < n - 2
     return bool(au & av) and not has_critical_endpoint(adj, u, v)
-
-
-def star_edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int, added: Iterable[tuple[int, int]]) -> bool:
-    """Whether deleting uv from a 2-self-centered graph and adding ``added`` keeps it so.
-
-    ``adj`` is the adjacency after the edit; the caller must know the
-    graph before it to be 2-self-centered, for which the module docstring
-    proves the rule.  An endpoint x passes when N[x] and the neighbors
-    of N(x) cover every vertex.  O(n + the number of added edges).
-    """
-    touched = 1 << u | 1 << v
-    for a, b in added:
-        touched |= 1 << a | 1 << b
-    while touched:
-        low = touched & -touched
-        d = adj[low.bit_length() - 1].bit_count()
-        if d < 2 or d > n - 2:
-            return False
-        touched ^= low
-    full = (1 << n) - 1
-    for x in (u, v):
-        rest = adj[x]
-        reach = rest | 1 << x
-        while rest:
-            low = rest & -rest
-            reach |= adj[low.bit_length() - 1]
-            rest ^= low
-        if reach != full:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -346,8 +302,7 @@ def is_edge_minimal(g: Graph) -> MinimalityWitness:
     return MinimalityWitness(edge is None, edge)
 
 
-@dataclass(frozen=True)
-class CriticalTriple:
+class CriticalTriple(NamedTuple):
     """x is the only common neighbor of the non-adjacent pair (u, v)."""
 
     x: int
@@ -361,11 +316,21 @@ class CriticalTriple:
 def critical_triples(g: Graph) -> list[CriticalTriple]:
     """All (x, {u, v}) with uv absent and x the unique common neighbor, u < v in order.
 
-    The pairs are the kernel's critical pairs, and x is the one bit of N(u) & N(v).
+    The pairs are the kernel's critical pairs, read row by row above the
+    diagonal, and x is the one bit of N(u) & N(v).
     """
     _require_two_sc(g)
     adj, common = g.adj, g.common
-    return [CriticalTriple((adj[u] & adj[v]).bit_length() - 1, u, v) for u, v in common.pairs(common.crit)]
+    out = []
+    for u, row in enumerate(common.rows(common.crit)):
+        row >>= u + 1
+        au = adj[u]
+        while row:
+            low = row & -row
+            v = low.bit_length() + u
+            out.append(CriticalTriple((au & adj[v]).bit_length() - 1, u, v))
+            row ^= low
+    return out
 
 
 def has_critical_triple(g: Graph) -> bool:

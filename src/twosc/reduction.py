@@ -13,20 +13,25 @@ every order does: on ``G}aHOs`` the step on (0, 1) creates the triangle
 first, and returns the first that succeeds as the trace.
 
 A reduction edits one adjacency list in place (``_star_step``) and
-builds a ``Graph`` only for its result.  A step's validity is read from
-its own edits, not from the whole result:
+builds a ``Graph`` only for its result, and ``ReductionStep`` records
+only for the trace it returns.  A step's validity is read from its own
+edits, not from the whole result:
 
 - Triangles.  Every edge of a triangle that is new must have been added,
   so the step creates a triangle iff some added edge ab has a common
   neighbor afterwards.  When none does, the triangles left are those
   before the step minus the ones holding both u and v, in the same
   order.
-- 2-self-centered.  The step deletes uv and adds edges, so on a
-  2-self-centered graph ``recognition.star_edit_keeps_two_sc`` decides
-  the property from the touched vertices and the pairs at u and v.
-  Where the graph before the step is not known to be 2-self-centered
-  (``apply_star_procedure``, and the first step of ``replay_trace``, on
-  such input), the full local test runs on the result.
+- 2-self-centered.  On a 2-self-centered graph the step keeps the
+  property iff u, v and their partners have degrees in [2, n - 2]
+  (``_degree_rule``): only they change degree, and only uv becomes
+  non-adjacent.  A non-adjacent pair away from u and v keeps its common
+  neighbor, as only u and v lose neighbors.  For w not adjacent to u
+  after the step: if w = v, the triangle's third vertex is common; else
+  u and w had a common neighbor, which survives unless it was v alone,
+  and then w is a partner of v, joined to u.  Likewise for v.  On input
+  not known to be 2-self-centered (``apply_star_procedure``, and the
+  first step of ``replay_trace``), the full local test runs instead.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
-from .recognition import NotTwoSelfCenteredError, _partners, star_edit_keeps_two_sc
+from .recognition import NotTwoSelfCenteredError, _partners
 
 # Nodes the reduction's search may visit before it gives up undecided.
 SEARCH_BUDGET = 200000
@@ -89,8 +94,8 @@ class ReductionStep:
         }
 
 
-def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
-    """Apply the star step to the triangle edge uv, editing ``adj`` in place."""
+def _star_step(adj: list[int], u: int, v: int) -> tuple[int, int]:
+    """Apply the star step to the triangle edge uv, editing ``adj`` in place; the partner masks of u and v."""
     au, av = adj[u], adj[v]
     if not au >> v & 1:
         raise EdgeNotInTriangleError(f"({u}, {v}) is not an edge")
@@ -101,45 +106,58 @@ def _star_step(adj: list[int], u: int, v: int) -> ReductionStep:
         raise NoCriticalEndpointError(
             f"neither endpoint of ({u}, {v}) is critical for the other endpoint and any vertex"
         )
-    return _join_partners(adj, u, v, u_mask, v_mask)
+    _join_partners(adj, u, v, u_mask, v_mask)
+    return u_mask, v_mask
 
 
-def _join_partners(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> ReductionStep:
+def _join_partners(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> None:
     """Delete the edge uv and join v to each w of ``u_mask``, u to each of ``v_mask``, in place."""
     adj[u] = adj[u] & ~(1 << v) | v_mask
     adj[v] = adj[v] & ~(1 << u) | u_mask
-    u_partners, v_partners = tuple(bits(u_mask)), tuple(bits(v_mask))
-    added = []
-    for w in u_partners:
+    for w in bits(u_mask):
         adj[w] |= 1 << v
-        added.append((min(v, w), max(v, w)))
-    for w in v_partners:
+    for w in bits(v_mask):
         adj[w] |= 1 << u
-        added.append((min(u, w), max(u, w)))
+
+
+def _record(u: int, v: int, u_mask: int, v_mask: int) -> ReductionStep:
+    """The record of the step on uv with these partner masks."""
+    u_partners, v_partners = tuple(bits(u_mask)), tuple(bits(v_mask))
+    added = [(v, w) if v < w else (w, v) for w in u_partners] + [(u, w) if u < w else (w, u) for w in v_partners]
     return ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
 
 
-def _step_fault(adj: list[int], step: ReductionStep, two_sc: bool) -> str | None:
-    """Why ``step``, just applied to ``adj``, is invalid; None if it is valid.
+def _step_fault(adj: list[int], u: int, v: int, u_mask: int, v_mask: int, two_sc: bool) -> str | None:
+    """Why the step on uv with these partner masks, just applied to ``adj``, is invalid; None if it is valid.
 
     ``two_sc`` says whether the graph before the step is known to be
-    2-self-centered: then the star-edit rule decides the property,
+    2-self-centered: then the degree rule decides the property,
     otherwise the full local test runs on ``adj``.
     """
-    for a, b in step.added_edges:
-        if adj[a] & adj[b]:
-            return "step created a new triangle"
-    n = len(adj)
-    if two_sc:
-        kept = star_edit_keeps_two_sc(adj, n, step.u, step.v, step.added_edges)
-    else:
-        kept = conditions_ok(adj, n)
+    for x, partners in ((v, u_mask), (u, v_mask)):
+        ax = adj[x]
+        while partners:
+            low = partners & -partners
+            if ax & adj[low.bit_length() - 1]:
+                return "step created a new triangle"
+            partners ^= low
+    kept = _degree_rule(adj, u, v, u_mask, v_mask) if two_sc else conditions_ok(adj, len(adj))
     return None if kept else "step broke the 2-self-centered property"
 
 
-def _triangles_left(tris: list[tuple[int, int, int]], step: ReductionStep) -> list[tuple[int, int, int]]:
-    """The triangles after a step that created none: those without both u and v."""
-    u, v = step.u, step.v
+def _degree_rule(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> bool:
+    """Whether u, v and the partners have degrees in [2, n - 2] in ``adj``, after the step."""
+    top, touched = len(adj) - 2, 1 << u | 1 << v | u_mask | v_mask
+    while touched:
+        low = touched & -touched
+        if not 2 <= adj[low.bit_length() - 1].bit_count() <= top:
+            return False
+        touched ^= low
+    return True
+
+
+def _triangles_left(tris: list[tuple[int, int, int]], u: int, v: int) -> list[tuple[int, int, int]]:
+    """The triangles after a step on uv that created none: those without both u and v."""
     return [t for t in tris if not (u in t and v in t)]
 
 
@@ -154,13 +172,13 @@ def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep
     """
     check_vertices(g.n, u, v)
     adj = list(g.adj)
-    step = _star_step(adj, u, v)
-    fault = _step_fault(adj, step, g.two_sc)
+    u_mask, v_mask = _star_step(adj, u, v)
+    fault = _step_fault(adj, u, v, u_mask, v_mask, g.two_sc)
     result = Graph(tuple(adj))
     if fault is not None:
         created = sorted(set(triangles(result)) - set(triangles(g)))
         raise InvalidStepError(f"{fault} on edge ({u}, {v})" + (f": {created}" if created else ""))
-    return result, step
+    return result, _record(u, v, u_mask, v_mask)
 
 
 @dataclass(frozen=True)
@@ -195,11 +213,12 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     tris = triangles(g)
     two_sc = g.two_sc
     for step in trace.steps:
-        check_vertices(g.n, step.u, step.v)
-        redo = _star_step(adj, step.u, step.v)
-        if redo.added_edges != step.added_edges or _step_fault(adj, redo, two_sc) is not None:
+        u, v = step.u, step.v
+        check_vertices(g.n, u, v)
+        u_mask, v_mask = _star_step(adj, u, v)
+        if _record(u, v, u_mask, v_mask).added_edges != step.added_edges or _step_fault(adj, u, v, u_mask, v_mask, two_sc):
             return False
-        tris = _triangles_left(tris, redo)
+        tris = _triangles_left(tris, u, v)
         two_sc = True
     return not tris and tuple(adj) == trace.final.adj
 
@@ -229,7 +248,7 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     if not g.two_sc:
         raise NotTwoSelfCenteredError("reduction requires a 2-self-centered graph")
     adj = list(g.adj)
-    steps: list[ReductionStep] = []
+    path: list[tuple[int, int, int, int]] = []  # (u, v, u_mask, v_mask) per step
     dead_ends: set[tuple[int, ...]] = set()
     budget = SEARCH_BUDGET
 
@@ -249,13 +268,13 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
                 u_mask, v_mask = _partners(adj, u, v), _partners(adj, v, u)
                 if not u_mask and not v_mask:
                     continue
-                step = _join_partners(adj, u, v, u_mask, v_mask)
-                if _step_fault(adj, step, True) is None:
-                    steps.append(step)
-                    sub = search(_triangles_left(tris, step))
+                _join_partners(adj, u, v, u_mask, v_mask)
+                if _step_fault(adj, u, v, u_mask, v_mask, True) is None:
+                    path.append((u, v, u_mask, v_mask))
+                    sub = search(_triangles_left(tris, u, v))
                     if sub:
                         return True
-                    steps.pop()
+                    path.pop()
                     hit_limit = hit_limit or sub is None
                 adj[:] = key
         if hit_limit:
@@ -266,7 +285,7 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
     found = search(triangles(g))
     if not found:
         return ReductionTrace((), g, False, _NO_ORDER if found is False else _OUT_OF_BUDGET)
-    return ReductionTrace(tuple(steps), Graph(tuple(adj)) if steps else g, True)
+    return ReductionTrace(tuple(_record(*step) for step in path), Graph(tuple(adj)) if path else g, True)
 
 
 def reduction_succeeds_in_any_order(g: Graph) -> bool | None:

@@ -12,6 +12,11 @@ exactly when v is not u, not adjacent to u and shares no neighbor with
 u, which is the ``far`` matrix of the graph's cached common-neighbour
 kernel (``core.common_neighbours``); a set m is within distance 1 of u
 exactly when m meets N[u].
+
+The escape conditions are masks per set m of a family: the vertices
+*far* from m lie outside N[m], its *escapes* are the union of the other
+family's sets disjoint from m, and its stranded vertices, the far ones
+that no escape holds, are the condition's counterexamples.
 """
 
 from __future__ import annotations
@@ -134,15 +139,20 @@ def _unhoused_pairs(x: Graph, masks: Sequence[int]) -> Iterator[tuple[int, int]]
 
 
 def _stranded(x: Graph, from_masks: Sequence[int], to_masks: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Each (u, i), u then i ascending, with u far from ``from_masks[i]`` and no escape.
-
-    Far means the set misses N[u]; an escape is a set of ``to_masks``
-    disjoint from ``from_masks[i]`` that holds u.
-    """
-    for u, adj_u in enumerate(x.adj):
-        near = adj_u | 1 << u
-        for i, m in enumerate(from_masks):
-            if not m & near and not any(not (m & other) and other >> u & 1 for other in to_masks):
+    """Each (u, i), u then i ascending, with u stranded: far from ``from_masks[i]`` and in none of its escapes."""
+    stranded, union = [], 0
+    for m in from_masks:
+        near = escapes = 0
+        for v in bits(m):
+            near |= x.adj[v]
+        for other in to_masks:
+            if not m & other:
+                escapes |= other
+        stranded.append(x.full_mask & ~(near | m | escapes))
+        union |= stranded[-1]
+    for u in bits(union):
+        for i, mask in enumerate(stranded):
+            if mask >> u & 1:
                 yield u, i
 
 

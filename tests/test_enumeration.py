@@ -132,6 +132,12 @@ def die_after_first(n, items):
     if items != [0]:
         os._exit(3)
     return items
+
+
+def freeze_count(n, items):
+    import gc
+
+    return gc.get_freeze_count()
 """
 
 
@@ -186,6 +192,32 @@ def test_failed_share_raises_in_caller(tmp_path, helper, message):
     """)
     assert message in out
     assert "all children reaped" in out
+
+
+def test_split_freezes_the_collector_only_while_the_shares_run(tmp_path):
+    # the caller's share sees the frozen input; on return, and after a
+    # share raises in the caller or in a child, the count is back at its
+    # entry value, and a caller's own freeze is left as it was
+    out = run_python(tmp_path, """
+        import gc
+        import shares
+        from twosc.enumeration import _split
+
+        if __name__ == "__main__":
+            caller, _ = _split(shares.freeze_count, 0, [0, 1], 2)
+            print(caller > 0, gc.get_freeze_count())
+            for items in ([0, 1], [1, 0]):
+                try:
+                    _split(shares.fail_after_first, 0, items, 2)
+                except (RuntimeError, ValueError):
+                    print(gc.get_freeze_count())
+            gc.freeze()
+            entry = gc.get_freeze_count()
+            caller, _ = _split(shares.freeze_count, 0, [0, 1], 2)
+            print(caller == entry == gc.get_freeze_count())
+            print(_split(shares.freeze_count, 0, [0], 1)[0] == entry)
+    """)
+    assert out.split() == ["True", "0", "0", "0", "True", "True"]
 
 
 def test_import_starts_no_multiprocessing(tmp_path):

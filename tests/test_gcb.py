@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, combinations_with_replacement
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 
 from twosc import gcb
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, GraphError, bits, has_triangle
+from twosc.core import Graph, GraphError, LoopError, bits, has_triangle
+from twosc.enumeration import graph_classes
 from twosc.gcb import (
     GcbSpec,
     InvalidGcbSpecError,
@@ -27,8 +30,8 @@ from twosc.graphs import (
     petersen_graph,
     capped_k33,
 )
-from twosc.io import FormatError, graph6_decode
-from twosc.recognition import NotTwoSelfCenteredError, condition_verdict
+from twosc.io import FormatError, graph6_decode, graph6_encode
+from twosc.recognition import NotTwoSelfCenteredError, condition_verdict, conditions_ok
 from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
 
 from conftest import triangle_free_two_sc_graphs
@@ -318,6 +321,103 @@ class TestDecompose:
             decompose_triangle_free(path_graph(4))
 
 
+# --- the edge-list round trip, kept as the reference ------------------------
+
+
+def ref_assemble(spec: GcbSpec) -> Graph:
+    k, l, r, s = spec.k, spec.l, spec.r, spec.s
+    off_l, off_y, off_z, off_x = k, k + l, k + l + r, k + l + r + s
+    edges = []
+    for a in range(k):
+        edges += [(a, off_l + t) for t in range(l)] + [(a, off_y + i) for i in range(r)]
+    for b in range(l):
+        edges += [(off_l + b, off_z + j) for j in range(s)]
+    for i, m in enumerate(spec.witness.a_masks):
+        edges += [(off_y + i, off_x + t) for t in bits(m)]
+    for j, m in enumerate(spec.witness.b_masks):
+        edges += [(off_z + j, off_x + t) for t in bits(m)]
+    for i, m in enumerate(spec.witness.a_masks):
+        edges += [(off_y + i, off_z + j) for j, p in enumerate(spec.witness.b_masks) if not m & p]
+    edges += [(off_x + u, off_x + v) for u, v in spec.x.edges()]
+    return Graph.from_edges(spec.total_vertices, edges)
+
+
+def ref_decompose_triangle_free(g: Graph):
+    if not g.two_sc:
+        raise NotTwoSelfCenteredError("decomposition requires a 2-self-centered graph")
+    if has_triangle(g):
+        raise HasTriangleError("decomposition requires triangle-free input")
+    full = g.full_mask
+    y_prime = gcb.greedy_max_independent(g, full)
+    z_prime = gcb.greedy_max_independent(g, full & ~y_prime)
+    x_mask = full & ~(y_prime | z_prime)
+    k_vertices = tuple(v for v in bits(z_prime) if not g.adj[v] & x_mask)
+    l_vertices = tuple(v for v in bits(y_prime) if not g.adj[v] & x_mask)
+    y_vertices = tuple(v for v in bits(y_prime) if g.adj[v] & x_mask)
+    z_vertices = tuple(v for v in bits(z_prime) if g.adj[v] & x_mask)
+    x_vertices = tuple(bits(x_mask))
+    pos_in_x = {v: i for i, v in enumerate(x_vertices)}
+
+    def to_core_mask(mask: int) -> int:
+        return sum(1 << pos_in_x[v] for v in bits(mask))
+
+    core = Graph.from_edges(
+        len(x_vertices), [(pos_in_x[u], pos_in_x[v]) for u, v in g.edges() if u in pos_in_x and v in pos_in_x]
+    )
+    witness = SbicWitness(
+        tuple(to_core_mask(g.adj[y] & x_mask) for y in y_vertices),
+        tuple(to_core_mask(g.adj[z] & x_mask) for z in z_vertices),
+    )
+    spec = GcbSpec(len(k_vertices), len(l_vertices), core, witness)
+    return spec, gcb.GcbRoles(k_vertices, l_vertices, y_vertices, z_vertices, x_vertices)
+
+
+def assert_round_trip_matches_reference(g: Graph) -> None:
+    spec, roles = decompose_triangle_free(g)
+    ref_spec, ref_roles = ref_decompose_triangle_free(g)
+    assert (spec, roles) == (ref_spec, ref_roles), g
+    assert spec.to_json() == ref_spec.to_json() and roles.to_json() == ref_roles.to_json(), g
+    assert assemble(spec) == ref_assemble(spec) == g.relabel(roles.order), g
+
+
+class TestMatchesEdgeListReference:
+    def test_every_triangle_free_two_sc_class_up_to_eight_and_relabellings(self):
+        examined = 0
+        for n in range(4, 9):
+            for g in graph_classes(n):
+                if not g.two_sc or has_triangle(g):
+                    continue
+                examined += 1
+                assert_round_trip_matches_reference(g)
+                for seed in range(8):
+                    order = list(range(n))
+                    random.Random(seed).shuffle(order)
+                    assert_round_trip_matches_reference(g.relabel(order))
+        assert examined == 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(triangle_free_two_sc_graphs(max_n=24))
+    def test_random_triangle_free_two_sc_graphs(self, g):
+        assert_round_trip_matches_reference(g)
+
+    def test_sampled_specs(self):
+        for budget in range(4, 25):
+            for seed in range(10):
+                spec = sample_gcb_spec(budget, seed)
+                assert assemble(spec) == ref_assemble(spec), (budget, seed)
+
+    @pytest.mark.parametrize("k, l, a, b", [
+        (1, 1, (0b10,), (0b1,)),
+        (1, 1, (0b1,), (0b1, 0b100)),
+        (30, 0, (1 << 40,), (0b1,)),
+    ])
+    def test_sets_outside_the_core_raise(self, k, l, a, b):
+        spec = GcbSpec(k, l, Graph((0,)), SbicWitness(a, b))
+        for build in (assemble, ref_assemble):
+            with pytest.raises(GraphError):
+                build(spec)
+
+
 class TestSample:
     def test_smallest_budget_forces_four_cycle(self):
         for seed in range(5):
@@ -343,6 +443,15 @@ class TestSample:
 
 
 class TestSerialization:
+    def test_core_edges_are_checked(self):
+        doc = {"k": 2, "l": 2, "x": {"n": 2, "edges": [[0, 1], [1, 1]]}, "a_family": [[0], [1]], "b_family": [[0], [1]]}
+        with pytest.raises(LoopError, match="self-loop at vertex 1"):
+            GcbSpec.from_json(doc)
+        for n in (-1, 65):
+            doc = {"k": 2, "l": 2, "x": {"n": n, "edges": []}}
+            with pytest.raises(FormatError, match="'x.n' must lie in 0..64"):
+                GcbSpec.from_json(doc)
+
     def test_spec_json_round_trip(self):
         spec, roles = decompose_triangle_free(capped_k33())
         doc = spec.to_json()
@@ -350,3 +459,59 @@ class TestSerialization:
         again = GcbSpec.from_json(doc)
         assert again == spec
         assert assemble(again) == assemble(spec)
+
+
+# sha256 of the decompose documents of pinned_decompose_inputs() (the
+# spec, roles and input graph6 that ``twosc decompose`` prints), one
+# sorted-key JSON line each, each followed by the graph6 of the graph
+# that ``build_gcb`` makes from the document.  The peeling order and
+# the layout decide these.
+DECOMPOSE_DIGEST = "586a47aceb588597daed4b85964be650da366e184b73cbb29ce3847b8b98725b"
+
+
+def pinned_decompose_inputs() -> list[Graph]:
+    """64 seeded triangle-free 2SC graphs with n = 9..24.
+
+    Each is a maximal triangle-free graph (the pairs added in a random
+    order, each unless it closes a triangle) with a random share of its
+    edges then deleted wherever the property survives.
+    """
+    rng = random.Random(20)
+    out = []
+    while len(out) < 64:
+        n = rng.randint(9, 24)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(pairs)
+        adj = [0] * n
+        for u, v in pairs:
+            if not adj[u] & adj[v]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        if not conditions_ok(adj, n):
+            continue
+        q = rng.choice((0.0, 0.3, 0.7))
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            if adj[u] >> v & 1 and rng.random() < q:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                if not conditions_ok(adj, n):
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+        out.append(Graph(tuple(adj)))
+    return out
+
+
+def test_decompose_outputs_pinned_above_eight():
+    gs = pinned_decompose_inputs()
+    assert min(g.n for g in gs) == 9 and max(g.n for g in gs) == 24
+    lines = []
+    for g in gs:
+        spec, roles = decompose_triangle_free(g)
+        doc = spec.to_json()
+        doc["roles"] = roles.to_json()
+        doc["graph6"] = graph6_encode(g)
+        built = build_gcb(GcbSpec.from_json(doc))
+        assert built == g.relabel(roles.order)
+        lines.append(json.dumps(doc, sort_keys=True) + "\n" + graph6_encode(built) + "\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DECOMPOSE_DIGEST

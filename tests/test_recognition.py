@@ -1,4 +1,3 @@
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -50,7 +49,6 @@ from twosc.recognition import (
     is_edge_minimal,
     is_two_self_centered,
     metric_two_self_centered,
-    star_edit_keeps_two_sc,
 )
 
 from conftest import disjoint_unions, graphs, two_sc_graphs
@@ -271,40 +269,6 @@ class TestOneEdgeRule:
     @given(two_sc_graphs(max_n=14))
     def test_random_two_sc_graphs(self, g):
         assert_rule_matches_full_test(g)
-
-
-class TestStarEditRule:
-    """star_edit_keeps_two_sc against conditions_ok on the edited adjacency.
-
-    No real star step fails the rule (none with n <= 8), so these random
-    edits are what reach its failing branches.
-    """
-
-    @settings(max_examples=200, deadline=None)
-    @given(two_sc_graphs(max_n=14), st.integers(0, 2**32 - 1))
-    def test_delete_one_edge_add_any_absent_pairs(self, g, seed):
-        rng = random.Random(seed)
-        n = g.n
-        absent = [(a, b) for a in range(n) for b in range(a + 1, n) if not g.adj[a] >> b & 1]
-        for u, v in g.edges():
-            for q in (0.0, 0.05, 0.2):
-                added = [e for e in absent if rng.random() < q]
-                adj = toggled(g.adj, u, v)
-                for a, b in added:
-                    adj = toggled(adj, a, b)
-                assert star_edit_keeps_two_sc(adj, n, u, v, added) == conditions_ok(adj, n), (g, u, v, added)
-
-    def test_four_cycle_minus_an_edge_fails(self):
-        # C4 is 2SC; deleting (0, 3) leaves the path P4, with degree 1 at 0 and 3
-        assert not star_edit_keeps_two_sc(path_graph(4).adj, 4, 0, 3, ())
-
-    def test_deletion_alone_agrees_with_the_one_edge_rule(self):
-        for n in range(4, 8):
-            for g in graph_classes(n):
-                if conditions_ok(g.adj, n):
-                    for u, v in g.edges():
-                        after = toggled(g.adj, u, v)
-                        assert star_edit_keeps_two_sc(after, n, u, v, ()) == edit_keeps_two_sc(g.adj, n, u, v)
 
 
 def ref_critical_triples(g: Graph) -> list[tuple[int, int, int]]:

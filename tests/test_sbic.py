@@ -15,6 +15,7 @@ from twosc.sbic import (
     SbicWitness,
     WitnessError,
     _grow_independent,
+    _stranded,
     construct_sbic,
     verify_sbic,
 )
@@ -331,6 +332,33 @@ class TestMatchesDistanceProfileReference:
         b = tuple(m for m in w.b_masks if rng.random() < 0.7)
         part = SbicWitness(a, b)
         assert verify_sbic(g, part).to_json() == ref_verify_sbic(g, part).to_json()
+
+
+def ref_stranded(x: Graph, from_masks, to_masks):
+    """Reference: each (u, i) by a scan of every vertex and set, as the escape masks replaced."""
+    for u, adj_u in enumerate(x.adj):
+        near = adj_u | 1 << u
+        for i, m in enumerate(from_masks):
+            if not m & near and not any(not (m & other) and other >> u & 1 for other in to_masks):
+                yield u, i
+
+
+class TestEscapeMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_witnesses())
+    def test_stranded_pairs_match_the_scan(self, case):
+        g, w = case
+        for from_masks, to_masks in ((w.a_masks, w.b_masks), (w.b_masks, w.a_masks)):
+            assert list(_stranded(g, from_masks, to_masks)) == list(ref_stranded(g, from_masks, to_masks))
+
+    def test_an_escape_must_be_disjoint_from_the_set(self):
+        # path 0-1-2-3: 3 is far from {0}; {0, 3} holds 3 but meets {0}
+        x = path_graph(4)
+        for w in (witness([[0], [1], [2], [3]], [[0, 3], [1], [2]]),
+                  witness([[0], [1], [2], [3]], [[1], [2], [0, 3]])):
+            report = verify_sbic(x, w)
+            assert report.a_far_vertices_escape.counterexample == {"vertex": 0, "family": "a", "index": 3}
+            assert report.to_json() == ref_verify_sbic(x, w).to_json()
 
 
 def ref_far_masks(g: Graph) -> list[int]:

@@ -68,7 +68,6 @@ from .recognition import (
     NotTwoSelfCenteredError,
     TwoScVerdict,
     check_bipartite_proposition,
-    check_triangle_free_lemma,
     condition_verdict,
     critical_triples,
     edge_maximal_by_definition,

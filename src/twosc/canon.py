@@ -102,6 +102,12 @@ def _byte_members() -> tuple[tuple[int, ...], ...]:
 
 
 _BITS = _byte_members()
+_MEMBERS = _Members()
+
+
+def _members(n: int) -> Sequence[tuple[int, ...]]:
+    """The vertex ids of each mask on n vertices: one table up to 16 vertices (at most 2**16 masks)."""
+    return _BITS if n <= 8 else _MEMBERS if n <= 16 else _Members()
 
 
 def _maximum_cliques(adj: Sequence[int], within: int) -> list[int]:
@@ -168,20 +174,22 @@ def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Seque
     return out
 
 
-def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int]) -> int:
+def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Sequence[int]) -> int:
     """Pattern-packed search over lanes of w = max(n, 8) bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``,
-    the cells of the ordered partition in turn.  Returns the maximal
+    the cells of the ordered partition in turn, and a vertex only after
+    its smaller twins ``before[v]`` (``_twins_before``).  Returns the maximal
     code over those orders, the per-level maxima packed into one int
     after a leading 1 bit (so graphs of different sizes get different
     codes).
     """
+    bits_of = _members(n)
     if n <= 8:
-        w, bits_of = 8, _BITS
+        w = 8
         row_exp = [_LANES[m] for m in adj]
     else:
-        w, bits_of = n, _Members()
+        w = n
         row_exp = [sum(1 << u * w for u in bits_of[m]) for m in adj]
     # lane u of row_exp[v] holds adj(u, v); lane v is already 0
     lane = (1 << w) - 1
@@ -194,7 +202,6 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int]) -> int:
     # states collapse only when their cells match too.  The placed
     # lanes follow from the mask, so equal states collapse in a set.
     full = (1 << n) - 1
-    before = _twins_before(adj)
     twinned = sum(1 << v for v in range(n) if before[v])
     first = allowed[0]
     if any(adj[v] & first for v in bits_of[first]):
@@ -272,23 +279,26 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int]) -> int:
     return code
 
 
-def _cells(adj: Sequence[int], n: int) -> list[int]:
+def _rank_shift(n: int) -> int:
+    """A rank is deg << shift plus the neighbour-degree sum, which is below n * n."""
+    return (n * n).bit_length()
+
+
+def _ranks(adj: Sequence[int], n: int) -> list[int]:
+    """Per vertex, its rank: its degree, then the sum of its neighbours' degrees."""
+    members, shift = _members(n), _rank_shift(n)
+    deg = [m.bit_count() for m in adj]
+    return [(deg[v] << shift) + sum(map(deg.__getitem__, members[m])) for v, m in enumerate(adj)]
+
+
+def _cells(ranks: Sequence[int]) -> list[int]:
     """The rank partition as ``_maximal_code``'s ``allowed``: per position, its cell.
 
-    A vertex's rank is its degree, then the sum of its neighbours'
-    degrees; the cells, in descending rank, each fill as many positions
-    as they have vertices, so the last entry is the lowest-rank cell.
+    The cells, in descending rank, each fill as many positions as they
+    have vertices, so the last entry is the lowest-rank cell.
     """
-    members = _BITS.__getitem__ if n <= 8 else bits
-    deg = [m.bit_count() for m in adj]
-    # a neighbour-degree sum is below n * n, so this ranks by degree,
-    # then by the sum, exactly as deg * 64 + sum does for n <= 8
-    shift = (n * n).bit_length()
     cells: dict[int, int] = {}
-    for v, m in enumerate(adj):
-        r = deg[v] << shift
-        for u in members(m):
-            r += deg[u]
+    for v, r in enumerate(ranks):
         cells[r] = cells.get(r, 0) | 1 << v
     allowed: list[int] = []
     for r in sorted(cells, reverse=True):
@@ -303,14 +313,14 @@ def partition_code(adj: Sequence[int]) -> int:
     The maximal column-major code over the orders that place the rank
     cells (``_cells``) one after another: a complete isomorphism
     invariant, which ``_decode`` turns back into ``canonical_masks``.
-    The generator's dedupe key, though it calls the two steps itself
-    so as to test the new vertex's cell in between.  Raises
-    ``GraphError`` on the empty graph.
+    The generator's dedupe key, though it derives each candidate's
+    ranks and twins from its parent's and calls only the grouping and
+    the search.  Raises ``GraphError`` on the empty graph.
     """
     n = len(adj)
     if n < 1:
         raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
-    return _maximal_code(adj, n, _cells(adj, n))
+    return _maximal_code(adj, n, _cells(_ranks(adj, n)), _twins_before(adj))
 
 
 def _decode(code: int, n: int) -> tuple[int, ...]:

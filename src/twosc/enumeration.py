@@ -2,12 +2,10 @@
 
 Graphs on k+1 vertices are produced by attaching a new vertex x to
 every k-vertex class representative P, with a neighbourhood mask M over
-P's vertices.  A level is one pass: the candidates are deduplicated by
-``partition_code``, each share of the parents yielding the set of its
-candidates' codes, and the sets are merged.  The code is the canonical
-form packed into an int, so each distinct code decodes straight into
-its class representative, the canonical form, and no second search runs
-per class.
+P's vertices.  The candidates are deduplicated by ``partition_code``,
+the canonical form packed into an int, so each distinct code decodes
+straight into its class representative and no second search runs per
+class.
 
 Most masks give a class that another mask gives too.  Three exact rules
 drop such candidates before any canonical search; each names a property
@@ -20,17 +18,16 @@ that some candidate of every class has:
 - Lowest rank cell.  A vertex's rank is its degree, then the sum of its
   neighbours' degrees, as in ``canon``.  A vertex of minimum rank has
   minimum degree, and deleting it also leaves a parent class, so x may
-  be required to lie in the lowest-rank cell of the candidate.  The
-  rank partition is the first step of the canonical search
-  (``canon._cells``), so the test costs nothing beyond it, and a
-  candidate that fails it never reaches ``_maximal_code``.
+  be required to lie in the lowest-rank cell of the candidate.
 - Twin prefix.  Two vertices of P with equal open or equal closed
-  neighbourhoods are twins.  The twins fall into classes, and any
-  permutation inside a class is an automorphism of P.  Extended by
-  fixing x, it maps the candidate with M to the one with the permuted
-  mask, with x's degree and rank unchanged.  So M may contain a vertex
-  only if it also contains every smaller twin of it
-  (``canon._twins_before``, once per parent).
+  neighbourhoods are twins.  A vertex has twins of one kind only: for
+  an open twin u and a closed twin w of v, w is in N(v) = N(u), so u
+  is in N[w] = N[v], adjacent to v, which an open twin is not.  So the
+  twins fall into classes, and any permutation inside a class is an
+  automorphism of P.  Extended by fixing x, it maps the candidate with
+  M to the one with the permuted mask, with x's degree and rank
+  unchanged.  So M may contain a vertex only if it also contains every
+  smaller twin of it.
 
 Together they keep a candidate of every class: for a graph G and a
 vertex v of minimum rank, G - v is some parent P under an isomorphism
@@ -44,9 +41,24 @@ perfect pruning would still search 13,268 candidates at n = 8, the
 distinct codes, per parent, of the candidates the first two rules
 keep.
 
-The n = 8 level splits the parents into one share per usable CPU:
-the caller works the first share and child processes the others, and
-only ints cross the pipes.  Smaller levels, and machines with one
+A candidate's data comes from its parent's.  Only the masks that pass
+the first and third rules are made: a prefix of each twin class, at
+most low + 1 bits in all.  With m_v = 1 for v in M, d = |M|, and deg
+and s P's degrees and neighbour-degree sums, v gets degree deg v + m_v
+and sum s v + |N(v) & M| + m_v d; x gets degree d and sum d plus the
+degrees in M.  A candidate with a vertex ranked below x is dropped
+before its rows are built, and ``canon._cells`` groups the others'
+ranks.  Two vertices of P stay twins iff M holds both or neither, so v
+keeps the smaller twins on its own side of M; x's twins are the v with
+N(v) = M (open) or N[v] = M (closed).
+
+From n = 7 on, a level splits the parents into one share per usable
+CPU: the caller works the first share and child processes the others.
+Each share decodes, sorts and builds its own classes, and a child sends
+its sorted ``Graph`` list back pickled, which does not validate again.
+The caller sorts the concatenated runs, which timsort merges in linear
+time, and keeps one graph per class, since shares reach some classes
+twice (466 of 12,346 at n = 8).  Smaller levels, and machines with one
 usable CPU, run one share in the caller and start no process.  The
 battery's worker processes (``harness.verify_all``) are shares of the
 same ``_split``.
@@ -62,9 +74,10 @@ from __future__ import annotations
 import gc
 import os
 from functools import lru_cache
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .canon import _cells, _decode, _maximal_code, _twins_before
+from .canon import _cells, _decode, _maximal_code, _members, _rank_shift, _ranks, _twins_before
 from .core import Graph, GraphError, component_masks
 
 GENERATOR_MAX = 8
@@ -85,9 +98,10 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got {n}")
     if n == 1:
         return (Graph((0,)),)
-    # Below n = 8 a level takes a quarter of a second or less, which
-    # starting a process would eat.
-    shares = _usable_cpus() if n >= 8 else 1
+    # Below n = 7 a level takes a few milliseconds, which starting a
+    # process would eat.  Split from n = 7 on, cold generation to n = 8
+    # took 0.92x the time of a split from n = 8 on (12 of 16 pairs, 2 vCPUs).
+    shares = _usable_cpus() if n >= 7 else 1
     return _level([g.adj for g in graph_classes(n - 1)], n, shares)
 
 
@@ -100,36 +114,60 @@ def _usable_cpus() -> int:
 
 def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Graph, ...]:
     """The sorted canonical classes on n vertices from the (n-1)-vertex parents."""
-    codes = set().union(*_split(_codes, n, parents, shares))
-    forms = sorted(_decode(code, n) for code in codes)
-    del codes  # not held while the graphs are built
-    return tuple(Graph(masks) for masks in forms)
+    runs = _split(_classes, n, parents, shares)
+    graphs = sorted((g for run in runs for g in run), key=attrgetter("adj"))  # timsort merges the runs
+    del runs  # not held while the level is built
+    return tuple(g for i, g in enumerate(graphs) if not i or g.adj != graphs[i - 1].adj)
+
+
+def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
+    """The sorted representatives of the classes these parents' candidates reach."""
+    return [Graph(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> set[int]:
-    """The ``partition_code`` of every candidate from these parents.
+    """The ``partition_code`` of every candidate from these parents that passes the three rules."""
+    return {_maximal_code(*candidate) for base in parents for candidate in _candidates(n, base)}
 
-    Only the candidates that pass the module's three rules are searched;
-    the others' classes are reached by a candidate that does.
-    """
-    codes: set[int] = set()
+
+def _candidates(n: int, base: Sequence[int]) -> Iterator[tuple[list[int], int, list[int], list[int]]]:
+    """``_maximal_code``'s arguments for each candidate from ``base`` that passes the three rules."""
     new = 1 << (n - 1)
-    for base in parents:
-        low = min(m.bit_count() for m in base)
-        lowest = sum(1 << v for v, m in enumerate(base) if m.bit_count() == low)
-        twins = [(v, b) for v, b in enumerate(_twins_before(base)) if b]
-        for mask in range(new):
-            d = mask.bit_count()
-            if d > low + 1 or (d == low + 1 and lowest & ~mask):  # minimum degree
-                continue
-            if any(mask >> v & 1 and b & ~mask for v, b in twins):  # twin prefix
-                continue
-            adj = [m | ((mask >> v & 1) << (n - 1)) for v, m in enumerate(base)]
-            adj.append(mask)
-            allowed = _cells(adj, n)
-            if allowed[-1] & new:  # lowest rank cell
-                codes.add(_maximal_code(adj, n, allowed))
-    return codes
+    members = _members(n)
+    shift = _rank_shift(n)
+    deg = [m.bit_count() for m in base]
+    base_ranks = _ranks(base, n)
+    before = _twins_before(base)
+    near: dict[int, int] = {}  # x's twins by M: the v with N(v) = M or N[v] = M
+    for v, m in enumerate(base):  # no N(u) is an N[w], so the two kinds share no key
+        near[m] = near.get(m, 0) | 1 << v
+        near[m | 1 << v] = near.get(m | 1 << v, 0) | 1 << v
+    for mask in _masks(deg, before):
+        d = mask.bit_count()
+        vs = members[mask]
+        ranks = [r + (m & mask).bit_count() for r, m in zip(base_ranks, base)]
+        rx = (d << shift) + d
+        for u in vs:
+            rx += deg[u]
+            ranks[u] += (1 << shift) + d
+        if min(ranks) < rx:  # lowest rank cell
+            continue
+        adj = [*base, mask]
+        twins = [b & ~mask for b in before] + [near.get(mask, 0)]
+        for u in vs:
+            adj[u] |= new
+            twins[u] = before[u] & mask
+        yield adj, n, _cells([*ranks, rx]), twins
+
+
+def _masks(deg: Sequence[int], before: Sequence[int]) -> list[int]:
+    """The masks that pass the minimum-degree and twin-prefix rules, for a parent's degrees and twins."""
+    low = min(deg)
+    lowest = sum(1 << v for v, k in enumerate(deg) if k == low)
+    masks = [0]
+    for v, b in enumerate(before):
+        masks += [mask | 1 << v for mask in masks if mask.bit_count() <= low and not b & ~mask]
+    return [mask for mask in masks if mask.bit_count() <= low or not lowest & ~mask]
 
 
 def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[Any], shares: int) -> list[Any]:

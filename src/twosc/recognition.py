@@ -76,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
-from .core import Graph, GraphError, bits, complement_masks, component_masks, has_triangle
+from .core import Graph, GraphError, bits, complement_masks, component_masks
 from .core import first_bad_degree
 from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
 
@@ -375,14 +375,6 @@ def _bipartite_sides_agree(g: Graph, left: bool) -> bool:
     parts = complete_bipartite_parts(g)
     right = parts is not None and len(parts[0]) >= 2 and len(parts[1]) >= 2
     return left == right
-
-
-def check_triangle_free_lemma(g: Graph) -> bool:
-    """True iff (g triangle-free implies g edge-minimal); input must be 2sc."""
-    _require_two_sc(g)
-    if has_triangle(g):
-        return True
-    return is_edge_minimal(g).minimal
 
 
 def greedy_edge_minimal(g: Graph) -> Graph:

@@ -113,12 +113,13 @@ def triangle_free_two_sc_graphs(draw, min_n: int = 4, max_n: int = 14):
     Adding the pairs in a random order, each unless it closes a triangle,
     gives a maximal triangle-free graph.  Two non-adjacent vertices of
     such a graph have a common neighbor, so it is 2-self-centered unless
-    it is a star, which is redrawn.  Random edge deletions that keep the
-    property then reach graphs that are not maximal triangle-free.
+    it is a star, which is redrawn.  Every triangle-free 2SC graph is
+    maximal triangle-free, so some order of the pairs draws it; deleting
+    any of its edges breaks the property, as the ends have no common
+    neighbour.
     """
     n = draw(st.integers(max(min_n, 4), max_n))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    q = draw(st.sampled_from((0.0, 0.3, 0.7)))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     while True:
         rng.shuffle(pairs)
@@ -129,12 +130,4 @@ def triangle_free_two_sc_graphs(draw, min_n: int = 4, max_n: int = 14):
                 adj[v] |= 1 << u
         if conditions_ok(adj, n):
             break
-    rng.shuffle(pairs)
-    for u, v in pairs:
-        if adj[u] >> v & 1 and rng.random() < q:
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            if not conditions_ok(adj, n):
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
     return Graph(tuple(adj))

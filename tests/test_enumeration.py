@@ -10,14 +10,16 @@ from hypothesis import given, settings
 
 import twosc
 import twosc.enumeration
-from twosc.canon import _decode, canonical_masks, partition_code
+from twosc.canon import _BITS, _decode, canonical_masks, partition_code
 from twosc.core import Graph
 from twosc.enumeration import (
     ALL_GRAPH_COUNTS,
     CONNECTED_GRAPH_COUNTS,
     RangeError,
+    _candidates,
     _codes,
     _level,
+    _masks,
     connected_classes,
     enumerate_connected,
     graph_classes,
@@ -45,6 +47,16 @@ def test_split_level_is_pinned_up_to_seven(shares):
     for n in range(2, 8):
         parents = [g.adj for g in graph_classes(n - 1)]
         assert graph6_digest(_level(parents, n, shares)) == GENERATOR_DIGESTS[n][0], n
+
+
+def test_split_level_equals_one_share_up_to_eight():
+    # the shares' runs overlap (466 classes at n = 8), and the merge keeps
+    # one graph per class, in the one share's order
+    for n in range(2, 9):
+        parents = [g.adj for g in graph_classes(n - 1)]
+        one = _level(parents, n, 1)
+        assert _level(parents, n, 2) == one, n
+        assert len({g.adj for g in one}) == len(one) == ALL_GRAPH_COUNTS[n - 1], n
 
 
 @settings(max_examples=300, deadline=None)
@@ -101,6 +113,79 @@ def test_searched_candidates_are_pinned(monkeypatch, n, searched, unpruned):
     monkeypatch.setattr(twosc.enumeration, "_maximal_code", counted)
     assert len(_codes(n, parents)) == ALL_GRAPH_COUNTS[n - 1]
     assert len(calls) == searched
+
+
+# The generator's candidate data as it was computed before it was derived
+# from the parent: the reference for the derived masks, cells and twins.
+def ref_masks(n: int, base) -> list[int]:
+    """The masks of ``base`` that pass the minimum-degree and twin-prefix rules."""
+    low = min(m.bit_count() for m in base)
+    lowest = sum(1 << v for v, m in enumerate(base) if m.bit_count() == low)
+    twins = [(v, b) for v, b in enumerate(ref_twins_before(base)) if b]
+    out = []
+    for mask in range(1 << (n - 1)):
+        d = mask.bit_count()
+        if d > low + 1 or (d == low + 1 and lowest & ~mask):
+            continue
+        if any(mask >> v & 1 and b & ~mask for v, b in twins):
+            continue
+        out.append(mask)
+    return out
+
+
+def ref_cells(adj, n: int) -> list[int]:
+    """The rank partition, per position its cell, from the candidate's own rows."""
+    deg = [m.bit_count() for m in adj]
+    shift = (n * n).bit_length()
+    cells: dict[int, int] = {}
+    for v, m in enumerate(adj):
+        r = deg[v] << shift
+        for u in _BITS[m]:
+            r += deg[u]
+        cells[r] = cells.get(r, 0) | 1 << v
+    allowed: list[int] = []
+    for r in sorted(cells, reverse=True):
+        cell = cells[r]
+        allowed += [cell] * cell.bit_count()
+    return allowed
+
+
+def ref_twins_before(adj) -> list[int]:
+    """Per vertex, the bitmask of its twins with a smaller index."""
+    before = []
+    open_: dict[int, int] = {}
+    closed: dict[int, int] = {}
+    for v, m in enumerate(adj):
+        o = open_.get(m, 0)
+        c = closed.get(m | 1 << v, 0)
+        before.append(o | c)
+        open_[m] = o | 1 << v
+        closed[m | 1 << v] = c | 1 << v
+    return before
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_candidates_match_the_candidates_own_cells_and_twins(n):
+    # every parent as listed and under 3 seeded relabellings: the derived
+    # masks are the filter's, the rank test keeps exactly the candidates
+    # whose new vertex is in the lowest-rank cell, and their cells and
+    # twins are the ones read off the candidate's own rows
+    rng = random.Random(22 + n)
+    new = 1 << (n - 1)
+    for adj in (g.adj for g in graph_classes(n - 1)):
+        for _ in range(4):
+            masks = ref_masks(n, adj)
+            assert sorted(_masks([m.bit_count() for m in adj], ref_twins_before(adj))) == masks
+            kept = []
+            for mask in masks:
+                child = [m | (mask >> v & 1) << (n - 1) for v, m in enumerate(adj)] + [mask]
+                cells = ref_cells(child, n)
+                if cells[-1] & new:
+                    kept.append((child, n, cells, ref_twins_before(child)))
+            assert sorted(_candidates(n, adj)) == sorted(kept), (adj, n)
+            order = list(range(n - 1))
+            rng.shuffle(order)
+            adj = Graph(adj).relabel(order).adj
 
 
 # graph6_digest of the n = 9 level, computed with every minimum-degree

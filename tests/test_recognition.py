@@ -12,6 +12,7 @@ from twosc.core import (
     connected_components,
     distance_profile,
     edit,
+    has_triangle,
     is_star,
     mask_of,
 )
@@ -32,7 +33,6 @@ from twosc.recognition import (
     NotTwoSelfCenteredError,
     TwoScVerdict,
     check_bipartite_proposition,
-    check_triangle_free_lemma,
     complement_star_certificate,
     complete_bipartite_parts,
     condition_verdict,
@@ -462,16 +462,20 @@ class TestMaskFormsMatchReferences:
 
 
 class TestTriangleFreeLemma:
+    # a triangle-free 2SC graph is edge-minimal; the lemma says nothing of
+    # a graph with triangles
     def test_petersen(self):
-        assert check_triangle_free_lemma(petersen_graph())
+        g = petersen_graph()
+        assert not has_triangle(g) and is_edge_minimal(g).minimal
 
     def test_four_cycle(self):
-        assert check_triangle_free_lemma(cycle_graph(4))
+        g = cycle_graph(4)
+        assert not has_triangle(g) and is_edge_minimal(g).minimal
 
     def test_vacuous_with_triangles(self):
         from twosc.graphs import minimal_with_triangle
 
-        assert check_triangle_free_lemma(minimal_with_triangle())
+        assert has_triangle(minimal_with_triangle())
 
 
 class TestSandwich:

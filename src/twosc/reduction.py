@@ -2,44 +2,49 @@
 
 The step removes one triangle edge uv and reconnects directly every pair
 that depended on the removed edge: whenever u was the unique common
-neighbor of v and some w, the edge vw is added (and symmetrically for v).
-A step is valid when it creates no triangle and keeps the graph
-2-self-centered; a valid step strictly lowers the triangle count, which
-is what drives the classification.  The reading of arXiv:1910.12110
-implemented here is an existence claim: on an edge-minimal graph *some*
-order of valid steps reaches a triangle-free 2-self-centered graph.  Not
-every order does: on ``G}aHOs`` the step on (0, 1) creates the triangle
-(1, 4, 5).  ``reduce_to_triangle_free`` searches the orders, depth
-first, and returns the first that succeeds as the trace.
+neighbor of v and some w, a partner of u, the edge vw is added (and
+symmetrically for v).  A step is valid when it creates no triangle and
+keeps the graph 2-self-centered; a valid step strictly lowers the
+triangle count, which drives the classification.  The reading of
+arXiv:1910.12110 implemented here is an existence claim: on an
+edge-minimal graph *some* order of valid steps reaches a triangle-free
+2-self-centered graph.  Not every order does: on ``G}aHOs`` the step on
+(0, 1) creates the triangle (1, 4, 5).  ``reduce_to_triangle_free``
+searches the orders, depth first, and returns the first that succeeds.
 
 A reduction edits one adjacency list in place (``_star_step``) and
-builds a ``Graph`` only for its result, and ``ReductionStep`` records
-only for the trace it returns.  A step's validity is read from its own
-edits, not from the whole result:
+builds a ``Graph`` only for its result.  A step's validity is read from
+its own edits, not from the whole result:
 
 - Triangles.  Every edge of a triangle that is new must have been added,
   so the step creates a triangle iff some added edge ab has a common
   neighbor afterwards.  When none does, the triangles left are those
   before the step minus the ones holding both u and v, in the same
   order.
-- 2-self-centered.  On a 2-self-centered graph the step keeps the
-  property iff u, v and their partners have degrees in [2, n - 2]
-  (``_degree_rule``): only they change degree, and only uv becomes
-  non-adjacent.  A non-adjacent pair away from u and v keeps its common
-  neighbor, as only u and v lose neighbors.  For w not adjacent to u
-  after the step: if w = v, the triangle's third vertex is common; else
-  u and w had a common neighbor, which survives unless it was v alone,
-  and then w is a partner of v, joined to u.  Likewise for v.  On input
-  not known to be 2-self-centered (``apply_star_procedure``, and the
-  first step of ``replay_trace``), the full local test runs instead.
+- 2-self-centered.  A star step keeps a 2-self-centered graph
+  2-self-centered, so there it is valid iff it creates no triangle.  Let
+  t be a common neighbor of u and v.  Only u, v and their partners change
+  degree, and only uv becomes non-adjacent.  A partner w of u gains one
+  edge, vw, and misses t, which would otherwise be a second common
+  neighbor of v and w.  After the step u misses v, and if deg u = 2
+  before, N(u) = {v, t} leaves u no partners, so v has some and u gains
+  one.  Likewise for v, so every degree stays in [2, n - 2].  A
+  non-adjacent pair away from u and v keeps its common neighbor, as only
+  u and v lose neighbors.  For w not adjacent to u after the step: if
+  w = v, t is common; else u and w had a common neighbor, which survives
+  unless it was v alone, and then w is a partner of v, joined to u.
+  Likewise for v.  On input not known to be 2-self-centered
+  (``apply_star_procedure``, and the first step of ``replay_trace``),
+  the full local test runs instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
+from .io import graph6_encode
 from .recognition import NotTwoSelfCenteredError, _partners
 
 # Nodes the reduction's search may visit before it gives up undecided.
@@ -68,8 +73,7 @@ def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
     return list(bits(_partners(g.adj, x, anchor)))
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One application of the star rewriting step.
 
     ``u_partners`` lists the w with u the unique common neighbor of
@@ -77,12 +81,20 @@ class ReductionStep:
     for ``v_partners``.
     """
 
-    removed_edge: tuple[int, int]
     u: int
     v: int
     u_partners: tuple[int, ...]
     v_partners: tuple[int, ...]
-    added_edges: tuple[tuple[int, int], ...]
+
+    @property
+    def removed_edge(self) -> tuple[int, int]:
+        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
+
+    @property
+    def added_edges(self) -> tuple[tuple[int, int], ...]:
+        """vw for each partner w of u, then uw for each partner w of v, each pair sorted."""
+        pairs = [(self.v, w) for w in self.u_partners] + [(self.u, w) for w in self.v_partners]
+        return tuple((a, b) if a < b else (b, a) for a, b in pairs)
 
     def to_json(self) -> dict[str, Any]:
         """u, v and the partners; the removed and added edges follow from them."""
@@ -122,17 +134,15 @@ def _join_partners(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> 
 
 def _record(u: int, v: int, u_mask: int, v_mask: int) -> ReductionStep:
     """The record of the step on uv with these partner masks."""
-    u_partners, v_partners = tuple(bits(u_mask)), tuple(bits(v_mask))
-    added = [(v, w) if v < w else (w, v) for w in u_partners] + [(u, w) if u < w else (w, u) for w in v_partners]
-    return ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
+    return ReductionStep(u, v, tuple(bits(u_mask)), tuple(bits(v_mask)))
 
 
 def _step_fault(adj: list[int], u: int, v: int, u_mask: int, v_mask: int, two_sc: bool) -> str | None:
     """Why the step on uv with these partner masks, just applied to ``adj``, is invalid; None if it is valid.
 
     ``two_sc`` says whether the graph before the step is known to be
-    2-self-centered: then the degree rule decides the property,
-    otherwise the full local test runs on ``adj``.
+    2-self-centered: then the step keeps it so (the module docstring) and
+    only the triangle test runs, otherwise the full local test as well.
     """
     for x, partners in ((v, u_mask), (u, v_mask)):
         ax = adj[x]
@@ -141,19 +151,8 @@ def _step_fault(adj: list[int], u: int, v: int, u_mask: int, v_mask: int, two_sc
             if ax & adj[low.bit_length() - 1]:
                 return "step created a new triangle"
             partners ^= low
-    kept = _degree_rule(adj, u, v, u_mask, v_mask) if two_sc else conditions_ok(adj, len(adj))
-    return None if kept else "step broke the 2-self-centered property"
-
-
-def _degree_rule(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> bool:
-    """Whether u, v and the partners have degrees in [2, n - 2] in ``adj``, after the step."""
-    top, touched = len(adj) - 2, 1 << u | 1 << v | u_mask | v_mask
-    while touched:
-        low = touched & -touched
-        if not 2 <= adj[low.bit_length() - 1].bit_count() <= top:
-            return False
-        touched ^= low
-    return True
+    broke = not two_sc and not conditions_ok(adj, len(adj))
+    return "step broke the 2-self-centered property" if broke else None
 
 
 def _triangles_left(tris: list[tuple[int, int, int]], u: int, v: int) -> list[tuple[int, int, int]]:
@@ -191,8 +190,6 @@ class ReductionTrace:
     failure_reason: str | None = None
 
     def to_json(self) -> dict[str, Any]:
-        from .io import graph6_encode
-
         return {
             "succeeded": self.succeeded,
             "failure_reason": self.failure_reason,
@@ -204,10 +201,12 @@ class ReductionTrace:
 def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     """Re-run a successful trace, checking each guaranteed step invariant.
 
-    Every step must reproduce its recorded edge additions, strictly lower
-    the triangle count without creating any new triangle, and keep the
-    graph 2-self-centered; the replay must end at the recorded final
-    graph, triangle-free.  Raises GraphError for a step vertex outside g.
+    Every step must equal the record its u and v give (so it adds the
+    same edges), strictly lower the triangle count without creating any
+    new triangle, and keep the graph 2-self-centered; the replay must end
+    at the recorded final graph, triangle-free.  Raises GraphError for a
+    step vertex outside g, and EdgeNotInTriangleError or
+    NoCriticalEndpointError for a step that is not a star step.
     """
     adj = list(g.adj)
     tris = triangles(g)
@@ -216,7 +215,7 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
         u, v = step.u, step.v
         check_vertices(g.n, u, v)
         u_mask, v_mask = _star_step(adj, u, v)
-        if _record(u, v, u_mask, v_mask).added_edges != step.added_edges or _step_fault(adj, u, v, u_mask, v_mask, two_sc):
+        if _record(u, v, u_mask, v_mask) != step or _step_fault(adj, u, v, u_mask, v_mask, two_sc):
             return False
         tris = _triangles_left(tris, u, v)
         two_sc = True

@@ -6,11 +6,10 @@ import sys
 
 import pytest
 from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from twosc import reduction
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, GraphError, edit, has_triangle, mask_of, triangles
+from twosc.core import Graph, GraphError, edit, has_triangle, triangles
 from twosc.enumeration import graph_classes
 from twosc.graphs import (
     complete_bipartite,
@@ -107,6 +106,21 @@ class TestApplyStep:
         assert step.v_partners == (4,)
         assert set(step.added_edges) == {(0, 6), (2, 6), (3, 4)}
         assert not triangles(result)
+        # the record is exactly what its JSON holds
+        assert ReductionStep._fields == ("u", "v", "u_partners", "v_partners")
+        assert step == (3, 6, (0, 2), (4,)) and step.removed_edge == (3, 6)
+
+    @pytest.mark.parametrize("tamper", [
+        {"u_partners": (0,)},  # a partner dropped
+        {"v_partners": (1, 4)},  # a vertex added
+        {"u_partners": (4,), "v_partners": (0, 2)},  # the partners swapped
+        {"u_partners": (2, 0)},  # a partner tuple reordered
+    ])
+    def test_replay_rejects_a_tampered_step(self, tamper):
+        g = minimal_with_triangle()
+        result, step = apply_star_procedure(g, 3, 6)
+        assert replay_trace(g, ReductionTrace((step,), result, True))
+        assert not replay_trace(g, ReductionTrace((step._replace(**tamper),), result, True))
 
     def test_triangle_free_edge_rejected(self):
         with pytest.raises(EdgeNotInTriangleError):
@@ -145,12 +159,10 @@ class TestApplyStep:
         assert run.returncode == 0, run.stderr
 
     def test_step_fault_names_a_broken_property(self):
-        # no real step breaks the property (TestStarStepRule), so both
-        # branches of the check run on hand-made edits
+        # no real step on a 2SC graph breaks the property (TestStarStepRule),
+        # so the full test's two outcomes are shown on hand-made edits
         broke = "step broke the 2-self-centered property"
-        # degree rule: deleting (0, 3) from the 2SC four-cycle leaves P4
-        assert _step_fault(list(path_graph(4).adj), 0, 3, 0, 0, True) == broke
-        # full test: deleting the chord (0, 2) leaves P4 (fails) or C4 (passes)
+        # deleting the chord (0, 2) leaves P4 (fails) or C4 (passes)
         assert _step_fault(list(path_graph(4).adj), 0, 2, 0, 0, False) == broke
         assert _step_fault(list(cycle_graph(4).adj), 0, 2, 0, 0, False) is None
         assert _triangles_left([(0, 1, 2)], 0, 2) == []
@@ -165,7 +177,7 @@ class TestApplyStep:
                 apply_star_procedure(g, *args)
             with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
                 critical_partners(g, *args)
-            one = ReductionTrace((ReductionStep(args, *args, (), (), ()),), g, True)
+            one = ReductionTrace((ReductionStep(*args, (), ()),), g, True)
             with pytest.raises(GraphError, match=f"vertex {bad} outside 0..7"):
                 replay_trace(g, one)
 
@@ -315,7 +327,9 @@ def ref_raw_step(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
         adj[u] |= 1 << w
         adj[w] |= 1 << u
         added.append((min(u, w), max(u, w)))
-    step = ReductionStep((min(u, v), max(u, v)), u, v, u_partners, v_partners, tuple(added))
+    step = ReductionStep(u, v, u_partners, v_partners)
+    # the record derives the edges this builds
+    assert step.added_edges == tuple(added) and step.removed_edge == (min(u, v), max(u, v))
     return Graph(tuple(adj)), step
 
 
@@ -493,25 +507,18 @@ class TestMatchesGraphPerStepReference:
         assert_steps_match_reference(g)
 
 
-def step_verdicts(g: Graph, u: int, v: int, extra_u: int = 0, extra_v: int = 0) -> tuple[bool, bool]:
-    """The step on uv of g, v also joined to ``extra_u`` and u to ``extra_v``:
-    whether it keeps g 2-self-centered by the degree rule, and by conditions_ok."""
+def step_keeps_two_sc(g: Graph, u: int, v: int) -> bool:
+    """Whether the star step on uv of g leaves a 2-self-centered graph, by conditions_ok."""
     adj = list(g.adj)
-    u_mask = reduction._partners(adj, u, v) | extra_u
-    v_mask = reduction._partners(adj, v, u) | extra_v
-    reduction._join_partners(adj, u, v, u_mask, v_mask)
-    return reduction._degree_rule(adj, u, v, u_mask, v_mask), conditions_ok(adj, g.n)
+    reduction._join_partners(adj, u, v, reduction._partners(adj, u, v), reduction._partners(adj, v, u))
+    return conditions_ok(adj, g.n)
 
 
 class TestStarStepRule:
-    """The degree rule of the reduction's docstring against conditions_ok.
+    """The theorem of the reduction's docstring against conditions_ok.
 
-    No real step breaks the property: a partner w of u misses v and the
-    triangle's third vertex before the step and gains one edge, u misses
-    v after it, and if deg u = 2 before, u has no partners, so v has
-    some and u gains one.  So joins beyond the partners are what reach
-    the rule's failing branch; the pair conditions survive them, since
-    added edges only add common neighbours.
+    Every star step keeps a 2-self-centered graph 2-self-centered, so on
+    such input the reduction tests only for new triangles.
     """
 
     def test_every_step_of_every_two_sc_class_with_triangles_up_to_eight(self):
@@ -522,7 +529,7 @@ class TestStarStepRule:
                     continue
                 for u, v in triangle_edges(g):
                     if has_critical_endpoint(g.adj, u, v):
-                        assert step_verdicts(g, u, v) == (True, True), (g, u, v)
+                        assert step_keeps_two_sc(g, u, v), (g, u, v)
                         steps += 1
         assert steps == 11266
 
@@ -531,31 +538,7 @@ class TestStarStepRule:
     def test_every_step_of_random_two_sc_graphs(self, g):
         for u, v in triangle_edges(g):
             if has_critical_endpoint(g.adj, u, v):
-                assert step_verdicts(g, u, v) == (True, True), (g, u, v)
-
-    @settings(max_examples=200, deadline=None)
-    @given(two_sc_graphs(max_n=14), st.integers(0, 2**32 - 1))
-    def test_steps_with_extra_joins(self, g, seed):
-        rng = random.Random(seed)
-        adj, n = g.adj, g.n
-        for u, v in triangle_edges(g):
-            if not has_critical_endpoint(adj, u, v):
-                continue
-            # v may gain any w outside N[v] but u, and u any w outside N[u] but v
-            q = rng.choice((0.1, 0.3, 0.6))
-            extra_u = mask_of(w for w in range(n) if w not in (u, v) and not adj[v] >> w & 1 and rng.random() < q)
-            extra_v = mask_of(w for w in range(n) if w not in (u, v) and not adj[u] >> w & 1 and rng.random() < q)
-            rule, full = step_verdicts(g, u, v, extra_u, extra_v)
-            assert rule == full, (g, u, v, extra_u, extra_v)
-
-    def test_a_joined_vertex_pushed_to_degree_n_minus_one(self):
-        # the octahedron K(2, 2, 2): 3 misses only 2, so joining it to 2
-        # in the step on (0, 2) leaves 3 adjacent to every other vertex,
-        # while 0 and 2 keep their degrees in range
-        g = Graph.from_edges(6, [(a, b) for a in range(6) for b in range(a + 1, 6) if b != a + 1 or a % 2])
-        assert g.two_sc and [m.bit_count() for m in g.adj] == [4] * 6
-        assert step_verdicts(g, 0, 2, extra_u=1 << 3) == (False, False)
-        assert step_verdicts(g, 0, 2, extra_v=1 << 1) == (False, False)
+                assert step_keeps_two_sc(g, u, v), (g, u, v)
 
 
 # sha256 of the reduce_to_triangle_free(...).to_json() documents of

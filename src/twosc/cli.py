@@ -24,7 +24,7 @@ from .gcb import (
     sample_gcb_spec,
 )
 from .io import dot_encode, graph6_decode, graph6_encode, read_graph6
-from .harness import FULL_BATTERY_MAX, render_table, verify_all
+from .harness import render_table, verify_all
 from .recognition import (
     critical_triples,
     is_edge_maximal,
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("graph6", "dot"), default="graph6")
 
     p = sub.add_parser("verify", help="run the whole theorem battery")
-    p.add_argument("--n-max", type=int, default=FULL_BATTERY_MAX)
+    p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--input", help="verify graphs from this graph6 file instead of the generator")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--workers", type=int, default=1, help="worker processes, capped at the usable CPUs")
@@ -185,10 +185,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.input:
-        result = verify_all(args.n_max, source="file", path=args.input, workers=args.workers)
-    else:
-        result = verify_all(args.n_max, workers=args.workers)
+    source = "file" if args.input else "builtin"
+    result = verify_all(args.n_max, source=source, path=args.input, workers=args.workers)
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2))
     else:

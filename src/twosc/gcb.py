@@ -292,7 +292,7 @@ def build_gcb(spec: GcbSpec, zero_l_reading: str = PRINTED) -> Graph:
 
     ``zero_l_reading`` accepts only ``PRINTED`` and chooses nothing; it
     stays for the benchmark's callers, which pass it, and goes away with
-    ROADMAP item 7's benchmark change.  Any other value raises ValueError.
+    ROADMAP item 9's benchmark change.  Any other value raises ValueError.
     """
     if zero_l_reading != PRINTED:
         raise ValueError(f"zero_l_reading must be {PRINTED!r}, got {zero_l_reading!r}")

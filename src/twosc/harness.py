@@ -1,28 +1,30 @@
 """The theorem battery: exhaustive machine verification over small graphs.
 
-Every generated (or ingested) graph is pushed through each applicable
-check; failures become counterexample records carrying the graph6 string
-so they can be reproduced externally.  Graphs above the full-battery
-limit (``FULL_BATTERY_MAX`` by default, every size the generator reaches)
-only run the decomposition round trip.  The triangle classification
-requires that a minimal graph's reduction trace succeed and replay.
-Worker processes take shares of the stream through
+Each theorem is one entry of ``THEOREMS``, whose check runs on every
+graph it applies to; the entries and the per-n counting table read one
+``Facts`` record per graph.  ``n_max`` is the one range for the builtin
+generator and for graph6 files, so file graphs above 8 vertices get
+every theorem.  Failures become counterexample records carrying the
+graph6 string so they can be reproduced externally.  The triangle
+classification requires that a minimal graph's reduction trace succeed
+and replay.  Worker processes take shares of the stream through
 ``enumeration._split``, and the parts' results merge as values.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .core import Graph, has_triangle
 from .enumeration import GENERATOR_MAX, RangeError, _split, _usable_cpus, connected_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
-    _bipartite_sides_agree,
+    MaximalityCertificate,
+    bipartite_proposition_holds,
     complement_star_certificate,
     edge_maximal_by_definition,
     greedy_edge_maximal,
@@ -33,18 +35,112 @@ from .recognition import (
 )
 from .reduction import classify_edge_minimal_with_triangles, replay_trace
 
-FULL_BATTERY_MAX = 8
-
 COUNTS = ("graphs", "two_sc", "edge_minimal", "edge_maximal", "triangle_free_two_sc")
 
+
+class Facts(NamedTuple):
+    """One graph's 2SC and triangle tests, edge-minimality (False off 2SC) and complement certificate (None off 2SC)."""
+
+    g: Graph
+    two_sc: bool
+    triangle_free: bool
+    minimal: bool
+    cert: MaximalityCertificate | None
+
+
+def facts(g: Graph) -> Facts:
+    """The facts record of g, which every theorem and the counting row read."""
+    two_sc = g.two_sc
+    minimal = two_sc and is_edge_minimal(g).minimal
+    return Facts(g, two_sc, not has_triangle(g), minimal, complement_star_certificate(g) if two_sc else None)
+
+
+# A check's verdict and, on a failure, the detail its record keeps.
+Outcome = tuple[bool, dict[str, Any] | None]
+
+
+class Theorem(NamedTuple):
+    """One theorem: ``check`` runs on each graph that ``applies`` admits; both are module-level, so a table pickles."""
+
+    name: str
+    applies: Callable[[Facts], bool]
+    check: Callable[[Facts], Outcome]
+
+
+def _any_graph(f: Facts) -> bool:
+    return True
+
+
+def _two_sc(f: Facts) -> bool:
+    return f.two_sc
+
+
+def _triangle_free_two_sc(f: Facts) -> bool:
+    return f.two_sc and f.triangle_free
+
+
+def _two_sc_with_triangles(f: Facts) -> bool:
+    return f.two_sc and not f.triangle_free
+
+
+def _recognition_matches_metric(f: Facts) -> Outcome:
+    metric = metric_two_self_centered(f.g)
+    ok = f.two_sc == metric
+    return ok, None if ok else {"conditions": f.two_sc, "metric": metric}
+
+
+def _edge_maximal_complement_stars(f: Facts) -> Outcome:
+    maximal = f.cert is not None and f.cert.maximal
+    definition = edge_maximal_by_definition(f.g)
+    ok = maximal == definition
+    return ok, None if ok else {"characterization": maximal, "definition": definition}
+
+
+def _bipartite_minimal_proposition(f: Facts) -> Outcome:
+    return bipartite_proposition_holds(f.g, f.cert, f.minimal), None
+
+
+def _triangle_free_minimality(f: Facts) -> Outcome:
+    forward = f.minimal or not f.triangle_free
+    converse = f.triangle_free or not (f.minimal and not has_critical_triple(f.g))
+    ok = forward and converse
+    return ok, None if ok else {"forward": forward, "converse": converse}
+
+
+def _gcb_round_trip(f: Facts) -> Outcome:
+    spec, roles = decompose_triangle_free(f.g)
+    equal = assemble(spec) == f.g.relabel(roles.order)
+    validation = validate_gcb_spec(spec)
+    sbic = validation.sbic is not None and validation.sbic.passed
+    ok = equal and validation.passed
+    return ok, None if ok else {"rebuild_equal": equal, "sbic": sbic, "validation": validation.passed}
+
+
+def _triangle_classification(f: Facts) -> Outcome:
+    cls = classify_edge_minimal_with_triangles(f.g)
+    trace_ok = cls.trace is None or (cls.trace.succeeded and replay_trace(f.g, cls.trace))
+    ok = cls.minimal == f.minimal and trace_ok
+    return ok, None if ok else {"classified": cls.minimal, "definition": f.minimal, "trace_ok": trace_ok}
+
+
+def _sandwich_existence(f: Facts) -> Outcome:
+    g = f.g
+    sub = greedy_edge_minimal(g)
+    sup = greedy_edge_maximal(g)
+    sub_ok = all(not s & ~m for s, m in zip(sub.adj, g.adj)) and sub.two_sc and is_edge_minimal(sub).minimal
+    sup_ok = all(not m & ~s for s, m in zip(sup.adj, g.adj)) and sup.two_sc and edge_maximal_by_definition(sup)
+    ok = sub_ok and sup_ok
+    return ok, None if ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok}
+
+
 THEOREMS = (
-    "recognition_matches_metric",
-    "edge_maximal_complement_stars",
-    "bipartite_minimal_proposition",
-    "triangle_free_minimality",
-    "gcb_round_trip",
-    "triangle_classification",
-    "sandwich_existence",
+    Theorem("recognition_matches_metric", _any_graph, _recognition_matches_metric),
+    Theorem("edge_maximal_complement_stars", _two_sc, _edge_maximal_complement_stars),
+    Theorem("bipartite_minimal_proposition", _any_graph, _bipartite_minimal_proposition),
+    Theorem("triangle_free_minimality", _two_sc, _triangle_free_minimality),
+    Theorem("gcb_round_trip", _triangle_free_two_sc, _gcb_round_trip),
+    Theorem("triangle_classification", _two_sc_with_triangles, _triangle_classification),
+    Theorem("sandwich_existence", _two_sc, _sandwich_existence),
 )
 
 
@@ -54,10 +150,9 @@ class VerificationReport:
 
     ``seconds`` is the time inside this theorem's check, summed over graphs
     and worker processes, so with workers it can exceed the wall time.  The
-    shared prelude (the 2SC test, the counting table's minimality and
-    maximality, and the complement certificate) is charged to no theorem,
-    and the reduction's search to ``triangle_classification``.  ``n_min``
-    is 0 while no graph has been examined.
+    shared prelude, ``facts``, is charged to no theorem, and the
+    reduction's search to ``triangle_classification``.  ``n_min`` is 0
+    while no graph has been examined.
     """
 
     theorem: str
@@ -95,15 +190,7 @@ class VerificationReport:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "theorem": self.theorem,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "examined": self.examined,
-            "passes": self.passes,
-            "counterexamples": self.counterexamples,
-            "seconds": round(self.seconds, 3),
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 @dataclass
@@ -121,7 +208,7 @@ class BatteryResult:
     @staticmethod
     def empty() -> BatteryResult:
         """The result over no graphs, which merging leaves unchanged."""
-        return BatteryResult([VerificationReport(name) for name in THEOREMS], {}, 0.0)
+        return BatteryResult([VerificationReport(t.name) for t in THEOREMS], {}, 0.0)
 
     def merge(self, other: BatteryResult) -> BatteryResult:
         """The result over both streams.
@@ -152,148 +239,63 @@ class BatteryResult:
         }
 
 
-def _check_graph(g: Graph, full: bool, part: BatteryResult, reports: dict[str, VerificationReport]) -> None:
-    """Run the battery on one graph and record its outcomes in ``part``.
-
-    ``reports`` maps each theorem to its report in ``part``; ``_run_chunk``
-    builds it once per stream rather than once per graph.
-    """
+def _check_graph(g: Graph, theorems: tuple[Theorem, ...], part: BatteryResult) -> None:
+    """Count g in ``part``'s table, and record each entry of ``theorems`` that applies in its report."""
     clock = time.perf_counter
-    two_sc = g.two_sc
-    triangle_free = not has_triangle(g)
-    minimal = is_edge_minimal(g).minimal if two_sc else False
-    cert = complement_star_certificate(g) if two_sc else None
-    maximal_char = cert is not None and cert.maximal
-    row = part.counting.get(g.n)
-    if row is None:
-        row = part.counting[g.n] = dict.fromkeys(COUNTS, 0)
-    for key, val in zip(COUNTS, (1, two_sc, minimal, maximal_char, two_sc and triangle_free)):
+    f = facts(g)
+    row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
+    maximal = f.cert is not None and f.cert.maximal
+    for key, val in zip(COUNTS, (1, f.two_sc, f.minimal, maximal, f.two_sc and f.triangle_free)):
         row[key] += val
-
-    if full:
-        start = clock()
-        metric = metric_two_self_centered(g)
-        reports["recognition_matches_metric"].record(
-            g,
-            two_sc == metric,
-            None if two_sc == metric else {"conditions": two_sc, "metric": metric},
-            clock() - start,
-        )
-
-        start = clock()
-        left = cert is not None and not cert.complement_connected and minimal
-        reports["bipartite_minimal_proposition"].record(g, _bipartite_sides_agree(g, left), None, clock() - start)
-
-        if two_sc:
+    for theorem, rep in zip(theorems, part.reports):
+        if theorem.applies(f):
             start = clock()
-            defn_max = edge_maximal_by_definition(g)
-            reports["edge_maximal_complement_stars"].record(
-                g,
-                maximal_char == defn_max,
-                None if maximal_char == defn_max else {"characterization": maximal_char, "definition": defn_max},
-                clock() - start,
-            )
-
-            start = clock()
-            forward_ok = minimal or not triangle_free
-            converse_ok = triangle_free or not (minimal and not has_critical_triple(g))
-            reports["triangle_free_minimality"].record(
-                g,
-                forward_ok and converse_ok,
-                None if forward_ok and converse_ok else {"forward": forward_ok, "converse": converse_ok},
-                clock() - start,
-            )
-
-            if not triangle_free:
-                start = clock()
-                cls = classify_edge_minimal_with_triangles(g)
-                agree = cls.minimal == minimal
-                trace_ok = cls.trace is None or (cls.trace.succeeded and replay_trace(g, cls.trace))
-                reports["triangle_classification"].record(
-                    g,
-                    agree and trace_ok,
-                    None if agree and trace_ok else {"classified": cls.minimal, "definition": minimal, "trace_ok": trace_ok},
-                    clock() - start,
-                )
-
-            start = clock()
-            sub = greedy_edge_minimal(g)
-            sup = greedy_edge_maximal(g)
-            sub_ok = (
-                all(not s & ~m for s, m in zip(sub.adj, g.adj))
-                and sub.two_sc
-                and is_edge_minimal(sub).minimal
-            )
-            sup_ok = (
-                all(not m & ~s for s, m in zip(sup.adj, g.adj))
-                and sup.two_sc
-                and edge_maximal_by_definition(sup)
-            )
-            reports["sandwich_existence"].record(
-                g,
-                sub_ok and sup_ok,
-                None if sub_ok and sup_ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok},
-                clock() - start,
-            )
-
-    if two_sc and triangle_free:
-        start = clock()
-        spec, roles = decompose_triangle_free(g)
-        rebuilt = assemble(spec)
-        equal = rebuilt == g.relabel(roles.order)
-        validation = validate_gcb_spec(spec)
-        ok = equal and validation.passed
-        reports["gcb_round_trip"].record(
-            g,
-            ok,
-            None
-            if ok
-            else {
-                "rebuild_equal": equal,
-                "sbic": validation.sbic is not None and validation.sbic.passed,
-                "validation": validation.passed,
-            },
-            clock() - start,
-        )
+            ok, detail = theorem.check(f)
+            rep.record(g, ok, detail, clock() - start)
 
 
-def _run_chunk(full_max: int, graphs: Iterable[Graph]) -> BatteryResult:
-    """The battery over one stream of graphs, full up to ``full_max`` vertices."""
+def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> BatteryResult:
+    """The battery table ``theorems`` over one stream of graphs."""
     start = time.perf_counter()
-    part = BatteryResult.empty()
-    reports = {rep.theorem: rep for rep in part.reports}
+    part = BatteryResult([VerificationReport(t.name) for t in theorems], {}, 0.0)
     for g in graphs:
-        _check_graph(g, g.n <= full_max, part, reports)
+        _check_graph(g, theorems, part)
     part.seconds = time.perf_counter() - start
     return part
 
 
 def verify_all(
-    n_max: int = FULL_BATTERY_MAX,
+    n_max: int = GENERATOR_MAX,
     *,
     source: str = "builtin",
     path: str | None = None,
     workers: int = 1,
-    full_battery_max: int = FULL_BATTERY_MAX,
+    full_battery_max: int | None = None,
 ) -> BatteryResult:
-    """Run the whole battery over the builtin generator or a graph6 file.
+    """Run every theorem over the builtin generator or a graph6 file.
 
-    Graphs with more than ``full_battery_max`` vertices only run the
-    decomposition round trip.  With ``workers > 1`` the stream is read
-    into a list and dealt into that many shares by position
-    (``enumeration._split``): the caller works the first and one child
-    process each of the others.  Reports merge associatively, so the
-    outcome is identical for any worker count.  There are never more
+    ``n_max`` is the one range for both sources: each graph with at most
+    ``n_max`` vertices runs every theorem that applies to it, so a file's
+    graphs above 8 vertices get every theorem.  With ``workers > 1`` the
+    stream is read into a list and dealt into that many shares by
+    position (``enumeration._split``): the caller works the first and one
+    child process each of the others.  Reports merge associatively, so
+    the outcome is identical for any worker count.  There are never more
     shares than usable CPUs, and one share streams the input without
-    holding it.  Each input ``Graph`` is validated once, by the reader
-    or the generator, and reaches the checks as that value; children get
-    it pickled, which does not validate it again.  Raises ``RangeError``
-    when ``n_max < 1``, since such a run would check nothing, and, before
-    any work, when the builtin source gets ``n_max > GENERATOR_MAX``.
+    holding it.  Each input ``Graph`` is validated once, by the reader or
+    the generator; children get it pickled, which does not validate it
+    again.  Raises ``RangeError`` when ``n_max < 1``, and, before any
+    work, when the builtin source gets ``n_max > GENERATOR_MAX``.
+
+    ``full_battery_max`` limits nothing.  The benchmark's ``battery-n8``
+    passes ``n_max``, and the keyword goes away with ROADMAP item 9's
+    benchmark change.  A value below ``n_max`` raises ValueError.
     """
     start = time.perf_counter()
     if n_max < 1:
         raise RangeError(f"the battery needs n_max >= 1, got {n_max}")
+    if full_battery_max is not None and full_battery_max < n_max:
+        raise ValueError(f"full_battery_max must be at least n_max = {n_max}, got {full_battery_max}")
     if source == "builtin":
         if n_max > GENERATOR_MAX:
             raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got n_max = {n_max}")
@@ -306,7 +308,7 @@ def verify_all(
         raise ValueError(f"unknown source {source!r}")
 
     workers = max(1, min(workers, _usable_cpus()))
-    parts = _split(_run_chunk, full_battery_max, graphs, workers)
+    parts = _split(_run_chunk, THEOREMS, graphs, workers)
     result = reduce(BatteryResult.merge, parts, BatteryResult.empty())
     result.seconds = time.perf_counter() - start
     return result
@@ -322,16 +324,14 @@ def render_table(result: BatteryResult) -> str:
     Names every theorem that stopped below the table's largest n, so the
     summary lines claim only the ranges that were checked.
     """
-    lines = []
-    width = max(len(name) for name in THEOREMS)
-    lines.append(f"{'theorem':<{width}}  {'range':>7}  {'examined':>8}  {'passes':>8}  {'fails':>5}")
+    width = max(len(t.name) for t in THEOREMS)
+    lines = [f"{'theorem':<{width}}  {'range':>7}  {'examined':>8}  {'passes':>8}  {'fails':>5}"]
     for rep in result.reports:
         rng = f"{rep.n_min}..{rep.n_max}" if rep.examined else "-"
         lines.append(
             f"{rep.theorem:<{width}}  {rng:>7}  {rep.examined:>8}  {rep.passes:>8}  {len(rep.counterexamples):>5}"
         )
-    lines.append("")
-    lines.append(f"{'n':>2}  {'graphs':>6}  {'two_sc':>6}  {'minimal':>7}  {'maximal':>7}  {'tri_free_2sc':>12}")
+    lines += ["", f"{'n':>2}  {'graphs':>6}  {'two_sc':>6}  {'minimal':>7}  {'maximal':>7}  {'tri_free_2sc':>12}"]
     for n, row in sorted(result.counting.items()):
         lines.append(
             f"{n:>2}  {row['graphs']:>6}  {row['two_sc']:>6}  {row['edge_minimal']:>7}  "

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
-from .core import Graph, GraphError, bits, has_triangle, mask_of, triangles
+from .core import MAX_VERTICES, Graph, GraphError, bits, has_triangle, mask_of, triangles
 
 
 class WitnessError(GraphError):
@@ -36,11 +36,13 @@ class HasTriangleError(GraphError):
 
 
 def _masks(family: Iterable[Iterable[int]]) -> tuple[int, ...]:
+    """One mask per set; WitnessError for an id outside 0..MAX_VERTICES-1, before any mask is built."""
     out = []
     for members in family:
         ids = tuple(members)
-        if ids and min(ids) < 0:
-            raise WitnessError(f"witness set holds the negative vertex id {min(ids)}")
+        bad = next((v for v in ids if not 0 <= v < MAX_VERTICES), None)
+        if bad is not None:
+            raise WitnessError(f"witness set holds the vertex id {bad}, outside 0..{MAX_VERTICES - 1}")
         out.append(mask_of(ids))
     return tuple(out)
 
@@ -64,7 +66,7 @@ class SbicWitness:
 
     @staticmethod
     def from_families(a_family: Iterable[Iterable[int]], b_family: Iterable[Iterable[int]]) -> SbicWitness:
-        """The witness of two families of vertex-id sets; WitnessError for a negative id."""
+        """The witness of two families of vertex-id sets; WitnessError for an id outside 0..MAX_VERTICES-1."""
         return SbicWitness(_masks(a_family), _masks(b_family))
 
     @property

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria complete.  All exhaustive sweeps are over one representative
 per isomorphism class from the built-in generator, whose own fidelity is
-criterion 10.
+criterion 10.  Criteria 1-4, 7 and 8 run the battery's own entries of
+``harness.THEOREMS``, so they check the code the battery runs.
 """
 
 import time
@@ -33,19 +34,8 @@ from twosc.graphs import (
     capped_k33,
     CAPPED_K33_LABELS,
 )
-from twosc.recognition import (
-    check_bipartite_proposition,
-    complement_star_certificate,
-    condition_verdict,
-    critical_triples,
-    edge_maximal_by_definition,
-    greedy_edge_maximal,
-    greedy_edge_minimal,
-    has_critical_triple,
-    is_edge_minimal,
-    metric_two_self_centered,
-)
-from twosc.reduction import classify_edge_minimal_with_triangles, replay_trace
+from twosc.harness import THEOREMS, facts
+from twosc.recognition import condition_verdict, critical_triples, is_edge_minimal
 
 from conftest import GENERATOR_DIGESTS, graph6_digest
 
@@ -63,67 +53,57 @@ def connected_up_to(n_max):
         yield from connected_classes(n)
 
 
-def two_sc_up_to(n_max):
+def run_theorem(name, n_max=7):
+    """The battery's entry ``name`` over the connected classes with n <= n_max it applies to.
+
+    Returns the number examined and the details of the failures.
+    """
+    theorem = next(t for t in THEOREMS if t.name == name)
+    examined = 0
+    failures = []
     for g in connected_up_to(n_max):
-        if condition_verdict(g).is_2sc:
-            yield g
+        f = facts(g)
+        if theorem.applies(f):
+            examined += 1
+            ok, detail = theorem.check(f)
+            if not ok:
+                failures.append(detail)
+    return examined, failures
 
 
 def test_criterion_1_recognizer_equivalence():
     start = time.perf_counter()
-    examined = 0
-    disagreements = 0
-    for g in connected_up_to(7):
-        examined += 1
-        if condition_verdict(g).is_2sc != metric_two_self_centered(g):
-            disagreements += 1
+    examined, failures = run_theorem("recognition_matches_metric")
     elapsed = time.perf_counter() - start
     report(
         "criterion 1: recognizer equals radius=diameter=2 on all connected graphs, n <= 7",
-        disagreements == 0 and examined == sum(CONNECTED_GRAPH_COUNTS[:7]) and elapsed < 60.0,
-        f"{examined} graphs, {disagreements} disagreements, {elapsed:.1f}s",
+        not failures and examined == sum(CONNECTED_GRAPH_COUNTS[:7]) and elapsed < 60.0,
+        f"{examined} graphs, {len(failures)} disagreements, {elapsed:.1f}s",
     )
 
 
 def test_criterion_2_edge_maximal_characterization():
-    examined = 0
-    disagreements = 0
-    for g in two_sc_up_to(7):
-        examined += 1
-        if complement_star_certificate(g).maximal != edge_maximal_by_definition(g):
-            disagreements += 1
+    examined, failures = run_theorem("edge_maximal_complement_stars")
     report(
         "criterion 2: complement-star characterization equals definitional edge-maximality",
-        disagreements == 0 and examined > 0,
-        f"{examined} graphs, {disagreements} disagreements",
+        not failures and examined > 0,
+        f"{examined} graphs, {len(failures)} disagreements",
     )
 
 
 def test_criterion_3_bipartite_proposition():
-    examined = 0
-    failures = 0
-    for g in connected_up_to(7):
-        examined += 1
-        if not check_bipartite_proposition(g):
-            failures += 1
+    examined, failures = run_theorem("bipartite_minimal_proposition")
     report(
         "criterion 3: minimal-with-disconnected-complement iff complete bipartite",
-        failures == 0,
-        f"{examined} graphs, {failures} failures",
+        not failures,
+        f"{examined} graphs, {len(failures)} failures",
     )
 
 
 def test_criterion_4_triangle_free_lemma_both_directions():
-    forward_bad = 0
-    converse_bad = 0
-    examined = 0
-    for g in two_sc_up_to(7):
-        examined += 1
-        minimal = is_edge_minimal(g).minimal
-        if not has_triangle(g) and not minimal:
-            forward_bad += 1
-        if minimal and not has_critical_triple(g) and has_triangle(g):
-            converse_bad += 1
+    examined, failures = run_theorem("triangle_free_minimality")
+    forward_bad = sum(not d["forward"] for d in failures)
+    converse_bad = sum(not d["converse"] for d in failures)
     report(
         "criterion 4: triangle-free implies minimal; minimal without critical triples is triangle-free",
         forward_bad == 0 and converse_bad == 0,
@@ -169,46 +149,22 @@ def test_criterion_6_gcb_completeness():
 
 
 def test_criterion_7_triangle_classification():
-    examined = 0
-    disagreements = 0
-    trace_violations = 0
-    for g in two_sc_up_to(7):
-        if not has_triangle(g):
-            continue
-        examined += 1
-        cls = classify_edge_minimal_with_triangles(g)
-        if cls.minimal != is_edge_minimal(g).minimal:
-            disagreements += 1
-        if cls.minimal and not (cls.trace.succeeded and replay_trace(g, cls.trace)):
-            trace_violations += 1
+    examined, failures = run_theorem("triangle_classification")
+    disagreements = sum(d["classified"] != d["definition"] for d in failures)
+    trace_violations = sum(not d["trace_ok"] for d in failures)
     report(
         "criterion 7: triangle classification equals definitional minimality; each minimal graph's trace replays",
-        disagreements == 0 and trace_violations == 0 and examined > 0,
+        not failures and examined > 0,
         f"{examined} graphs, {disagreements} disagreements, {trace_violations} trace violations",
     )
 
 
 def test_criterion_8_sandwich_existence():
-    examined = 0
-    failures = 0
-    for g in two_sc_up_to(7):
-        examined += 1
-        sub = greedy_edge_minimal(g)
-        sup = greedy_edge_maximal(g)
-        ok = (
-            all(not (sub.adj[v] & ~g.adj[v]) for v in range(g.n))
-            and all(not (g.adj[v] & ~sup.adj[v]) for v in range(g.n))
-            and condition_verdict(sub).is_2sc
-            and condition_verdict(sup).is_2sc
-            and is_edge_minimal(sub).minimal
-            and edge_maximal_by_definition(sup)
-        )
-        if not ok:
-            failures += 1
+    examined, failures = run_theorem("sandwich_existence")
     report(
         "criterion 8: greedy edge-minimal subgraph and edge-maximal supergraph exist for every 2sc graph",
-        failures == 0,
-        f"{examined} graphs, {failures} failures",
+        not failures,
+        f"{examined} graphs, {len(failures)} failures",
     )
 
 

@@ -4,10 +4,11 @@ import json
 import pytest
 
 from twosc import gcb, harness
-from twosc.core import Graph
+from twosc.core import Graph, has_triangle
 from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
-from twosc.harness import FULL_BATTERY_MAX, THEOREMS, BatteryResult, _run_chunk, render_table, verify_all
-from twosc.io import write_graph6
+from twosc.graphs import petersen_graph
+from twosc.harness import COUNTS, THEOREMS, BatteryResult, _run_chunk, render_table, verify_all
+from twosc.io import graph6_decode, write_graph6
 
 # Class counts established by the exhaustive battery itself; the
 # recognizer half is independently confirmed against shortest paths by
@@ -23,9 +24,8 @@ EXPECTED_COUNTING = {
 # sorted keys.  Speed-ups of the battery must leave it unchanged.
 BATTERY_7_DIGEST = "77f74dbfa439f699e854e643779875ce8851d7977790488fa5b7b5654ec91e56"
 
-# The same digest for verify_all(8, full_battery_max=8), the full battery
-# over every connected class with n <= 8, which the default range now
-# runs.  No check fails there.
+# The same digest for verify_all(8), every theorem over every connected
+# class with n <= 8.  No check fails there.
 BATTERY_8_FULL_DIGEST = "5bc9bf084e1d5ee27b712c082278f7d8e5ae374bb3504ba0464887a3dfa4348d"
 
 
@@ -40,7 +40,7 @@ def strip_times(doc):
 def test_battery_clean_up_to_six():
     result = verify_all(6)
     assert result.counterexample_total() == 0
-    assert {rep.theorem for rep in result.reports} == set(THEOREMS)
+    assert [rep.theorem for rep in result.reports] == [t.name for t in THEOREMS]
     for rep in result.reports:
         assert rep.passes == rep.examined
         assert rep.passes + len(rep.counterexamples) == rep.examined
@@ -61,7 +61,7 @@ def connected_up_to(n_max):
 
 def test_chunk_results_merge_associatively():
     graphs = connected_up_to(6)
-    a, b, c = (_run_chunk(FULL_BATTERY_MAX, graphs[i::3]) for i in range(3))
+    a, b, c = (_run_chunk(THEOREMS, graphs[i::3]) for i in range(3))
     left = strip_times(a.merge(b).merge(c).to_json())
     right = strip_times(a.merge(b.merge(c)).to_json())
     assert left == right == strip_times(verify_all(6).to_json())
@@ -84,7 +84,7 @@ def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
     for c in rep.counterexamples:
         assert c["detail"]["rebuild_equal"] is False and c["detail"]["sbic"] is True
     # the records are sorted where parts merge, whatever order the stream had
-    backwards = _run_chunk(FULL_BATTERY_MAX, connected_up_to(6)[::-1])
+    backwards = _run_chunk(THEOREMS, connected_up_to(6)[::-1])
     assert strip_times(BatteryResult.empty().merge(backwards).to_json()) == strip_times(result.to_json())
 
 
@@ -131,7 +131,7 @@ def test_render_table_mentions_everything():
     result = verify_all(5)
     text = render_table(result)
     for theorem in THEOREMS:
-        assert theorem in text
+        assert theorem.name in text
     assert "two_sc" in text
     assert "checked below" not in text
     assert text.splitlines()[-1] == "total counterexamples: 0 over n = 1..5"
@@ -146,7 +146,7 @@ def test_battery_json_pinned_up_to_seven():
 
 
 def test_full_battery_json_pinned_up_to_eight():
-    assert battery_digest(verify_all(8, full_battery_max=8)) == BATTERY_8_FULL_DIGEST
+    assert battery_digest(verify_all(8)) == BATTERY_8_FULL_DIGEST
 
 
 def test_known_counterexample_from_a_file(tmp_path):
@@ -156,7 +156,7 @@ def test_known_counterexample_from_a_file(tmp_path):
     # pass, as does the n = 9 graph H}iQYCM, which greedy also fails.
     path = tmp_path / "graphs.g6"
     path.write_text("G}aHOs\nGthQ]?\nH}iQYCM\n")
-    result = verify_all(9, source="file", path=str(path), full_battery_max=9)
+    result = verify_all(9, source="file", path=str(path))
     rep = next(r for r in result.reports if r.theorem == "triangle_classification")
     assert (rep.examined, rep.passes) == (3, 3)
     assert result.counterexample_total() == 0
@@ -183,13 +183,57 @@ def test_builtin_range_beyond_the_generator_is_rejected_before_any_work(monkeypa
 
 
 def test_render_table_names_what_it_skipped():
-    lines = render_table(verify_all(6, full_battery_max=5)).splitlines()
+    # a part at n = 6 where only the round trip ran, merged onto a run to 5
+    six = BatteryResult.empty()
+    six.counting[6] = dict.fromkeys(COUNTS, 0)
+    trip = next(r for r in six.reports if r.theorem == "gcb_round_trip")
+    for g in connected_classes(6):
+        six.counting[6]["graphs"] += 1
+        if g.two_sc and not has_triangle(g):
+            trip.record(g, True, None, 0.0)
+    lines = render_table(verify_all(5).merge(six)).splitlines()
     skipped = next(line for line in lines if line.startswith("checked below n = 6 only: "))
     for theorem in THEOREMS:
-        assert (theorem in skipped) == (theorem != "gcb_round_trip")
+        assert (theorem.name in skipped) == (theorem.name != "gcb_round_trip")
     assert "triangle_classification (n = 5..5)" in skipped
     assert not any(line.startswith("reduction order notes") for line in lines)
     assert lines[-1] == "total counterexamples: 0 over n = 1..6, 6 of 7 theorems checked below n = 6 only"
+
+
+def test_file_graphs_above_eight_vertices_get_every_theorem(tmp_path):
+    # H}iQYCM is edge-minimal with triangles (n = 9); Petersen is
+    # triangle-free (n = 10); both run every theorem that applies
+    path = tmp_path / "graphs.g6"
+    with open(path, "w") as handle:
+        write_graph6([graph6_decode("H}iQYCM"), petersen_graph()], handle)
+    result = verify_all(10, source="file", path=str(path))
+    examined = {rep.theorem: (rep.examined, rep.passes, rep.n_min, rep.n_max) for rep in result.reports}
+    assert examined == {
+        "recognition_matches_metric": (2, 2, 9, 10),
+        "edge_maximal_complement_stars": (2, 2, 9, 10),
+        "bipartite_minimal_proposition": (2, 2, 9, 10),
+        "triangle_free_minimality": (2, 2, 9, 10),
+        "gcb_round_trip": (1, 1, 10, 10),
+        "triangle_classification": (1, 1, 9, 9),
+        "sandwich_existence": (2, 2, 9, 10),
+    }
+    assert sorted(result.counting) == [9, 10]
+
+
+@pytest.mark.parametrize("n_max", [1, 6])
+def test_full_battery_max_below_n_max_is_rejected(n_max):
+    with pytest.raises(ValueError, match="full_battery_max"):
+        verify_all(n_max, full_battery_max=n_max - 1)
+    assert verify_all(n_max, full_battery_max=n_max).counterexample_total() == 0
+
+
+def test_file_source_in_shares(tmp_path):
+    path = tmp_path / "graphs.g6"
+    with open(path, "w") as handle:
+        write_graph6([g for n in range(1, 7) for g in connected_classes(n)], handle)
+    serial = strip_times(verify_all(6, source="file", path=str(path), workers=1).to_json())
+    assert strip_times(verify_all(6, source="file", path=str(path), workers=2).to_json()) == serial
+    assert serial == strip_times(verify_all(6).to_json())
 
 
 def test_report_seconds_time_each_check():

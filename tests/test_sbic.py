@@ -93,6 +93,16 @@ class TestVerify:
         with pytest.raises(WitnessError):
             SbicWitness.from_families([[0]], [[1, -2]])
 
+    @pytest.mark.parametrize("vertex", [64, 10**6, 2**70])
+    def test_vertex_id_above_the_cap_raises(self, vertex):
+        # rejected before a mask is built: 1 << 2**70 raises OverflowError
+        with pytest.raises(WitnessError):
+            SbicWitness.from_families([[0, vertex]], [[1]])
+
+    def test_vertex_id_at_the_cap_is_accepted(self):
+        witness = SbicWitness.from_families([[63]], [[0, 63]])
+        assert witness.a_masks == (1 << 63,) and witness.b_masks == (1 | 1 << 63,)
+
 
 class TestConstruct:
     def test_single_vertex(self):

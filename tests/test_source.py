@@ -5,8 +5,10 @@ import importlib.util
 import pathlib
 
 import twosc
-from twosc import gcb
+from twosc import gcb, harness
+from twosc.enumeration import connected_classes
 from twosc.graphs import petersen_graph
+from twosc.io import write_graph6
 
 SRC = pathlib.Path(twosc.__file__).parent
 
@@ -23,9 +25,10 @@ def test_library_has_no_assert_and_no_debug_branch():
     assert len(files) > 10 and found == []
 
 
-def test_benchmark_finds_what_it_calls():
-    # the benchmark wraps these functions by name and builds specs with
-    # build_gcb's zero_l_reading keyword; a rename or deletion in the
+def test_benchmark_finds_what_it_calls(tmp_path):
+    # the benchmark wraps these functions by name, builds specs with
+    # build_gcb's zero_l_reading keyword and runs the battery with
+    # verify_all's full_battery_max keyword; a rename or deletion in the
     # library must fail here, not only in the benchmark's own smoke run
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
@@ -39,3 +42,9 @@ def test_benchmark_finds_what_it_calls():
     gcb_spec, roles = gcb.decompose_triangle_free(g)
     built = gcb.build_gcb(gcb.GcbSpec.from_json(gcb_spec.to_json()), zero_l_reading=gcb.PRINTED)
     assert built == g.relabel(roles.order)
+
+    frozen = tmp_path / "connected_n5.g6"
+    with open(frozen, "w") as handle:
+        write_graph6(connected_classes(5), handle)
+    result = harness.verify_all(5, source="file", path=str(frozen), full_battery_max=5, workers=1)
+    assert result.counterexample_total() == 0 and sorted(result.counting) == [5]

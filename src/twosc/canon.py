@@ -174,7 +174,7 @@ def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Seque
     return out
 
 
-def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Sequence[int]) -> int:
+def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Sequence[int]) -> tuple[int, int]:
     """Pattern-packed search over lanes of w = max(n, 8) bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``,
@@ -182,7 +182,23 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
     its smaller twins ``before[v]`` (``_twins_before``).  Returns the maximal
     code over those orders, the per-level maxima packed into one int
     after a leading 1 bit (so graphs of different sizes get different
-    codes).
+    codes), and the bitmask S of the vertices that some optimal order
+    with twins ascending places last.
+
+    S is or-ed from the vertex that each state attaining the code places
+    at level n - 1, so it holds the last vertex of every such order, and
+    only those.  Collapsing states loses none, since collapsed states
+    have the same vertex set.  When the seed clique fills every position
+    the graph is complete, all its vertices are twins, and the one such
+    order is the identity, so S is {n - 1}.  Two optimal orders differ
+    by an automorphism, and the twin rule is the search's only
+    automorphism pruning: sorting each twin class of an optimal order
+    into ascending positions keeps it optimal and keeps last a last
+    vertex with no larger twin, while a vertex with a larger twin is
+    never last in such an order.  So S is the orbit of the last vertex
+    less the vertices that have a larger twin, and the vertex n - 1,
+    which has none, is in S iff it is in that orbit: the test of McKay's
+    canonical construction path (``enumeration``).
     """
     bits_of = _members(n)
     if n <= 8:
@@ -226,6 +242,7 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
     else:
         size = code = 1
         pool = [(1 << v, row_exp[v], lane << v * w) for v in bits_of[first] if not before[v]]
+    last = 1 << n - 1 if size >= n else 0
     for level in range(size, n):
         allow = allowed[level]
         best = -1
@@ -245,6 +262,10 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
                     grown = []
                 grown.append((state, v))
         code = code << level | best
+        if level == n - 1:
+            for _, v in grown:
+                last |= 1 << v
+            break  # no state grows past the last level
         states: set[tuple[int, int, int]] = set()
         for (mask, pats, pb), v in grown:
             mask |= 1 << v
@@ -276,7 +297,7 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
                     pos += 1
             states.add((mask, pats, pb))
         pool = states
-    return code
+    return code, last
 
 
 def _rank_shift(n: int) -> int:
@@ -313,14 +334,14 @@ def partition_code(adj: Sequence[int]) -> int:
     The maximal column-major code over the orders that place the rank
     cells (``_cells``) one after another: a complete isomorphism
     invariant, which ``_decode`` turns back into ``canonical_masks``.
-    The generator's dedupe key, though it derives each candidate's
-    ranks and twins from its parent's and calls only the grouping and
-    the search.  Raises ``GraphError`` on the empty graph.
+    The generator runs the same search on each candidate, with ranks
+    and twins derived from its parent's, and reads the last-vertex set
+    too.  Raises ``GraphError`` on the empty graph.
     """
     n = len(adj)
     if n < 1:
         raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")
-    return _maximal_code(adj, n, _cells(_ranks(adj, n)), _twins_before(adj))
+    return _maximal_code(adj, n, _cells(_ranks(adj, n)), _twins_before(adj))[0]
 
 
 def _decode(code: int, n: int) -> tuple[int, ...]:

@@ -2,10 +2,18 @@
 
 Graphs on k+1 vertices are produced by attaching a new vertex x to
 every k-vertex class representative P, with a neighbourhood mask M over
-P's vertices.  The candidates are deduplicated by ``partition_code``,
-the canonical form packed into an int, so each distinct code decodes
-straight into its class representative and no second search runs per
-class.
+P's vertices.  Each class comes out once, by McKay's canonical
+construction path (*Isomorph-free exhaustive generation*, J. Algorithms
+1998): a candidate G counts only if x is in the orbit of the vertex that
+G's canonical order places last.  Then G - x is isomorphic to G minus
+that vertex, so one parent class, G's canonical parent, emits G.  The
+canonical search (``canon._maximal_code``) returns the code and the
+set S of vertices last in some optimal order with twins ascending; x
+has the largest index, so it has no larger twin and is in the orbit
+iff it is in S.  Two masks of P give the same G only through an
+automorphism of P, and a set of codes per parent drops those copies.
+So any slice of the parents emits disjoint classes, and each code
+decodes straight into its class representative with no second search.
 
 Most masks give a class that another mask gives too.  Three exact rules
 drop such candidates before any canonical search; each names a property
@@ -29,16 +37,17 @@ that some candidate of every class has:
   unchanged.  So M may contain a vertex only if it also contains every
   smaller twin of it.
 
-Together they keep a candidate of every class: for a graph G and a
-vertex v of minimum rank, G - v is some parent P under an isomorphism
-that maps v's neighbourhood to a mask M; that candidate passes the
-first two rules, and permuting M inside P's twin classes makes it pass
-the third without changing its class or x's rank.  None of the rules
-depends on how the parents are labelled.  At n = 8 they leave 15,918
-of the 29,755 minimum-degree candidates to search, for 12,346 classes.
-Orbits of the whole automorphism group of P are not pruned: even a
-perfect pruning would still search 13,268 candidates at n = 8, the
-distinct codes, per parent, of the candidates the first two rules
+Together they keep a candidate of every class with x in the orbit: for
+a graph G and the vertex v its canonical order places last, which has
+minimum rank, G - v is some parent P under an isomorphism that maps
+v's neighbourhood to a mask M; that candidate passes the first two
+rules, and permuting M inside P's twin classes makes it pass the third
+without changing its class or the vertex x stands for.  None of the
+rules depends on how the parents are labelled.  At n = 8 they leave
+15,918 of the 29,755 minimum-degree candidates to search, for 12,346
+classes.  Orbits of the whole automorphism group of P are not pruned:
+even a perfect pruning would still search 13,268 candidates at n = 8,
+the distinct codes, per parent, of the candidates the first two rules
 keep.
 
 A candidate's data comes from its parent's.  Only the masks that pass
@@ -56,12 +65,11 @@ From n = 7 on, a level splits the parents into one share per usable
 CPU: the caller works the first share and child processes the others.
 Each share decodes, sorts and builds its own classes, and a child sends
 its sorted ``Graph`` list back pickled, which does not validate again.
-The caller sorts the concatenated runs, which timsort merges in linear
-time, and keeps one graph per class, since shares reach some classes
-twice (466 of 12,346 at n = 8).  Smaller levels, and machines with one
-usable CPU, run one share in the caller and start no process.  The
-battery's worker processes (``harness.verify_all``) are shares of the
-same ``_split``.
+The shares' classes are disjoint, so the level is the sort of the
+concatenated runs, which timsort merges in linear time.  Smaller
+levels, and machines with one usable CPU, run one share in the caller
+and start no process.  The battery's worker processes
+(``harness.verify_all``) are shares of the same ``_split``.
 
 The published class counts are pinned here and checked by the test
 suite; connected counts additionally get a record-for-record cross-check
@@ -114,20 +122,25 @@ def _usable_cpus() -> int:
 
 def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Graph, ...]:
     """The sorted canonical classes on n vertices from the (n-1)-vertex parents."""
-    runs = _split(_classes, n, parents, shares)
-    graphs = sorted((g for run in runs for g in run), key=attrgetter("adj"))  # timsort merges the runs
-    del runs  # not held while the level is built
-    return tuple(g for i, g in enumerate(graphs) if not i or g.adj != graphs[i - 1].adj)
+    runs = _split(_classes, n, parents, shares)  # disjoint, each sorted: timsort merges them
+    return tuple(sorted((g for run in runs for g in run), key=attrgetter("adj")))
 
 
 def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
-    """The sorted representatives of the classes these parents' candidates reach."""
+    """The sorted representatives of the classes whose canonical parent is among these."""
     return [Graph(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
 
 
-def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> set[int]:
-    """The ``partition_code`` of every candidate from these parents that passes the three rules."""
-    return {_maximal_code(*candidate) for base in parents for candidate in _candidates(n, base)}
+def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """The ``partition_code`` of each class whose canonical parent is among these, once.
+
+    A candidate counts only if its new vertex is last in some optimal
+    order; the set drops the copies of a class that the parent's other
+    automorphisms make.
+    """
+    for base in parents:
+        found = (_maximal_code(*candidate) for candidate in _candidates(n, base))
+        yield from {code for code, last in found if last >> n - 1 & 1}
 
 
 def _candidates(n: int, base: Sequence[int]) -> Iterator[tuple[list[int], int, list[int], list[int]]]:

@@ -2,12 +2,17 @@ import itertools
 import random
 from typing import Sequence
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from twosc.canon import (
+    _cells,
     _decode,
+    _maximal_code,
+    _ranks,
+    _twins_before,
     are_isomorphic,
     canonical_graph,
     canonical_masks,
@@ -29,15 +34,10 @@ def _rank_cells(adj: Sequence[int]) -> list[list[int]]:
     return [[v for v in range(n) if rank[v] == r] for r in sorted(set(rank), reverse=True)]
 
 
-def brute_force_canonical(adj):
-    """Maximal column-major code over the admissible orders, by enumeration.
-
-    The admissible orders place the rank cells one after another.
-    Returns the masks relabelled by an order attaining the code.
-    """
+def _admissible_orders(adj: Sequence[int]):
+    """Each order that places the rank cells one after another, with its
+    column-major code as a list of per-level values."""
     n = len(adj)
-    best_code = None
-    best_perm = tuple(range(n))
     for parts in itertools.product(*(itertools.permutations(c) for c in _rank_cells(adj))):
         perm = sum(parts, ())
         code = []
@@ -46,10 +46,34 @@ def brute_force_canonical(adj):
             for i in range(k):
                 value = value << 1 | (adj[perm[k]] >> perm[i] & 1)
             code.append(value)
-        if best_code is None or code > best_code:
-            best_code = code
-            best_perm = perm
-    return Graph(adj).relabel(best_perm).adj
+        yield perm, code
+
+
+def brute_force_canonical(adj):
+    """Maximal column-major code over the admissible orders, by enumeration.
+
+    Returns the masks relabelled by an order attaining the code.
+    """
+    perm, _ = max(_admissible_orders(adj), key=lambda order: order[1])
+    return Graph(adj).relabel(perm).adj
+
+
+def brute_force_last(adj) -> tuple[int, int, int]:
+    """Three vertex bitmasks, by enumeration: the vertices last in some
+    optimal admissible order, those last in some optimal order that
+    places each vertex after its smaller twins, and those with a larger
+    twin.  Twins u and v have N(u) - v = N(v) - u."""
+    n = len(adj)
+    orders = list(_admissible_orders(adj))
+    best = max(code for _, code in orders)
+    twins = [(u, v) for v in range(n) for u in range(v) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)]
+    last = ascending = 0
+    for perm, code in orders:
+        if code == best:
+            last |= 1 << perm[-1]
+            if all(perm.index(u) < perm.index(v) for u, v in twins):
+                ascending |= 1 << perm[-1]
+    return last, ascending, sum({1 << u for u, _ in twins})
 
 
 def _disjoint_union(*parts: Graph) -> Graph:
@@ -129,6 +153,24 @@ def test_matches_brute_force_exhaustively():
         for g in graph_classes(n):
             h = _shuffled(g, rng)
             assert canonical_masks(h.adj) == brute_force_canonical(h.adj)
+
+
+def test_last_vertices_match_brute_force():
+    # the search's S is the set of vertices last in an optimal order with
+    # twins ascending, and that set is the orbit of the last vertex less
+    # the vertices with a larger twin; every class with n <= 6 comes from
+    # the atlas shipped with networkx, so a generator that loses a class
+    # to a wrong S cannot hide it here
+    rng = random.Random(27)
+    for a in nx.graph_atlas_g():
+        n = a.number_of_nodes()
+        if 1 <= n <= 6:
+            g = Graph.from_edges(n, list(a.edges()))
+            for h in (g, *(_shuffled(g, rng) for _ in range(3))):
+                adj = h.adj
+                _, last = _maximal_code(adj, n, _cells(_ranks(adj, n)), _twins_before(adj))
+                orbit, ascending, larger = brute_force_last(adj)
+                assert last == ascending == orbit & ~larger, graph6_encode(h)
 
 
 @given(graphs(max_n=8), st.randoms(use_true_random=False))

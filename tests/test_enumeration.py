@@ -49,11 +49,20 @@ def test_split_level_is_pinned_up_to_seven(shares):
         assert graph6_digest(_level(parents, n, shares)) == GENERATOR_DIGESTS[n][0], n
 
 
+def assert_slices_are_disjoint(n: int, parents, count: int) -> None:
+    """The two shares' slices of the parents emit each class once, and
+    no class from both: a class comes out only from its canonical parent."""
+    emitted = [list(_codes(n, parents[i::2])) for i in (0, 1)]
+    codes = [set(run) for run in emitted]
+    assert [len(c) for c in codes] == [len(run) for run in emitted], n
+    assert not codes[0] & codes[1], n
+    assert len(codes[0] | codes[1]) == count, n
+
+
 def test_split_level_equals_one_share_up_to_eight():
-    # the shares' runs overlap (466 classes at n = 8), and the merge keeps
-    # one graph per class, in the one share's order
     for n in range(2, 9):
         parents = [g.adj for g in graph_classes(n - 1)]
+        assert_slices_are_disjoint(n, parents, ALL_GRAPH_COUNTS[n - 1])
         one = _level(parents, n, 1)
         assert _level(parents, n, 2) == one, n
         assert len({g.adj for g in one}) == len(one) == ALL_GRAPH_COUNTS[n - 1], n
@@ -88,15 +97,15 @@ def test_pruned_codes_match_unpruned_reference():
     rng = random.Random(16)
     for n in range(2, 8):
         parents = [g.adj for g in graph_classes(n - 1)]
-        want, _ = unpruned_codes(n, parents)
-        assert _codes(n, parents) == want, n
+        want = sorted(unpruned_codes(n, parents)[0])
+        assert sorted(_codes(n, parents)) == want, n
         for _ in range(3):
             relabelled = []
             for adj in parents:
                 order = list(range(n - 1))
                 rng.shuffle(order)
                 relabelled.append(Graph(adj).relabel(order).adj)
-            assert _codes(n, relabelled) == want, n
+            assert sorted(_codes(n, relabelled)) == want, n
 
 
 @pytest.mark.parametrize("n, searched, unpruned", [(5, 37, 70), (6, 181, 348), (7, 1347, 2690)])
@@ -111,7 +120,7 @@ def test_searched_candidates_are_pinned(monkeypatch, n, searched, unpruned):
         return search(*args)
 
     monkeypatch.setattr(twosc.enumeration, "_maximal_code", counted)
-    assert len(_codes(n, parents)) == ALL_GRAPH_COUNTS[n - 1]
+    assert len(list(_codes(n, parents))) == ALL_GRAPH_COUNTS[n - 1]
     assert len(calls) == searched
 
 
@@ -195,9 +204,12 @@ LEVEL_9_DIGEST = "6a4c92db50c2a4679a499b8371e4e1379c5d8737d5d5135408ba7fa0d52cbd
 
 @pytest.mark.slow
 def test_nine_vertex_level():
-    classes = _level([g.adj for g in graph_classes(8)], 9, 2)
+    parents = [g.adj for g in graph_classes(8)]
+    classes = _level(parents, 9, 2)
     assert len(classes) == 274668  # OEIS A000088
     assert graph6_digest(classes) == LEVEL_9_DIGEST
+    del classes
+    assert_slices_are_disjoint(9, parents, 274668)
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(twosc.__file__)))

@@ -34,11 +34,11 @@ maximal code.
 Each state carries, per unplaced vertex, the bit pattern of its
 adjacencies to the placed prefix, so extending a state costs one
 shift-or per vertex instead of a rescan.  One search serves every
-vertex count: all patterns of a state are packed into one integer, in
-lanes of w bits, one lane per vertex.  Up to 8 vertices w = 8, and the
-byte lanes are read through tables built at import (the byte-lane
-spread comes from ``core``); above that w = n, since a pattern never
-has more than n - 1 bits.
+vertex count: all patterns of a state are packed into one integer, one
+lane per vertex, in ``core``'s packed bit-matrix layout (lanes of 8, 16,
+32 or 64 bits, the narrowest that holds n bits; a pattern never has more
+than n - 1).  A vertex's starting lanes are its column of the packed
+adjacency rows.
 
 A cell whose vertices no rank tells apart (a regular graph is one cell)
 leaves many orders tied.  Three exact rules keep those ties from
@@ -81,8 +81,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _BYTE_LANES as _LANES  # each byte spread to one bit per byte lane
-from .core import Graph, GraphError, bits, columns_to_masks
+from .core import _ONES, Graph, GraphError, _lane_width, _pack, bits, columns_to_masks
 
 
 class _Members(dict):
@@ -175,7 +174,7 @@ def _unary(row_exp: Sequence[int], cell: Sequence[int], shift: int, under: Seque
 
 
 def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Sequence[int]) -> tuple[int, int]:
-    """Pattern-packed search over lanes of w = max(n, 8) bits.
+    """Pattern-packed search over ``core``'s lanes of w = 8, 16, 32 or 64 bits.
 
     Level i may place only the vertices in the bitmask ``allowed[i]``,
     the cells of the ordered partition in turn, and a vertex only after
@@ -201,17 +200,16 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
     canonical construction path (``enumeration``).
     """
     bits_of = _members(n)
-    if n <= 8:
-        w = 8
-        row_exp = [_LANES[m] for m in adj]
-    else:
-        w = n
-        row_exp = [sum(1 << u * w for u in bits_of[m]) for m in adj]
-    # lane u of row_exp[v] holds adj(u, v); lane v is already 0
+    w = _lane_width(n)
     lane = (1 << w) - 1
+    ones = _ONES[w]  # bit 0 of every lane
     # every lane but its top bit: a pattern has at most n - 1 bits, so
     # clearing the top one before the shift keeps it inside its lane
-    low = ((1 << w * w) - 1) // lane * (lane >> 1)
+    low = ones * (lane >> 1)
+    # column v of the packed rows: lane u of row_exp[v] holds adj(u, v),
+    # and lane v is 0
+    x = _pack(adj)
+    row_exp = [x >> v & ones for v in range(n)]
     # A state is (mask, lanes, placed lanes).  Bits 0..n-1 of the mask
     # are the placed vertices; above them, the n bits of slot p hold
     # the multi-vertex cell that starts at position p, if any, so
@@ -223,7 +221,6 @@ def _maximal_code(adj: Sequence[int], n: int, allowed: Sequence[int], before: Se
     if any(adj[v] & first for v in bits_of[first]):
         # seeded: the first cell holds an edge, so every seed is one
         # lazy cell of at least two vertices
-        ones = low // (lane >> 1)  # bit 0 of every lane
         top = low + ones
         # a lane count c, plus under[j], reaches the lane's top bit iff c > j
         under = [ones * ((lane >> 1) - j) for j in range(n)]
@@ -336,8 +333,11 @@ def partition_code(adj: Sequence[int]) -> int:
     invariant, which ``_decode`` turns back into ``canonical_masks``.
     The generator runs the same search on each candidate, with ranks
     and twins derived from its parent's, and reads the last-vertex set
-    too.  Raises ``GraphError`` on the empty graph.
+    too.  Raises ``GraphError`` on the empty graph, and ``Graph``'s
+    typed ``GraphError`` on masks that are no simple graph on 1..64
+    vertices.
     """
+    adj = Graph(adj).adj
     n = len(adj)
     if n < 1:
         raise GraphError(f"partition_code takes graphs on 1 or more vertices, got {n}")

@@ -23,7 +23,7 @@ from .gcb import (
     decompose_triangle_free,
     sample_gcb_spec,
 )
-from .io import dot_encode, graph6_decode, graph6_encode, read_graph6
+from .io import dot_encode, graph6_decode, graph6_encode, ingest_graph6, read_graph6
 from .harness import render_table, verify_all
 from .recognition import (
     critical_triples,
@@ -47,9 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...], graphs: bool = True) -> None:
-        if graphs:
-            p.add_argument("graph6", nargs="*", help="inline graph6 records (default: stdin)")
+    def add_common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+        p.add_argument("graph6", nargs="*", help="inline graph6 records (default: stdin)")
         p.add_argument("--input", help="read from this file instead of stdin")
         p.add_argument("--format", choices=formats, default=formats[0])
 
@@ -84,11 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _input_graphs(args: argparse.Namespace) -> list[Graph]:
-    if getattr(args, "graph6", None):
+    if args.graph6:
         return [graph6_decode(s) for s in args.graph6]
     if args.input:
-        with open(args.input, "r", encoding="ascii") as handle:
-            return list(read_graph6(handle))
+        return list(ingest_graph6(args.input))
     return list(read_graph6(sys.stdin))
 
 

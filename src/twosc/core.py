@@ -105,7 +105,9 @@ def bits(mask: int) -> Iterator[int]:
 # standard sizes, little-endian on every platform, so packing and
 # unpacking cost O(1) Python operations, and the transpose costs
 # log2(w) masked swaps (the block-swap transpose; Warren, *Hacker's
-# Delight*, 2nd ed., ch. 7).
+# Delight*, 2nd ed., ch. 7).  The common-neighbour kernel, graph6 and
+# the canonical search (``canon``, whose lanes start as the columns of
+# the packed rows) all use this layout.
 
 
 def _lane_width(n: int) -> int:
@@ -142,6 +144,7 @@ def _swaps(w: int) -> tuple[tuple[int, int], ...]:
 
 _SWAPS = {w: _swaps(w) for w in _LANE_FORMATS}
 _DIAGONAL = {w: _every(w + 1, (w + 1) * w) for w in _LANE_FORMATS}
+_ONES = {w: _every(w, w * w) for w in _LANE_FORMATS}  # bit 0 of every lane
 
 
 def _reversed_bytes() -> bytes:
@@ -154,19 +157,6 @@ def _reversed_bytes() -> bytes:
 
 
 _REVERSED = _reversed_bytes()
-
-
-def _byte_lanes() -> tuple[int, ...]:
-    """The 256-entry table of each byte spread to one bit per byte lane (bit v to bit 8v)."""
-    table = struct.Struct("<256Q")
-    x = int.from_bytes(table.pack(*range(256)), "little")
-    every = _every(64, 256 * 64)
-    for s, pattern in ((28, 0x0000000F0000000F), (14, 0x0003000300030003), (7, 0x0101010101010101)):
-        x = (x | x << s) & pattern * every
-    return table.unpack(x.to_bytes(table.size, "little"))
-
-
-_BYTE_LANES = _byte_lanes()
 
 
 def _pack(rows: Sequence[int]) -> int:
@@ -247,7 +237,6 @@ def masks_to_columns(adj: Sequence[int]) -> int:
 # matrix over the Booleans with a count that saturates at 2 (SWAR lane
 # arithmetic; Warren, *Hacker's Delight*, 2nd ed., ch. 7).
 
-_ONES = {w: _every(w, w * w) for w in _LANE_FORMATS}
 # lane u holds bits u + 1 .. w - 1, which is (1 << w) - (2 << u); summed
 # over the lanes, that is the ones shifted up a lane minus twice the diagonal
 _UPPER = {w: (_ONES[w] << w) - 2 * _DIAGONAL[w] for w in _LANE_FORMATS}

@@ -111,7 +111,7 @@ def condition_verdict(g: Graph) -> TwoScVerdict:
     adj, n = g.adj, g.n
     common = g.common
     bad_vertex, bad_pair = first_bad_degree(adj, n), next(common.pairs(common.far), None)
-    return TwoScVerdict(n >= 4 and bad_vertex is None and bad_pair is None, bad_vertex, bad_pair)
+    return TwoScVerdict(False, bad_vertex, bad_pair)
 
 
 def metric_two_self_centered(g: Graph) -> bool:

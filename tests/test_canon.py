@@ -18,7 +18,7 @@ from twosc.canon import (
     canonical_masks,
     partition_code,
 )
-from twosc.core import Graph, GraphError, complement
+from twosc.core import Graph, GraphError, LoopError, VertexLimitError, complement
 from twosc.enumeration import graph_classes
 from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, path_graph, petersen_graph
 from twosc.io import graph6_decode, graph6_encode
@@ -264,6 +264,20 @@ def test_partition_code_decodes_to_the_canonical_form_above_eight(g):
     assert partition_code(_decode(code, g.n)) == code
 
 
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
+def test_partition_code_at_every_lane_width(n):
+    # the search runs in lanes of 8, 16, 32 or 64 bits: both ends of
+    # each, on seeded random graphs and on a cycle, whose one cell makes
+    # the search seed edges and split lazy cells
+    rng = random.Random(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    randoms = [Graph.from_edges(n, [e for e in pairs if rng.random() < p]) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
+    for g in randoms + [cycle_graph(n)]:
+        code = partition_code(g.adj)
+        assert partition_code(_shuffled(g, rng).adj) == code
+        assert partition_code(_decode(code, n)) == code
+
+
 def reference_decode(code: int, n: int) -> list[int]:
     """The per-bit decoder the packed kernel replaced."""
     adj = [0] * n
@@ -308,6 +322,19 @@ def test_graph6_body_is_the_code_below_its_leading_one(g):
 def test_partition_code_rejects_sizes_outside_its_range(n):
     with pytest.raises(GraphError, match="1 or more"):
         partition_code([0] * n)
+
+
+@pytest.mark.parametrize("adj, error, match", [
+    pytest.param([0] * 65, VertexLimitError, "65 vertices", id="65-vertices"),
+    pytest.param([1, 0], LoopError, "self-loop at vertex 0", id="loop"),
+    pytest.param([2, 0], GraphError, "not symmetric", id="one-sided"),
+    pytest.param([4, 0], GraphError, "outside", id="out-of-range"),
+    pytest.param([-1, 0], GraphError, "outside", id="negative"),
+])
+def test_raw_masks_raise_typed_errors(adj, error, match):
+    for entry in (partition_code, canonical_masks):
+        with pytest.raises(error, match=match):
+            entry(adj)
 
 
 def test_canonical_is_idempotent():

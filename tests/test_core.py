@@ -13,7 +13,6 @@ from twosc.core import (
     GraphError,
     LoopError,
     VertexLimitError,
-    _BYTE_LANES,
     common_neighbours,
     complement,
     connected_components,
@@ -466,6 +465,3 @@ class TestCommonNeighbours:
         g = petersen_graph()
         assert g.common is g.common
         assert "common" not in vars(petersen_graph())
-
-    def test_byte_lane_table(self):
-        assert _BYTE_LANES == tuple(sum(1 << 8 * v for v in range(8) if m >> v & 1) for m in range(256))

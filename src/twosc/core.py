@@ -25,7 +25,6 @@ found the same way.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
@@ -349,8 +348,34 @@ def _first_bad_mask(adj: Sequence[int]) -> GraphError:
     return GraphError("neighbor masks must be ints")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Frozen:
+    """An immutable value: ``__init__`` sets each field once through
+    ``object.__setattr__``, and two values are equal, with equal hashes,
+    when they have the same type and the same ``_key()``, the tuple of
+    their fields.  No ``__slots__``: unpickling restores the instance
+    dict without calling ``__init__`` or ``__setattr__``, where slots
+    would be restored through the ``__setattr__`` that refuses.
+    """
+
+    def _key(self) -> tuple[Any, ...]:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Frozen):
     """A simple undirected graph; ``adj[v]`` is the neighbor bitmask of v.
 
     Instances are immutable: every mutation-shaped operation returns a new
@@ -360,17 +385,17 @@ class Graph:
 
     ``two_sc`` runs ``conditions_ok`` the first time it is read, and
     ``common`` the common-neighbour kernel; each keeps its answer on the
-    value.  Neither is a field, so they take no part in ``==`` or
-    ``hash``, and a pickled graph carries them along.
+    value.  The memo lives in the instance dict and takes no part in
+    ``==`` or ``hash``, and a pickled graph carries it along without
+    being validated again.
     """
 
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        adj = self.adj
+    def __init__(self, adj: Sequence[int]) -> None:
         if type(adj) is not tuple:
             adj = tuple(adj)
-            object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "adj", adj)
         n = len(adj)
         if n > MAX_VERTICES:
             raise VertexLimitError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
@@ -463,12 +488,14 @@ class Graph:
             raise GraphError("relabeling must be a permutation of all vertices")
         return Graph(tuple(relabel_masks(self.adj, order)))
 
+    def _key(self) -> tuple[tuple[int, ...]]:
+        return (self.adj,)
+
     def __repr__(self) -> str:
         return f"Graph(n={len(self.adj)}, edges={self.edges()!r})"
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """All-pairs shortest-path data with the derived metric invariants.
 
     Unreachable pairs carry the sentinel ``infinity`` (= n), strictly

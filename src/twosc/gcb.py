@@ -35,11 +35,10 @@ the core's rows and the covering sets from off_x up.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Any
+from typing import Any, NamedTuple
 
-from .core import MAX_VERTICES, Graph, GraphError, VertexLimitError, bits, relabel_masks, symmetric_masks
+from .core import MAX_VERTICES, Graph, GraphError, VertexLimitError, _Frozen, bits, relabel_masks, symmetric_masks
 from .io import FormatError
 from .recognition import NotTwoSelfCenteredError
 from .sbic import HasTriangleError, SbicReport, SbicWitness, WitnessError, construct_sbic, verify_sbic
@@ -60,8 +59,7 @@ class SampleRetryError(GraphError):
     """Random search for a valid spec exhausted its retry limit."""
 
 
-@dataclass(frozen=True)
-class GcbSpec:
+class GcbSpec(_Frozen):
     """Parameters of a generalized complete bipartite construction.
 
     The core x may be the empty graph; in that case both families must be
@@ -74,9 +72,19 @@ class GcbSpec:
     x: Graph
     witness: SbicWitness
 
-    def __post_init__(self) -> None:
-        if self.k < 0 or self.l < 0:
-            raise GraphError(f"side sizes must be non-negative, got k = {self.k}, l = {self.l}")
+    def __init__(self, k: int, l: int, x: Graph, witness: SbicWitness) -> None:
+        if k < 0 or l < 0:
+            raise GraphError(f"side sizes must be non-negative, got k = {k}, l = {l}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple[int, int, Graph, SbicWitness]:
+        return (self.k, self.l, self.x, self.witness)
+
+    def __repr__(self) -> str:
+        return f"GcbSpec(k={self.k!r}, l={self.l!r}, x={self.x!r}, witness={self.witness!r})"
 
     @property
     def r(self) -> int:
@@ -134,8 +142,7 @@ def _int_lists(value: Any, n: int, width: int | None = None) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     ok: bool
     applicable: bool
     counterexample: Any = None
@@ -144,8 +151,7 @@ class RuleVerdict:
         return {"ok": self.ok, "applicable": self.applicable, "counterexample": self.counterexample}
 
 
-@dataclass(frozen=True)
-class GcbValidation:
+class GcbValidation(NamedTuple):
     """Verdicts for the covering witness and each special-case constraint."""
 
     sbic: SbicReport | None
@@ -302,8 +308,7 @@ def build_gcb(spec: GcbSpec, zero_l_reading: str = PRINTED) -> Graph:
     return assemble(spec)
 
 
-@dataclass(frozen=True)
-class GcbRoles:
+class GcbRoles(NamedTuple):
     """Which original vertex plays which role in a decomposition.
 
     ``order`` is the full layout permutation: the original vertex placed

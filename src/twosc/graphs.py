@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Graph
+from .core import Graph, GraphError
 
 
 def empty_graph(n: int) -> Graph:
@@ -26,15 +26,19 @@ def path_graph(n: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
+        raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_bipartite(k: int, l: int) -> Graph:
+    if k < 0 or l < 0:
+        raise GraphError(f"side sizes must be non-negative, got {k} and {l}")
     return Graph.from_edges(k + l, [(i, k + j) for i in range(k) for j in range(l)])
 
 
 def star_graph(leaves: int) -> Graph:
+    if leaves < 0:
+        raise GraphError(f"leaf count must be non-negative, got {leaves}")
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 

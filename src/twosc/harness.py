@@ -14,7 +14,6 @@ and replay.  Worker processes take shares of the stream through
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from functools import reduce
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -144,8 +143,25 @@ THEOREMS = (
 )
 
 
-@dataclass
-class VerificationReport:
+class _Report:
+    """A mutable record whose fields are its ``__slots__``: equal field by field, unhashable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple[Any, ...]:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class VerificationReport(_Report):
     """Outcome of one theorem check over a graph stream.
 
     ``seconds`` is the time inside this theorem's check, summed over graphs
@@ -155,13 +171,25 @@ class VerificationReport:
     while no graph has been examined.
     """
 
-    theorem: str
-    n_min: int = 0
-    n_max: int = 0
-    examined: int = 0
-    passes: int = 0
-    counterexamples: list[dict[str, Any]] = field(default_factory=list)
-    seconds: float = 0.0
+    __slots__ = ("theorem", "n_min", "n_max", "examined", "passes", "counterexamples", "seconds")
+
+    def __init__(
+        self,
+        theorem: str,
+        n_min: int = 0,
+        n_max: int = 0,
+        examined: int = 0,
+        passes: int = 0,
+        counterexamples: list[dict[str, Any]] | None = None,
+        seconds: float = 0.0,
+    ) -> None:
+        self.theorem = theorem
+        self.n_min = n_min
+        self.n_max = n_max
+        self.examined = examined
+        self.passes = passes
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.seconds = seconds
 
     def record(self, g: Graph, ok: bool, detail: dict[str, Any] | None, seconds: float) -> None:
         """Count one examined graph; a failure keeps its graph6 and ``detail``."""
@@ -190,20 +218,25 @@ class VerificationReport:
         )
 
     def to_json(self) -> dict[str, Any]:
-        return {**asdict(self), "seconds": round(self.seconds, 3)}
+        doc = {name: getattr(self, name) for name in self.__slots__}
+        doc["counterexamples"] = list(self.counterexamples)
+        doc["seconds"] = round(self.seconds, 3)
+        return doc
 
 
-@dataclass
-class BatteryResult:
+class BatteryResult(_Report):
     """All reports plus the per-n counting table.
 
     ``seconds`` is the wall time of the run that produced the result; a
     merge adds the parts' times, and ``verify_all`` reports its own.
     """
 
-    reports: list[VerificationReport]
-    counting: dict[int, dict[str, int]]
-    seconds: float
+    __slots__ = ("reports", "counting", "seconds")
+
+    def __init__(self, reports: list[VerificationReport], counting: dict[int, dict[str, int]], seconds: float) -> None:
+        self.reports = reports
+        self.counting = counting
+        self.seconds = seconds
 
     @staticmethod
     def empty() -> BatteryResult:

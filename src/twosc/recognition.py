@@ -73,7 +73,6 @@ failing pairs: the same graph in O(n + the number of additions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
 from .core import Graph, GraphError, bits, complement_masks, component_masks
@@ -85,8 +84,7 @@ class NotTwoSelfCenteredError(GraphError):
     """The operation is only defined for 2-self-centered input."""
 
 
-@dataclass(frozen=True)
-class TwoScVerdict:
+class TwoScVerdict(NamedTuple):
     """Outcome of the 2-self-centered test with the first violation found."""
 
     is_2sc: bool
@@ -188,8 +186,7 @@ def edit_keeps_two_sc(adj: Sequence[int], n: int, u: int, v: int) -> bool:
     return bool(au & av) and not has_critical_endpoint(adj, u, v)
 
 
-@dataclass(frozen=True)
-class ComplementComponent:
+class ComplementComponent(NamedTuple):
     vertices: tuple[int, ...]
     star: bool
     center: int | None
@@ -198,8 +195,7 @@ class ComplementComponent:
         return {"vertices": list(self.vertices), "star": self.star, "center": self.center}
 
 
-@dataclass(frozen=True)
-class MaximalityCertificate:
+class MaximalityCertificate(NamedTuple):
     """Verdict on edge-maximality plus the complement decomposition evidence."""
 
     maximal: bool
@@ -273,8 +269,7 @@ def is_edge_maximal(g: Graph) -> MaximalityCertificate:
     return complement_star_certificate(g)
 
 
-@dataclass(frozen=True)
-class MinimalityWitness:
+class MinimalityWitness(NamedTuple):
     """Verdict on edge-minimality; when false, an edge whose removal is safe."""
 
     minimal: bool

@@ -40,7 +40,6 @@ its own edits, not from the whole result:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
@@ -180,8 +179,7 @@ def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep
     return result, _record(u, v, u_mask, v_mask)
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """The ordered steps of an iterated reduction and its outcome."""
 
     steps: tuple[ReductionStep, ...]
@@ -299,8 +297,7 @@ def reduction_succeeds_in_any_order(g: Graph) -> bool | None:
     return None if trace.failure_reason == _OUT_OF_BUDGET else False
 
 
-@dataclass(frozen=True)
-class TriangleClassification:
+class TriangleClassification(NamedTuple):
     """Evidence for the minimal-with-triangles test.
 
     ``failing_edge`` is the first triangle edge without a critical

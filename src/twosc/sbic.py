@@ -21,10 +21,9 @@ that no escape holds, are the condition's counterexamples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .core import MAX_VERTICES, Graph, GraphError, bits, has_triangle, mask_of, triangles
+from .core import MAX_VERTICES, Graph, GraphError, _Frozen, bits, has_triangle, mask_of, triangles
 
 
 class WitnessError(GraphError):
@@ -47,22 +46,36 @@ def _masks(family: Iterable[Iterable[int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SbicWitness:
-    """Two ordered families of vertex sets, stored as bitmasks.
+class SbicWitness(_Frozen):
+    """Two ordered families of vertex sets, stored as tuples of bitmasks.
 
-    Sets may repeat; empty sets are rejected (a cover never needs them and
-    distance to an empty set would be undefined), and so are negative
-    masks, which stand for no vertex set.
+    Each family may be any sequence of int masks.  Sets may repeat; empty
+    sets are rejected (a cover never needs them and distance to an empty
+    set would be undefined), and so are negative masks, which stand for
+    no vertex set, and masks that are not ints.
     """
 
     a_masks: tuple[int, ...]
     b_masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        for m in self.a_masks + self.b_masks:
+    def __init__(self, a_masks: Iterable[int], b_masks: Iterable[int]) -> None:
+        try:
+            a, b = tuple(a_masks), tuple(b_masks)
+        except TypeError:
+            raise WitnessError("each family must be a sequence of int masks") from None
+        for m in a + b:
+            if type(m) is not int:
+                raise WitnessError(f"set mask {m!r} is not an int")
             if m <= 0:
                 raise WitnessError("covering sets must be non-empty" if m == 0 else f"set mask {m} is negative")
+        object.__setattr__(self, "a_masks", a)
+        object.__setattr__(self, "b_masks", b)
+
+    def _key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return (self.a_masks, self.b_masks)
+
+    def __repr__(self) -> str:
+        return f"SbicWitness(a_masks={self.a_masks!r}, b_masks={self.b_masks!r})"
 
     @staticmethod
     def from_families(a_family: Iterable[Iterable[int]], b_family: Iterable[Iterable[int]]) -> SbicWitness:
@@ -88,8 +101,7 @@ class SbicWitness:
         return {"a_family": a, "b_family": b}
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     ok: bool
     counterexample: Any = None
 
@@ -97,8 +109,7 @@ class ConditionVerdict:
         return {"ok": self.ok, "counterexample": self.counterexample}
 
 
-@dataclass(frozen=True)
-class SbicReport:
+class SbicReport(NamedTuple):
     """Per-condition verdicts with the first counterexample of each failure."""
 
     triangle_free: ConditionVerdict

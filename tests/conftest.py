@@ -1,7 +1,9 @@
 import hashlib
+import pickle
 import random
 
 import hypothesis.strategies as st
+import pytest
 
 from twosc.core import Graph
 from twosc.io import graph6_encode
@@ -44,6 +46,19 @@ GENERATOR_DIGESTS = {
         "8c49e600cf2e9748adec851d606fa666e5fd302cb65419c6fb55d3b5d5d36bf8",
     ),
 }
+
+
+def assert_immutable_value(make, field: str) -> None:
+    """Values from ``make()`` are equal with equal hashes, refuse assignment and deletion, and survive pickling."""
+    a, b = make(), make()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    for name in (field, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is type(a) and copy == a == b and hash(copy) == hash(b)
 
 
 def graph6_digest(gs) -> str:

@@ -32,9 +32,10 @@ from twosc.graphs import (
     path_graph,
     petersen_graph,
     capped_k33,
+    star_graph,
 )
 
-from conftest import graphs
+from conftest import assert_immutable_value, graphs
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -382,6 +383,11 @@ class TestGraphValue:
         # the same exception class and message, and the first bad vertex or pair
         assert raised(Graph, adj) == raised(reference_validate, adj)
 
+    def test_immutable_value(self):
+        assert_immutable_value(petersen_graph, "adj")
+        g = Graph((2, 1))
+        assert g != (2, 1) and (2, 1) != g and g != Graph((0, 0))
+
     def test_list_input_is_stored_as_a_tuple(self):
         g = Graph([2, 1])
         assert type(g.adj) is tuple
@@ -442,6 +448,18 @@ class TestGraphValue:
     def test_relabel_rejects_a_non_permutation(self, order):
         with pytest.raises(GraphError, match="permutation"):
             path_graph(3).relabel(order)
+
+
+@pytest.mark.parametrize("make, args", [
+    (complete_bipartite, (-1, 2)),
+    (complete_bipartite, (2, -1)),
+    (star_graph, (-1,)),
+    (cycle_graph, (2,)),
+    (cycle_graph, (-1,)),
+])
+def test_named_graphs_reject_impossible_sizes(make, args):
+    with pytest.raises(GraphError):
+        make(*args)
 
 
 class TestCommonNeighbours:

@@ -238,12 +238,12 @@ def freeze_count(n, items):
 """
 
 
-def run_python(tmp_path, body: str) -> str:
-    """Run body in a fresh interpreter that sees twosc and the share helpers."""
+def run_python(tmp_path, body: str, *flags: str) -> str:
+    """Run body in a fresh interpreter, started with ``flags``, that sees twosc and the share helpers."""
     (tmp_path / "shares.py").write_text(SHARES_MODULE)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]))
     done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(body)],
+        [sys.executable, *flags, "-c", textwrap.dedent(body)],
         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -318,11 +318,15 @@ def test_split_freezes_the_collector_only_while_the_shares_run(tmp_path):
 
 
 def test_import_starts_no_multiprocessing(tmp_path):
+    # -S: no site hook imports any of these first.  dataclasses pulls in
+    # inspect, ast, dis and tokenize, which every process, the battery's
+    # and the generator's spawned shares included, would pay at start-up
     run_python(tmp_path, """
         import sys
         import twosc
-        assert "multiprocessing" not in sys.modules
-    """)
+        loaded = {"multiprocessing", "dataclasses", "inspect"} & set(sys.modules)
+        assert not loaded, loaded
+    """, "-S")
 
 
 def test_three_vertex_classes_by_hand():

@@ -34,7 +34,7 @@ from twosc.io import FormatError, graph6_decode, graph6_encode
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict, conditions_ok
 from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
 
-from conftest import triangle_free_two_sc_graphs
+from conftest import assert_immutable_value, triangle_free_two_sc_graphs
 
 
 # n = 22 with k = l = 0 after decomposition; the former readings both
@@ -165,6 +165,14 @@ class TestValidate:
         spec = GcbSpec(2, 2, Graph((0,)), SbicWitness((), ()))
         validation = validate_gcb_spec(spec)
         assert not validation.passed
+
+    def test_spec_is_an_immutable_value(self):
+        assert_immutable_value(lambda: decompose_triangle_free(petersen_graph())[0], "witness")
+        assert empty_spec(2, 3) != empty_spec(3, 2) != (2, 3)
+        spec = empty_spec(2, 3)
+        assert repr(spec) == (
+            "GcbSpec(k=2, l=3, x=Graph(n=0, edges=[]), witness=SbicWitness(a_masks=(), b_masks=()))"
+        )
 
     @pytest.mark.parametrize("k, l", [(-1, 2), (2, -1), (-3, -3)])
     def test_negative_side_size_is_a_typed_error(self, k, l):

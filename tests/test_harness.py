@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 
 import pytest
 
@@ -7,8 +8,8 @@ from twosc import gcb, harness
 from twosc.core import Graph, has_triangle
 from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
 from twosc.graphs import petersen_graph
-from twosc.harness import COUNTS, THEOREMS, BatteryResult, _run_chunk, render_table, verify_all
-from twosc.io import graph6_decode, write_graph6
+from twosc.harness import COUNTS, THEOREMS, BatteryResult, VerificationReport, _run_chunk, render_table, verify_all
+from twosc.io import graph6_decode, graph6_encode, write_graph6
 
 # Class counts established by the exhaustive battery itself; the
 # recognizer half is independently confirmed against shortest paths by
@@ -244,6 +245,29 @@ def test_report_seconds_time_each_check():
                 assert rep.seconds == 0.0
         assert any(rep.seconds > 0.0 for rep in result.reports)
         assert sum(rep.seconds for rep in result.reports) <= result.seconds
+
+
+def test_reports_are_plain_values():
+    a, b = VerificationReport("t"), VerificationReport("t")
+    assert a == b and a.counterexamples is not b.counterexamples
+    assert repr(a) == (
+        "VerificationReport(theorem='t', n_min=0, n_max=0, examined=0, passes=0, counterexamples=[], seconds=0.0)"
+    )
+    g = petersen_graph()
+    a.record(g, False, {"forward": False}, 0.0004)
+    assert a != b
+    assert list(a.to_json().items()) == [
+        ("theorem", "t"), ("n_min", 10), ("n_max", 10), ("examined", 1), ("passes", 0),
+        ("counterexamples", [{"n": 10, "graph6": graph6_encode(g), "detail": {"forward": False}}]),
+        ("seconds", 0.0),
+    ]
+    with pytest.raises(TypeError):
+        hash(a)
+    # the battery's shares send their results back pickled
+    result = _run_chunk(THEOREMS, connected_up_to(5))
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy is not result and copy == result and copy.to_json() == result.to_json()
+    assert repr(BatteryResult([], {}, 0.0)) == "BatteryResult(reports=[], counting={}, seconds=0.0)"
 
 
 def test_experiments_empty_in_range():

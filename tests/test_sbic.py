@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 
 from twosc.core import Graph, bits, distance_profile, has_triangle, triangles
 from twosc.enumeration import graph_classes
+from twosc.gcb import GcbSpec
 from twosc.graphs import complete_bipartite, complete_graph, cycle_graph, empty_graph, path_graph
 from twosc.sbic import (
     ConditionVerdict,
@@ -20,7 +21,7 @@ from twosc.sbic import (
     verify_sbic,
 )
 
-from conftest import disjoint_unions, graphs
+from conftest import assert_immutable_value, disjoint_unions, graphs
 
 
 def witness(a, b) -> SbicWitness:
@@ -86,6 +87,32 @@ class TestVerify:
     def test_negative_mask_rejected(self):
         with pytest.raises(WitnessError):
             SbicWitness((-1,), (1,))
+
+    @pytest.mark.parametrize("a, b", [([1], (2,)), ([1], [2]), ((1, 3), range(1, 3)), ((), ())])
+    def test_any_sequence_of_int_masks_is_stored_as_tuples(self, a, b):
+        w = SbicWitness(a, b)
+        assert (w.a_masks, w.b_masks) == (tuple(a), tuple(b))
+        assert type(w.a_masks) is tuple and type(w.b_masks) is tuple
+        same = SbicWitness(tuple(a), tuple(b))
+        assert w == same and hash(w) == hash(same)
+        assert hash(GcbSpec(1, 1, empty_graph(2), w)) == hash(GcbSpec(1, 1, empty_graph(2), same))
+
+    @pytest.mark.parametrize("a, b", [
+        (("a",), ()),
+        ((1.5,), (1,)),
+        ((1,), (None,)),
+        ((True,), (1,)),
+        ((1,), "1"),
+        (5, ()),
+        ((1,), None),
+    ])
+    def test_anything_but_int_masks_raises_witness_error(self, a, b):
+        with pytest.raises(WitnessError):
+            SbicWitness(a, b)
+
+    def test_immutable_value(self):
+        assert_immutable_value(lambda: SbicWitness((1, 6), (2,)), "a_masks")
+        assert SbicWitness((1,), (2,)) != SbicWitness((2,), (1,)) != ((2,), (1,))
 
     def test_negative_vertex_id_raises(self):
         with pytest.raises(WitnessError):

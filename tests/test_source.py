@@ -4,8 +4,10 @@ import ast
 import importlib.util
 import pathlib
 
+import pytest
+
 import twosc
-from twosc import gcb, harness
+from twosc import core, gcb, harness, recognition, reduction, sbic
 from twosc.enumeration import connected_classes
 from twosc.graphs import petersen_graph
 from twosc.io import write_graph6
@@ -48,3 +50,31 @@ def test_benchmark_finds_what_it_calls(tmp_path):
         write_graph6(connected_classes(5), handle)
     result = harness.verify_all(5, source="file", path=str(frozen), full_battery_max=5, workers=1)
     assert result.counterexample_total() == 0 and sorted(result.counting) == [5]
+
+
+# Unpacking and tuple equality read the result records by position, so
+# each record's field order is part of the API.
+RECORD_FIELDS = {
+    core.DistanceProfile: ("distances", "eccentricities", "radius", "diameter", "infinity"),
+    recognition.TwoScVerdict: ("is_2sc", "violating_vertex", "violating_pair"),
+    recognition.ComplementComponent: ("vertices", "star", "center"),
+    recognition.MaximalityCertificate: ("maximal", "complement_connected", "components"),
+    recognition.MinimalityWitness: ("minimal", "removable_edge"),
+    gcb.RuleVerdict: ("ok", "applicable", "counterexample"),
+    gcb.GcbValidation: (
+        "sbic", "sbic_error", "zero_k", "zero_l", "empty_family_sides",
+        "empty_core_iff_no_connectors", "singleton_core_needs_side",
+    ),
+    gcb.GcbRoles: ("k_vertices", "l_vertices", "y_vertices", "z_vertices", "x_vertices"),
+    sbic.ConditionVerdict: ("ok", "counterexample"),
+    sbic.SbicReport: (
+        "triangle_free", "covering", "distant_pairs_share_set", "a_far_vertices_escape", "b_far_vertices_escape",
+    ),
+    reduction.ReductionTrace: ("steps", "final", "succeeded", "failure_reason"),
+    reduction.TriangleClassification: ("minimal", "failing_edge", "trace"),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_result_records_are_tuples_in_field_order(record):
+    assert issubclass(record, tuple) and record._fields == RECORD_FIELDS[record]

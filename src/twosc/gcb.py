@@ -64,7 +64,9 @@ class GcbSpec(_Frozen):
 
     The core x may be the empty graph; in that case both families must be
     empty and k, l >= 2, which builds the plain complete bipartite graph.
-    A negative side size raises GraphError.
+    A negative side size raises GraphError, and a covering set that
+    reaches outside the core raises WitnessError, so every spec's sets
+    hang on its core.
     """
 
     k: int
@@ -75,6 +77,8 @@ class GcbSpec(_Frozen):
     def __init__(self, k: int, l: int, x: Graph, witness: SbicWitness) -> None:
         if k < 0 or l < 0:
             raise GraphError(f"side sizes must be non-negative, got k = {k}, l = {l}")
+        if any(m >> x.n for m in witness.a_masks + witness.b_masks):
+            raise WitnessError("witness set references vertices outside the core")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "x", x)
@@ -127,11 +131,7 @@ class GcbSpec(_Frozen):
         if not (_int_lists(a_family, n) and _int_lists(b_family, n)):
             raise FormatError(f"'a_family' and 'b_family' must be lists of lists of ints in 0..{n - 1}")
         witness = SbicWitness.from_families(a_family, b_family)
-        adj = [0] * n
-        for u, v in edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return GcbSpec(k, l, Graph(tuple(adj)), witness)
+        return GcbSpec(k, l, Graph.from_edges(n, edges), witness)
 
 
 def _int_lists(value: Any, n: int, width: int | None = None) -> bool:
@@ -154,8 +154,7 @@ class RuleVerdict(NamedTuple):
 class GcbValidation(NamedTuple):
     """Verdicts for the covering witness and each special-case constraint."""
 
-    sbic: SbicReport | None
-    sbic_error: str | None
+    sbic: SbicReport
     zero_k: RuleVerdict
     zero_l: RuleVerdict
     empty_family_sides: RuleVerdict
@@ -164,29 +163,12 @@ class GcbValidation(NamedTuple):
 
     @property
     def passed(self) -> bool:
-        if self.sbic is None or not self.sbic.passed:
-            return False
-        return all(
-            rule.ok
-            for rule in (
-                self.zero_k,
-                self.zero_l,
-                self.empty_family_sides,
-                self.empty_core_iff_no_connectors,
-                self.singleton_core_needs_side,
-            )
-        )
+        return self.sbic.passed and all(rule.ok for rule in self[1:])
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "passed": self.passed,
-            "sbic": self.sbic.to_json() if self.sbic else {"error": self.sbic_error},
-            "zero_k": self.zero_k.to_json(),
-            "zero_l": self.zero_l.to_json(),
-            "empty_family_sides": self.empty_family_sides.to_json(),
-            "empty_core_iff_no_connectors": self.empty_core_iff_no_connectors.to_json(),
-            "singleton_core_needs_side": self.singleton_core_needs_side.to_json(),
-        }
+        doc: dict[str, Any] = {"passed": self.passed}
+        doc.update((name, verdict.to_json()) for name, verdict in zip(self._fields, self))
+        return doc
 
 
 def _zero_side_rule(own: tuple[int, ...], others: tuple[int, ...], empty: bool, far_side: int) -> RuleVerdict:
@@ -208,15 +190,9 @@ def _zero_side_rule(own: tuple[int, ...], others: tuple[int, ...], empty: bool, 
 def validate_gcb_spec(spec: GcbSpec) -> GcbValidation:
     """Check the covering witness and all special-case constraints.
 
-    Never raises on a bad spec; every failure is a reported verdict.
+    Never raises: a spec's sets lie in its core (``GcbSpec`` checks
+    that), so every failure is a reported verdict.
     """
-    try:
-        sbic_report: SbicReport | None = verify_sbic(spec.x, spec.witness)
-        sbic_error = None
-    except WitnessError as exc:
-        sbic_report = None
-        sbic_error = str(exc)
-
     a, b = spec.witness.a_masks, spec.witness.b_masks
     zero_k = _zero_side_rule(a, b, spec.k == 0, spec.l)
     zero_l = _zero_side_rule(b, a, spec.l == 0, spec.k)
@@ -243,8 +219,7 @@ def validate_gcb_spec(spec: GcbSpec) -> GcbValidation:
     )
 
     return GcbValidation(
-        sbic_report,
-        sbic_error,
+        verify_sbic(spec.x, spec.witness),
         zero_k,
         zero_l,
         empty_family_sides,
@@ -272,12 +247,10 @@ def assemble(spec: GcbSpec) -> Graph:
     """Wire up the graph of a spec without validating it first.
 
     The vertices and rows are laid out as the module docstring says.
-    Raises WitnessError when a set reaches outside the core.
+    Raises VertexLimitError when the graph would exceed MAX_VERTICES.
     """
-    k, l, t = spec.k, spec.l, spec.x.n
+    k, l = spec.k, spec.l
     a, b = spec.witness.a_masks, spec.witness.b_masks
-    if any(m >> t for m in a + b):
-        raise WitnessError("witness set references vertices outside the core")
     if spec.total_vertices > MAX_VERTICES:
         raise VertexLimitError(f"{spec.total_vertices} vertices exceeds the {MAX_VERTICES}-vertex bitset core")
     off_z = k + l + len(a)
@@ -409,7 +382,7 @@ RETRY_LIMIT = 500
 
 
 def sample_gcb_spec(budget: int, seed: int) -> GcbSpec:
-    """A random valid spec with at most `budget` total vertices.
+    """A random valid spec with at most `budget` total vertices, and at most MAX_VERTICES.
 
     Deterministic per (budget, seed).  Raises SampleBudgetError below the
     4-vertex floor and SampleRetryError if no valid spec is found within
@@ -418,6 +391,7 @@ def sample_gcb_spec(budget: int, seed: int) -> GcbSpec:
     """
     if budget < 4:
         raise SampleBudgetError("no valid spec fits fewer than 4 vertices")
+    budget = min(budget, MAX_VERTICES)
     rng = random.Random(seed)
     t_cap = min(budget - 4, max(0, (budget - 2) // 3))
     for _ in range(RETRY_LIMIT):

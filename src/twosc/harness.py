@@ -110,9 +110,8 @@ def _gcb_round_trip(f: Facts) -> Outcome:
     spec, roles = decompose_triangle_free(f.g)
     equal = assemble(spec) == f.g.relabel(roles.order)
     validation = validate_gcb_spec(spec)
-    sbic = validation.sbic is not None and validation.sbic.passed
     ok = equal and validation.passed
-    return ok, None if ok else {"rebuild_equal": equal, "sbic": sbic, "validation": validation.passed}
+    return ok, None if ok else {"rebuild_equal": equal, "sbic": validation.sbic.passed, "validation": validation.passed}
 
 
 def _triangle_classification(f: Facts) -> Outcome:

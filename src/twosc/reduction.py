@@ -22,7 +22,7 @@ its own edits, not from the whole result:
   before the step minus the ones holding both u and v, in the same
   order.
 - 2-self-centered.  A star step keeps a 2-self-centered graph
-  2-self-centered, so there it is valid iff it creates no triangle.  Let
+  2-self-centered, so a step is valid iff it creates no triangle.  Let
   t be a common neighbor of u and v.  Only u, v and their partners change
   degree, and only uv becomes non-adjacent.  A partner w of u gains one
   edge, vw, and misses t, which would otherwise be a second common
@@ -33,16 +33,16 @@ its own edits, not from the whole result:
   u and v lose neighbors.  For w not adjacent to u after the step: if
   w = v, t is common; else u and w had a common neighbor, which survives
   unless it was v alone, and then w is a partner of v, joined to u.
-  Likewise for v.  On input not known to be 2-self-centered
-  (``apply_star_procedure``, and the first step of ``replay_trace``),
-  the full local test runs instead.
+  Likewise for v.  So every step entry point (``apply_star_procedure``,
+  ``replay_trace``, the reduction and the classification) takes only
+  2-self-centered input and raises NotTwoSelfCenteredError on any other.
 """
 
 from __future__ import annotations
 
 from typing import Any, NamedTuple
 
-from .core import Graph, GraphError, bits, check_vertices, conditions_ok, triangles
+from .core import Graph, GraphError, bits, check_vertices, triangles
 from .io import graph6_encode
 from .recognition import NotTwoSelfCenteredError, _partners
 
@@ -63,7 +63,7 @@ class TriangleFreeInputError(GraphError):
 
 
 class InvalidStepError(GraphError):
-    """A star step created a triangle or broke the 2-self-centered property."""
+    """A star step created a triangle."""
 
 
 def critical_partners(g: Graph, x: int, anchor: int) -> list[int]:
@@ -136,22 +136,16 @@ def _record(u: int, v: int, u_mask: int, v_mask: int) -> ReductionStep:
     return ReductionStep(u, v, tuple(bits(u_mask)), tuple(bits(v_mask)))
 
 
-def _step_fault(adj: list[int], u: int, v: int, u_mask: int, v_mask: int, two_sc: bool) -> str | None:
-    """Why the step on uv with these partner masks, just applied to ``adj``, is invalid; None if it is valid.
-
-    ``two_sc`` says whether the graph before the step is known to be
-    2-self-centered: then the step keeps it so (the module docstring) and
-    only the triangle test runs, otherwise the full local test as well.
-    """
+def _creates_triangle(adj: list[int], u: int, v: int, u_mask: int, v_mask: int) -> bool:
+    """Whether the step on uv with these partner masks, just applied to ``adj``, added an edge with a common neighbor."""
     for x, partners in ((v, u_mask), (u, v_mask)):
         ax = adj[x]
         while partners:
             low = partners & -partners
             if ax & adj[low.bit_length() - 1]:
-                return "step created a new triangle"
+                return True
             partners ^= low
-    broke = not two_sc and not conditions_ok(adj, len(adj))
-    return "step broke the 2-self-centered property" if broke else None
+    return False
 
 
 def _triangles_left(tris: list[tuple[int, int, int]], u: int, v: int) -> list[tuple[int, int, int]]:
@@ -162,20 +156,21 @@ def _triangles_left(tris: list[tuple[int, int, int]], u: int, v: int) -> list[tu
 def apply_star_procedure(g: Graph, u: int, v: int) -> tuple[Graph, ReductionStep]:
     """Apply one star rewriting step to the triangle edge uv.
 
-    Requires that at least one endpoint be critical for the other
-    endpoint and some vertex.  Raises GraphError for a vertex outside g,
-    and InvalidStepError when the step is not valid for this edge: it
-    creates a triangle (so the triangle count need not drop) or breaks
-    the 2-self-centered property.
+    Requires a 2-self-centered g and that at least one endpoint be
+    critical for the other endpoint and some vertex.  Raises
+    NotTwoSelfCenteredError for any other g, GraphError for a vertex
+    outside g, and InvalidStepError when the step creates a triangle (so
+    the triangle count need not drop); the step keeps g 2-self-centered.
     """
+    if not g.two_sc:
+        raise NotTwoSelfCenteredError("a star step requires a 2-self-centered graph")
     check_vertices(g.n, u, v)
     adj = list(g.adj)
     u_mask, v_mask = _star_step(adj, u, v)
-    fault = _step_fault(adj, u, v, u_mask, v_mask, g.two_sc)
     result = Graph(tuple(adj))
-    if fault is not None:
+    if _creates_triangle(adj, u, v, u_mask, v_mask):
         created = sorted(set(triangles(result)) - set(triangles(g)))
-        raise InvalidStepError(f"{fault} on edge ({u}, {v})" + (f": {created}" if created else ""))
+        raise InvalidStepError(f"step created a new triangle on edge ({u}, {v}): {created}")
     return result, _record(u, v, u_mask, v_mask)
 
 
@@ -200,23 +195,24 @@ def replay_trace(g: Graph, trace: ReductionTrace) -> bool:
     """Re-run a successful trace, checking each guaranteed step invariant.
 
     Every step must equal the record its u and v give (so it adds the
-    same edges), strictly lower the triangle count without creating any
-    new triangle, and keep the graph 2-self-centered; the replay must end
-    at the recorded final graph, triangle-free.  Raises GraphError for a
-    step vertex outside g, and EdgeNotInTriangleError or
+    same edges) and strictly lower the triangle count without creating
+    any new triangle, which keeps the graph 2-self-centered; the replay
+    must end at the recorded final graph, triangle-free.  Raises
+    NotTwoSelfCenteredError when g is not 2-self-centered, GraphError
+    for a step vertex outside g, and EdgeNotInTriangleError or
     NoCriticalEndpointError for a step that is not a star step.
     """
+    if not g.two_sc:
+        raise NotTwoSelfCenteredError("replaying a reduction requires a 2-self-centered graph")
     adj = list(g.adj)
     tris = triangles(g)
-    two_sc = g.two_sc
     for step in trace.steps:
         u, v = step.u, step.v
         check_vertices(g.n, u, v)
         u_mask, v_mask = _star_step(adj, u, v)
-        if _record(u, v, u_mask, v_mask) != step or _step_fault(adj, u, v, u_mask, v_mask, two_sc):
+        if _record(u, v, u_mask, v_mask) != step or _creates_triangle(adj, u, v, u_mask, v_mask):
             return False
         tris = _triangles_left(tris, u, v)
-        two_sc = True
     return not tris and tuple(adj) == trace.final.adj
 
 
@@ -266,7 +262,7 @@ def reduce_to_triangle_free(g: Graph) -> ReductionTrace:
                 if not u_mask and not v_mask:
                     continue
                 _join_partners(adj, u, v, u_mask, v_mask)
-                if _step_fault(adj, u, v, u_mask, v_mask, True) is None:
+                if not _creates_triangle(adj, u, v, u_mask, v_mask):
                     path.append((u, v, u_mask, v_mask))
                     sub = search(_triangles_left(tris, u, v))
                     if sub:

@@ -18,6 +18,7 @@ from twosc.core import (
     connected_components,
     distance_profile,
     edit,
+    is_connected,
     is_independent,
     is_star,
     triangles,
@@ -274,6 +275,10 @@ class TestComponents:
     def test_edgeless(self):
         assert connected_components(empty_graph(3)) == [[0], [1], [2]]
 
+    def test_is_connected(self):
+        assert is_connected(cycle_graph(4)) and is_connected(empty_graph(1)) and is_connected(empty_graph(0))
+        assert not is_connected(empty_graph(2)) and not is_connected(complement(cycle_graph(4)))
+
     @given(graphs())
     def test_partition_properties(self, g):
         parts = connected_components(g)
@@ -358,6 +363,8 @@ class TestEdit:
             edit(g, add=(0, 1))
         with pytest.raises(LoopError):
             edit(g, add=(2, 2))
+        with pytest.raises(LoopError, match="cannot remove a loop at 1"):
+            edit(g, remove=(1, 1))
 
 
 class TestGraphValue:
@@ -416,6 +423,10 @@ class TestGraphValue:
         for call in calls:
             with pytest.raises(GraphError, match=f"vertex {bad} outside 0..9"):
                 call()
+
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(GraphError, match="vertex count must be non-negative"):
+            Graph.from_edges(-1, [])
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import combinations, combinations_with_replacement
 
 import hypothesis.strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 
 from twosc import gcb
 from twosc.canon import are_isomorphic
-from twosc.core import Graph, GraphError, LoopError, bits, has_triangle
+from twosc.core import MAX_VERTICES, Graph, GraphError, LoopError, bits, has_triangle
 from twosc.enumeration import graph_classes
 from twosc.gcb import (
     GcbSpec,
@@ -32,7 +33,7 @@ from twosc.graphs import (
 )
 from twosc.io import FormatError, graph6_decode, graph6_encode
 from twosc.recognition import NotTwoSelfCenteredError, condition_verdict, conditions_ok
-from twosc.sbic import HasTriangleError, SbicWitness, verify_sbic
+from twosc.sbic import HasTriangleError, SbicWitness, WitnessError, verify_sbic
 
 from conftest import assert_immutable_value, triangle_free_two_sc_graphs
 
@@ -420,10 +421,9 @@ class TestMatchesEdgeListReference:
         (30, 0, (1 << 40,), (0b1,)),
     ])
     def test_sets_outside_the_core_raise(self, k, l, a, b):
-        spec = GcbSpec(k, l, Graph((0,)), SbicWitness(a, b))
-        for build in (assemble, ref_assemble):
-            with pytest.raises(GraphError):
-                build(spec)
+        # the spec is refused when it is made, so nothing downstream sees it
+        with pytest.raises(WitnessError, match="outside the core"):
+            GcbSpec(k, l, Graph((0,)), SbicWitness(a, b))
 
 
 class TestSample:
@@ -439,6 +439,18 @@ class TestSample:
 
     def test_deterministic_per_seed(self):
         assert sample_gcb_spec(10, 42) == sample_gcb_spec(10, 42)
+
+    @pytest.mark.parametrize("budget", [65, 100, 10**6])
+    def test_budget_is_capped_at_the_vertex_limit(self, budget):
+        # a budget past the 64-vertex core samples as MAX_VERTICES does,
+        # so every spec builds and the core's pair list stays small
+        for seed in range(10):
+            start = time.perf_counter()
+            spec = sample_gcb_spec(budget, seed)
+            assert time.perf_counter() - start < 5
+            assert spec == sample_gcb_spec(MAX_VERTICES, seed)
+            assert spec.total_vertices <= MAX_VERTICES
+            assert build_gcb(spec).n == spec.total_vertices
 
     def test_samples_build_valid_graphs(self):
         for seed in range(50):

@@ -174,6 +174,13 @@ def test_empty_range_is_rejected(tmp_path, n_max):
         verify_all(n_max, source="file", path=str(path))
 
 
+def test_unknown_or_pathless_source_is_rejected():
+    with pytest.raises(ValueError, match="file source needs a path"):
+        verify_all(4, source="file")
+    with pytest.raises(ValueError, match="unknown source 'nope'"):
+        verify_all(4, source="nope")
+
+
 def test_builtin_range_beyond_the_generator_is_rejected_before_any_work(monkeypatch):
     def generate(n):
         raise AssertionError(f"connected_classes({n}) ran before the range check")

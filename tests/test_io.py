@@ -230,6 +230,18 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             edge_list_decode("")
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("4 5\n", 1, "first data line must be the vertex count"),
+        ("# header\nfour\n", 2, "bad vertex count 'four'"),
+        ("-3\n", 1, "vertex count must be non-negative"),
+        ("4\n0 1\n0 1 2\n", 3, "expected 'u v', got '0 1 2'"),
+        ("4\n0 x\n", 2, "non-integer endpoint in '0 x'"),
+    ])
+    def test_each_error_names_its_line(self, text, line, message):
+        with pytest.raises(FormatError) as err:
+            edge_list_decode(text)
+        assert err.value.line == line and str(err.value) == f"line {line}: {message}"
+
 
 class TestDot:
     def test_exact_output(self):

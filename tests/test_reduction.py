@@ -34,8 +34,6 @@ from twosc.reduction import (
     ReductionStep,
     ReductionTrace,
     TriangleFreeInputError,
-    _step_fault,
-    _triangles_left,
     apply_star_procedure,
     classify_edge_minimal_with_triangles,
     critical_partners,
@@ -157,15 +155,6 @@ class TestApplyStep:
         )
         run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
-
-    def test_step_fault_names_a_broken_property(self):
-        # no real step on a 2SC graph breaks the property (TestStarStepRule),
-        # so the full test's two outcomes are shown on hand-made edits
-        broke = "step broke the 2-self-centered property"
-        # deleting the chord (0, 2) leaves P4 (fails) or C4 (passes)
-        assert _step_fault(list(path_graph(4).adj), 0, 2, 0, 0, False) == broke
-        assert _step_fault(list(cycle_graph(4).adj), 0, 2, 0, 0, False) is None
-        assert _triangles_left([(0, 1, 2)], 0, 2) == []
 
     @pytest.mark.parametrize("bad", [8, -1, -8, 99])
     def test_vertex_outside_the_graph_raises_graph_error(self, bad):
@@ -503,8 +492,15 @@ class TestMatchesGraphPerStepReference:
     @settings(max_examples=150, deadline=None)
     @given(graphs(min_n=3, max_n=10))
     def test_steps_on_arbitrary_graphs(self, g):
-        # input not known to be 2SC: the full local test decides
-        assert_steps_match_reference(g)
+        # a star step takes only 2SC input; on any other both entry points refuse it
+        if g.two_sc:
+            assert_steps_match_reference(g)
+            return
+        for u, v in triangle_edges(g) + [(0, 1)]:
+            with pytest.raises(NotTwoSelfCenteredError):
+                apply_star_procedure(g, u, v)
+            with pytest.raises(NotTwoSelfCenteredError):
+                replay_trace(g, ReductionTrace((ReductionStep(u, v, (), ()),), g, True))
 
 
 def step_keeps_two_sc(g: Graph, u: int, v: int) -> bool:

@@ -15,7 +15,6 @@ from twosc.sbic import (
     SbicReport,
     SbicWitness,
     WitnessError,
-    _grow_independent,
     _stranded,
     construct_sbic,
     verify_sbic,
@@ -159,14 +158,16 @@ class TestConstruct:
             for g in graph_classes(n):
                 if has_triangle(g):
                     continue
-                assert verify_sbic(g, construct_sbic(g)).passed, g
+                w = construct_sbic(g)
+                assert verify_sbic(g, w).passed and w == ref_construct_sbic(g), g
 
     def test_exhaustive_eight_vertices(self):
         checked = 0
         for g in graph_classes(8):
             if has_triangle(g):
                 continue
-            assert verify_sbic(g, construct_sbic(g)).passed, g
+            w = construct_sbic(g)
+            assert verify_sbic(g, w).passed and w == ref_construct_sbic(g), g
             checked += 1
         assert checked > 0
 
@@ -266,7 +267,18 @@ def ref_verify_sbic(x: Graph, witness: SbicWitness) -> SbicReport:
     return SbicReport(c_triangle, c_cover, c_pairs, c_a, c_b)
 
 
+def ref_grow_independent(x: Graph, seed_mask: int, forbidden: int) -> int:
+    """Extend seed_mask, in vertex order, to a maximal independent set avoiding forbidden."""
+    m = seed_mask
+    for v in range(x.n):
+        if not (forbidden | m) >> v & 1 and not x.adj[v] & m:
+            m |= 1 << v
+    return m
+
+
 def ref_construct_sbic(x: Graph) -> SbicWitness:
+    """The covering by a repair loop: grow a shared set for each unhoused
+    far pair and an escape set for each stranded vertex, until none is left."""
     if has_triangle(x):
         raise HasTriangleError("covering construction requires triangle-free input")
     n = x.n
@@ -288,7 +300,7 @@ def ref_construct_sbic(x: Graph) -> SbicWitness:
                     continue
                 if any(m & pair_mask == pair_mask for m in b):
                     continue
-                grown = _grow_independent(x, pair_mask, 0)
+                grown = ref_grow_independent(x, pair_mask, 0)
                 if grown not in new_a:
                     new_a.append(grown)
 
@@ -301,7 +313,7 @@ def ref_construct_sbic(x: Graph) -> SbicWitness:
                         continue
                     if any(not (m & other) and other >> u & 1 for other in to_masks):
                         continue
-                    grown = _grow_independent(x, 1 << u, m)
+                    grown = ref_grow_independent(x, 1 << u, m)
                     if grown not in added:
                         added.append(grown)
             return added

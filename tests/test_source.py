@@ -62,7 +62,7 @@ RECORD_FIELDS = {
     recognition.MinimalityWitness: ("minimal", "removable_edge"),
     gcb.RuleVerdict: ("ok", "applicable", "counterexample"),
     gcb.GcbValidation: (
-        "sbic", "sbic_error", "zero_k", "zero_l", "empty_family_sides",
+        "sbic", "zero_k", "zero_l", "empty_family_sides",
         "empty_core_iff_no_connectors", "singleton_core_needs_side",
     ),
     gcb.GcbRoles: ("k_vertices", "l_vertices", "y_vertices", "z_vertices", "x_vertices"),

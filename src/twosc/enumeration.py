@@ -68,8 +68,8 @@ its sorted ``Graph`` list back pickled, which does not validate again.
 The shares' classes are disjoint, so the level is the sort of the
 concatenated runs, which timsort merges in linear time.  Smaller
 levels, and machines with one usable CPU, run one share in the caller
-and start no process.  The battery's worker processes
-(``harness.verify_all``) are shares of the same ``_split``.
+and start no process.  The battery's shares (``harness.verify_all``)
+stream connected classes from (n, parent) pairs, ``_connected_from``.
 
 The published class counts are pinned here and checked by the test
 suite; connected counts additionally get a record-for-record cross-check
@@ -79,7 +79,6 @@ for byte by digest.
 
 from __future__ import annotations
 
-import gc
 import os
 from functools import lru_cache
 from operator import attrgetter
@@ -88,11 +87,11 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from .canon import _cells, _decode, _maximal_code, _members, _rank_shift, _ranks, _twins_before
 from .core import Graph, GraphError, component_masks
 
-GENERATOR_MAX = 8
+GENERATOR_MAX = 9
 
-# Unlabeled simple graphs on 1..8 vertices, and the connected ones.
-ALL_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346)
-CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117)
+# Unlabeled simple graphs on 1..9 vertices, and the connected ones (OEIS A000088, A001349).
+ALL_GRAPH_COUNTS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+CONNECTED_GRAPH_COUNTS = (1, 1, 2, 6, 21, 112, 853, 11117, 261080)
 
 
 class RangeError(GraphError):
@@ -129,6 +128,12 @@ def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Gra
 def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
     """The sorted representatives of the classes whose canonical parent is among these."""
     return [Graph(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
+
+
+def _connected_from(pairs: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[Graph]:
+    """For each (n, parent) pair, the connected classes on n vertices whose canonical parent it is, as they come."""
+    classes = (_decode(code, n) for n, parent in pairs for code in _codes(n, (parent,)))
+    return (Graph(masks) for masks in classes if len(component_masks(masks, len(masks))) == 1)
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> Iterator[int]:
@@ -192,19 +197,12 @@ def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[
     iterator streams; more shares read ``items`` into a list first.  A
     share that raises or dies raises ``RuntimeError`` here, once every
     child has been stopped and reaped.
-
-    More shares freeze the collector's objects (the list, the cached
-    classes) until they end, unless the caller froze some; forked
-    children inherit the frozen set, and no collection traverses it.
     """
     procs = []
     conns = []
-    froze = shares > 1 and not gc.get_freeze_count()
     try:
         if shares > 1:
             items = list(items)
-            if froze:
-                gc.freeze()
             from multiprocessing import Pipe, Process
 
             for i in range(1, shares):
@@ -232,8 +230,6 @@ def _split(work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Iterable[
             proc.join()
         for reader in conns:
             reader.close()
-        if froze:
-            gc.unfreeze()
 
 
 def _share(writer: Any, work: Callable[[Any, Iterable[Any]], Any], arg: Any, items: Sequence[Any]) -> None:

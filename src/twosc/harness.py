@@ -3,12 +3,12 @@
 Each theorem is one entry of ``THEOREMS``, whose check runs on every
 graph it applies to; the entries and the per-n counting table read one
 ``Facts`` record per graph.  ``n_max`` is the one range for the builtin
-generator and for graph6 files, so file graphs above 8 vertices get
-every theorem.  Failures become counterexample records carrying the
-graph6 string so they can be reproduced externally.  The triangle
+generator and for graph6 files, and every graph in it gets every
+theorem.  Failures become counterexample records carrying the graph6
+string so they can be reproduced externally.  The triangle
 classification requires that a minimal graph's reduction trace succeed
-and replay.  Worker processes take shares of the stream through
-``enumeration._split``, and the parts' results merge as values.
+and replay.  Worker processes take shares of the parents or of the file
+through ``enumeration._split``, and the parts' results merge as values.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import reduce
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .core import Graph, has_triangle
-from .enumeration import GENERATOR_MAX, RangeError, _split, _usable_cpus, connected_classes
+from .enumeration import GENERATOR_MAX, RangeError, _connected_from, _split, _usable_cpus, graph_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
@@ -296,6 +296,11 @@ def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> Batter
     return part
 
 
+def _run_streamed(theorems: tuple[Theorem, ...], pairs: Iterable[tuple[int, tuple[int, ...]]]) -> BatteryResult:
+    """The battery table ``theorems`` over the connected classes streamed from these (n, parent masks) pairs."""
+    return _run_chunk(theorems, _connected_from(pairs))
+
+
 def verify_all(
     n_max: int = GENERATOR_MAX,
     *,
@@ -306,18 +311,16 @@ def verify_all(
 ) -> BatteryResult:
     """Run every theorem over the builtin generator or a graph6 file.
 
-    ``n_max`` is the one range for both sources: each graph with at most
-    ``n_max`` vertices runs every theorem that applies to it, so a file's
-    graphs above 8 vertices get every theorem.  With ``workers > 1`` the
-    stream is read into a list and dealt into that many shares by
-    position (``enumeration._split``): the caller works the first and one
-    child process each of the others.  Reports merge associatively, so
-    the outcome is identical for any worker count.  There are never more
-    shares than usable CPUs, and one share streams the input without
-    holding it.  Each input ``Graph`` is validated once, by the reader or
-    the generator; children get it pickled, which does not validate it
-    again.  Raises ``RangeError`` when ``n_max < 1``, and, before any
-    work, when the builtin source gets ``n_max > GENERATOR_MAX``.
+    ``n_max``, by default ``GENERATOR_MAX``, is the one range for both
+    sources: each graph with at most ``n_max`` vertices runs every
+    theorem that applies to it.  ``enumeration._split`` deals the items
+    by position to ``workers`` shares, at most one per usable CPU.  The
+    builtin items are (n, parent masks) pairs, n = 2..``n_max``; each
+    share checks the connected classes it streams from its parents, so
+    no ``Graph`` is held or pickled, and the caller checks K1.  A file's
+    graphs reach the shares pickled.  Reports merge associatively, so
+    any worker count gives one result.  Raises ``RangeError`` when
+    ``n_max < 1``, and before any work on a builtin ``n_max > GENERATOR_MAX``.
 
     ``full_battery_max`` limits nothing.  The benchmark's ``battery-n8``
     passes ``n_max``, and the keyword goes away with ROADMAP item 9's
@@ -331,17 +334,18 @@ def verify_all(
     if source == "builtin":
         if n_max > GENERATOR_MAX:
             raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got n_max = {n_max}")
-        graphs: Iterable[Graph] = (g for n in range(1, n_max + 1) for g in connected_classes(n))
+        head, work = _run_chunk(THEOREMS, graph_classes(1)), _run_streamed
+        items: Iterable[Any] = ((n, g.adj) for n in range(2, n_max + 1) for g in graph_classes(n - 1))
     elif source == "file":
         if path is None:
             raise ValueError("file source needs a path")
-        graphs = (g for g in ingest_graph6(path) if g.n <= n_max)
+        head, work = BatteryResult.empty(), _run_chunk
+        items = (g for g in ingest_graph6(path) if g.n <= n_max)
     else:
         raise ValueError(f"unknown source {source!r}")
 
     workers = max(1, min(workers, _usable_cpus()))
-    parts = _split(_run_chunk, THEOREMS, graphs, workers)
-    result = reduce(BatteryResult.merge, parts, BatteryResult.empty())
+    result = reduce(BatteryResult.merge, _split(work, THEOREMS, items, workers), head)
     result.seconds = time.perf_counter() - start
     return result
 

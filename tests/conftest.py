@@ -1,10 +1,15 @@
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
+import textwrap
 
 import hypothesis.strategies as st
 import pytest
 
+import twosc
 from twosc.core import Graph
 from twosc.io import graph6_encode
 from twosc.recognition import conditions_ok
@@ -46,6 +51,37 @@ GENERATOR_DIGESTS = {
         "8c49e600cf2e9748adec851d606fa666e5fd302cb65419c6fb55d3b5d5d36bf8",
     ),
 }
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(twosc.__file__)))
+
+# Share helpers the child processes can import under any start method.
+SHARES_MODULE = """
+import os
+
+
+def fail_after_first(n, items):
+    if items != [0]:
+        raise ValueError(f"share of {items} fails")
+    return items
+
+
+def die_after_first(n, items):
+    if items != [0]:
+        os._exit(3)
+    return items
+"""
+
+
+def run_python(tmp_path, body: str, *flags: str, timeout: float = 60) -> str:
+    """Run body in a fresh interpreter, started with ``flags``, that sees twosc and the share helpers."""
+    (tmp_path / "shares.py").write_text(SHARES_MODULE)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(body)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=timeout,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def assert_immutable_value(make, field: str) -> None:

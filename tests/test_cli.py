@@ -7,6 +7,7 @@ from twosc.canon import canonical_graph
 from twosc.cli import main
 from twosc.graphs import complete_bipartite, cycle_graph, minimal_with_triangle, path_graph, capped_k33
 from twosc.core import has_triangle
+from twosc.enumeration import GENERATOR_MAX
 from twosc.io import graph6_decode, graph6_encode
 from twosc.reduction import apply_star_procedure
 
@@ -162,7 +163,7 @@ def test_verify_empty_range_exits_two(capsys, tmp_path, n_max):
 
 
 def test_verify_beyond_the_generator_exits_two(capsys):
-    code, out, err = run(capsys, "verify", "--n-max", "9")
+    code, out, err = run(capsys, "verify", "--n-max", str(GENERATOR_MAX + 1))
     assert code == 2
     assert not out and "generator supports" in err
 

@@ -1,20 +1,16 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import given, settings
 
-import twosc
 import twosc.enumeration
 from twosc.canon import _BITS, _decode, canonical_masks, partition_code
 from twosc.core import Graph
 from twosc.enumeration import (
     ALL_GRAPH_COUNTS,
     CONNECTED_GRAPH_COUNTS,
+    GENERATOR_MAX,
     RangeError,
     _candidates,
     _codes,
@@ -27,7 +23,7 @@ from twosc.enumeration import (
 from twosc.graphs import complete_graph, cycle_graph, path_graph, capped_k33
 from twosc.io import write_graph6, ingest_graph6, graph6_encode
 
-from conftest import GENERATOR_DIGESTS, graph6_digest, graphs
+from conftest import GENERATOR_DIGESTS, graph6_digest, graphs, run_python
 
 
 def test_counts_up_to_seven():
@@ -212,44 +208,6 @@ def test_nine_vertex_level():
     assert_slices_are_disjoint(9, parents, 274668)
 
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(twosc.__file__)))
-
-# Share helpers the child processes can import under any start method.
-SHARES_MODULE = """
-import os
-
-
-def fail_after_first(n, items):
-    if items != [0]:
-        raise ValueError(f"share of {items} fails")
-    return items
-
-
-def die_after_first(n, items):
-    if items != [0]:
-        os._exit(3)
-    return items
-
-
-def freeze_count(n, items):
-    import gc
-
-    return gc.get_freeze_count()
-"""
-
-
-def run_python(tmp_path, body: str, *flags: str) -> str:
-    """Run body in a fresh interpreter, started with ``flags``, that sees twosc and the share helpers."""
-    (tmp_path / "shares.py").write_text(SHARES_MODULE)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, str(tmp_path)]))
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", textwrap.dedent(body)],
-        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_split_level_under_spawn(tmp_path):
     out = run_python(tmp_path, """
         import multiprocessing
@@ -291,32 +249,6 @@ def test_failed_share_raises_in_caller(tmp_path, helper, message):
     assert "all children reaped" in out
 
 
-def test_split_freezes_the_collector_only_while_the_shares_run(tmp_path):
-    # the caller's share sees the frozen input; on return, and after a
-    # share raises in the caller or in a child, the count is back at its
-    # entry value, and a caller's own freeze is left as it was
-    out = run_python(tmp_path, """
-        import gc
-        import shares
-        from twosc.enumeration import _split
-
-        if __name__ == "__main__":
-            caller, _ = _split(shares.freeze_count, 0, [0, 1], 2)
-            print(caller > 0, gc.get_freeze_count())
-            for items in ([0, 1], [1, 0]):
-                try:
-                    _split(shares.fail_after_first, 0, items, 2)
-                except (RuntimeError, ValueError):
-                    print(gc.get_freeze_count())
-            gc.freeze()
-            entry = gc.get_freeze_count()
-            caller, _ = _split(shares.freeze_count, 0, [0, 1], 2)
-            print(caller == entry == gc.get_freeze_count())
-            print(_split(shares.freeze_count, 0, [0], 1)[0] == entry)
-    """)
-    assert out.split() == ["True", "0", "0", "0", "True", "True"]
-
-
 def test_import_starts_no_multiprocessing(tmp_path):
     # -S: no site hook imports any of these first.  dataclasses pulls in
     # inspect, ast, dis and tokenize, which every process, the battery's
@@ -348,7 +280,7 @@ def test_range_errors():
     with pytest.raises(RangeError):
         list(enumerate_connected(0))
     with pytest.raises(RangeError):
-        list(enumerate_connected(9))
+        list(enumerate_connected(GENERATOR_MAX + 1))
 
 
 def test_ingest_matches_written_catalog(tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pickle
+import sys
 
 import pytest
 
@@ -10,6 +11,8 @@ from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
 from twosc.graphs import petersen_graph
 from twosc.harness import COUNTS, THEOREMS, BatteryResult, VerificationReport, _run_chunk, render_table, verify_all
 from twosc.io import graph6_decode, graph6_encode, write_graph6
+
+from conftest import run_python
 
 # Class counts established by the exhaustive battery itself; the
 # recognizer half is independently confirmed against shortest paths by
@@ -28,6 +31,9 @@ BATTERY_7_DIGEST = "77f74dbfa439f699e854e643779875ce8851d7977790488fa5b7b5654ec9
 # The same digest for verify_all(8), every theorem over every connected
 # class with n <= 8.  No check fails there.
 BATTERY_8_FULL_DIGEST = "5bc9bf084e1d5ee27b712c082278f7d8e5ae374bb3504ba0464887a3dfa4348d"
+
+# The same digest for verify_all(9).
+BATTERY_9_DIGEST = "e4a87ac31709e1aa0f1414085cab7567fb780dfe90e1f3e591f7427795204a04"
 
 
 def strip_times(doc):
@@ -89,16 +95,14 @@ def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
     assert strip_times(BatteryResult.empty().merge(backwards).to_json()) == strip_times(result.to_json())
 
 
-def test_pool_never_exceeds_usable_cpus(monkeypatch):
-    shares = []
+def test_pool_never_exceeds_usable_cpus(monkeypatch, tmp_path):
+    calls = []
 
     def recording_split(work, arg, items, count):
-        """Stands in for enumeration._split: records the share count, works the shares in-process."""
-        shares.append(count)
-        if count == 1:
-            assert not isinstance(items, list)  # one share streams the graphs
-            return [work(arg, items)]
+        """Stands in for enumeration._split: records the share count and the items, works the shares in-process."""
+        streamed = not isinstance(items, list)
         items = list(items)
+        calls.append((count, streamed, items))
         return [work(arg, items[i::count]) for i in range(count)]
 
     monkeypatch.setattr(harness, "_split", recording_split)
@@ -106,11 +110,48 @@ def test_pool_never_exceeds_usable_cpus(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     for workers in (2, 3, 5000):
         assert strip_times(verify_all(5, workers=workers).to_json()) == serial
-    assert shares == [1, 2, 2, 2]
+    assert [count for count, _, _ in calls] == [1, 2, 2, 2]
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     for workers in (0, 5000):
         assert strip_times(verify_all(5, workers=workers).to_json()) == serial
-    assert shares == [1, 2, 2, 2, 1, 1]
+    assert [count for count, _, _ in calls] == [1, 2, 2, 2, 1, 1]
+    # the builtin shares get (n, parent masks) pairs, not graphs
+    for _, _, items in calls:
+        assert items and all(
+            type(n) is int and type(parent) is tuple and all(type(m) is int for m in parent) for n, parent in items
+        )
+    path = tmp_path / "graphs.g6"
+    with open(path, "w") as handle:
+        write_graph6(connected_up_to(5), handle)
+    assert strip_times(verify_all(5, source="file", path=str(path)).to_json()) == serial
+    assert calls[-1][:2] == (1, True)  # one share streams the file's graphs
+
+
+def test_builtin_battery_holds_no_level(tmp_path):
+    # the caller generates only the parent levels, 1..n_max - 1, and
+    # never the connected classes
+    out = run_python(tmp_path, """
+        from twosc.enumeration import connected_classes, graph_classes
+        from twosc.harness import verify_all
+
+        verify_all(6)
+        print(graph_classes.cache_info().currsize, connected_classes.cache_info().currsize)
+    """)
+    assert out.split() == ["5", "0"]
+
+
+def test_builtin_shares_under_spawn(tmp_path):
+    out = run_python(tmp_path, """
+        import json
+        import multiprocessing
+        from twosc.harness import verify_all
+
+        if __name__ == "__main__":
+            multiprocessing.set_start_method("spawn")
+            print(json.dumps([verify_all(6).to_json(), verify_all(6, workers=2).to_json()]))
+    """)
+    serial, two = json.loads(out)
+    assert strip_times(two) == strip_times(serial)
 
 
 def test_repeat_runs_are_identical():
@@ -138,16 +179,44 @@ def test_render_table_mentions_everything():
     assert text.splitlines()[-1] == "total counterexamples: 0 over n = 1..5"
 
 
-def battery_digest(result) -> str:
-    return hashlib.sha256(json.dumps(strip_times(result.to_json()), sort_keys=True).encode()).hexdigest()
+def battery_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(strip_times(doc), sort_keys=True).encode()).hexdigest()
 
 
 def test_battery_json_pinned_up_to_seven():
-    assert battery_digest(verify_all(7)) == BATTERY_7_DIGEST
+    assert battery_digest(verify_all(7).to_json()) == BATTERY_7_DIGEST
 
 
 def test_full_battery_json_pinned_up_to_eight():
-    assert battery_digest(verify_all(8)) == BATTERY_8_FULL_DIGEST
+    assert battery_digest(verify_all(8).to_json()) == BATTERY_8_FULL_DIGEST
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM, and ru_maxrss in KiB")
+def test_full_battery_up_to_nine_in_little_memory(tmp_path):
+    # every process's peak stays far below the 160 MB that holding the
+    # n <= 9 classes as Graph lists took.  Linux keeps the peak of the
+    # process that started an interpreter in that interpreter's
+    # RUSAGE_SELF, so its own peak is read as VmHWM, which starts anew
+    # at exec; its shares' peaks are RUSAGE_CHILDREN
+    out = run_python(tmp_path, """
+        import json
+        import resource
+        from twosc.harness import verify_all
+
+        doc = verify_all(9, workers=2).to_json()
+        with open("/proc/self/status") as status:
+            own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        peaks = [own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]
+        print(json.dumps([doc, peaks]))
+    """, timeout=300)
+    doc, peaks = json.loads(out)
+    assert battery_digest(doc) == BATTERY_9_DIGEST
+    assert doc["counting"]["9"] == {
+        "graphs": 261080, "two_sc": 79173, "edge_minimal": 102, "edge_maximal": 7, "triangle_free_two_sc": 15,
+    }
+    assert sum(len(rep["counterexamples"]) for rep in doc["reports"]) == 0
+    assert all(peak < 60 * 1024 for peak in peaks), peaks
 
 
 def test_known_counterexample_from_a_file(tmp_path):
@@ -183,9 +252,9 @@ def test_unknown_or_pathless_source_is_rejected():
 
 def test_builtin_range_beyond_the_generator_is_rejected_before_any_work(monkeypatch):
     def generate(n):
-        raise AssertionError(f"connected_classes({n}) ran before the range check")
+        raise AssertionError(f"graph_classes({n}) ran before the range check")
 
-    monkeypatch.setattr(harness, "connected_classes", generate)
+    monkeypatch.setattr(harness, "graph_classes", generate)
     with pytest.raises(RangeError, match="generator supports"):
         verify_all(GENERATOR_MAX + 1)
 

@@ -50,8 +50,8 @@ exploding into factorially many states:
   0..k-1 hold a clique of that subgraph.  So every optimal order starts
   with one of its maximum cliques, and every such clique, in any
   internal order, attains that prefix.  The search enumerates those
-  cliques by branch and bound, and each becomes a start state at
-  level k.
+  cliques by branch and bound with a colouring bound, and each becomes
+  a start state at level k.
 - Lazy cells.  A state's placed vertices form cells, runs of positions
   whose internal order is still open; a seed is one cell.  Every
   multi-vertex cell is part of the seed clique, so its members' own
@@ -81,7 +81,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import _ONES, Graph, GraphError, _lane_width, _pack, bits, columns_to_masks
+from .core import _ONES, Graph, GraphError, _decoded, _lane_width, _pack, bits, columns_to_masks
 
 
 class _Members(dict):
@@ -112,28 +112,43 @@ def _members(n: int) -> Sequence[tuple[int, ...]]:
 def _maximum_cliques(adj: Sequence[int], within: int) -> list[int]:
     """Every maximum clique of the subgraph induced on the nonempty set ``within``.
 
-    Branch and bound: each clique is grown once, by adding its members
-    in ascending order, and a branch stops as soon as even all of its
-    candidates could not reach the largest size found so far.
+    Branch and bound with a colouring bound (MCQ; Tomita and Seki, *An
+    efficient branch-and-bound algorithm for finding a maximum clique*,
+    DMTCS 2003).  A branch colours its candidates greedily, each colour
+    an independent set grown in ascending vertex order, and takes them
+    in reverse colour order, dropping each after its turn.  A clique
+    among the candidates still left holds at most one vertex per colour,
+    so the branch stops once its clique plus the current colour number
+    falls below the largest size found so far; every clique of that
+    size is still found, once.
     """
     found: list[int] = []
     size = 0
 
     def grow(clique: int, k: int, cand: int) -> None:
         nonlocal found, size
-        while cand:
-            low = cand & -cand
+        order = []
+        colour = 0
+        rest = cand
+        while rest:
+            colour += 1
+            free = rest
+            while free:
+                low = free & -free
+                rest ^= low
+                free &= ~(low | adj[low.bit_length() - 1])
+                order.append((low, colour))
+        for low, colour in reversed(order):
+            if k + colour < size:
+                return
             cand ^= low
             sub = cand & adj[low.bit_length() - 1]
-            if not sub:
-                if k + 1 > size:
-                    size, found = k + 1, [clique | low]
-                elif k + 1 == size:
-                    found.append(clique | low)
-            elif k + 1 + sub.bit_count() >= size:
+            if sub:
                 grow(clique | low, k + 1, sub)
-            if k + cand.bit_count() < size:
-                return
+            elif k + 1 > size:
+                size, found = k + 1, [clique | low]
+            elif k + 1 == size:
+                found.append(clique | low)
 
     grow(0, 0, within)
     return found
@@ -363,7 +378,7 @@ def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    return Graph(canonical_masks(g.adj))
+    return _decoded(canonical_masks(g.adj))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

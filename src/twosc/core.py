@@ -495,6 +495,18 @@ class Graph(_Frozen):
         return f"Graph(n={len(self.adj)}, edges={self.edges()!r})"
 
 
+def _decoded(masks: tuple[int, ...]) -> Graph:
+    """The ``Graph`` on masks that ``columns_to_masks`` returned, built without ``Graph.__init__``'s validation.
+
+    For every stream and n <= 64, ``columns_to_masks`` gives row v only
+    vertices below v and then mirrors the rows, so its tuple is in
+    range, loop-free and symmetric: the value ``Graph(masks)`` builds.
+    """
+    g = object.__new__(Graph)
+    object.__setattr__(g, "adj", masks)
+    return g
+
+
 class DistanceProfile(NamedTuple):
     """All-pairs shortest-path data with the derived metric invariants.
 

@@ -85,7 +85,7 @@ from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .canon import _cells, _decode, _maximal_code, _members, _rank_shift, _ranks, _twins_before
-from .core import Graph, GraphError, component_masks
+from .core import Graph, GraphError, _decoded, component_masks
 
 GENERATOR_MAX = 9
 
@@ -127,13 +127,13 @@ def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Gra
 
 def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
     """The sorted representatives of the classes whose canonical parent is among these."""
-    return [Graph(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
+    return [_decoded(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
 
 
 def _connected_from(pairs: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[Graph]:
     """For each (n, parent) pair, the connected classes on n vertices whose canonical parent it is, as they come."""
     classes = (_decode(code, n) for n, parent in pairs for code in _codes(n, (parent,)))
-    return (Graph(masks) for masks in classes if len(component_masks(masks, len(masks))) == 1)
+    return (_decoded(masks) for masks in classes if len(component_masks(masks, len(masks))) == 1)
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> Iterator[int]:

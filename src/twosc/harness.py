@@ -9,13 +9,20 @@ string so they can be reproduced externally.  The triangle
 classification requires that a minimal graph's reduction trace succeed
 and replay.  Worker processes take shares of the parents or of the file
 through ``enumeration._split``, and the parts' results merge as values.
+
+Each share takes its stream in blocks of ``BLOCK`` graphs: it computes
+the block's facts records, counts them into the table, then runs each
+theorem over the block's records it applies to between one pair of
+clock reads.  So a theorem's seconds are timed per block, and still
+cover only its own checks.
 """
 
 from __future__ import annotations
 
 import time
 from functools import reduce
-from typing import Any, Callable, Iterable, NamedTuple
+from itertools import islice
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .core import Graph, has_triangle
 from .enumeration import GENERATOR_MAX, RangeError, _connected_from, _split, _usable_cpus, graph_classes
@@ -163,11 +170,12 @@ class _Report:
 class VerificationReport(_Report):
     """Outcome of one theorem check over a graph stream.
 
-    ``seconds`` is the time inside this theorem's check, summed over graphs
-    and worker processes, so with workers it can exceed the wall time.  The
-    shared prelude, ``facts``, is charged to no theorem, and the
-    reduction's search to ``triangle_classification``.  ``n_min`` is 0
-    while no graph has been examined.
+    ``seconds`` is the time inside this theorem's checks, timed once per
+    block of graphs and summed over blocks and worker processes, so with
+    workers it can exceed the wall time.  The shared prelude, ``facts``,
+    is timed apart in ``BatteryResult.facts_seconds``, and the
+    reduction's search is charged to ``triangle_classification``.
+    ``n_min`` is 0 while no graph has been examined.
     """
 
     __slots__ = ("theorem", "n_min", "n_max", "examined", "passes", "counterexamples", "seconds")
@@ -190,19 +198,18 @@ class VerificationReport(_Report):
         self.counterexamples = [] if counterexamples is None else counterexamples
         self.seconds = seconds
 
-    def record(self, g: Graph, ok: bool, detail: dict[str, Any] | None, seconds: float) -> None:
-        """Count one examined graph; a failure keeps its graph6 and ``detail``."""
-        n = len(g.adj)
-        if not self.examined or n < self.n_min:
-            self.n_min = n
-        if n > self.n_max:
-            self.n_max = n
-        self.examined += 1
+    def record(self, graphs: Sequence[Graph], outcomes: Sequence[Outcome], seconds: float) -> None:
+        """Count a nonempty block of examined graphs and its checks' seconds; a failure keeps its graph6 and detail."""
+        sizes = [len(g.adj) for g in graphs]
+        low = min(sizes)
+        if not self.examined or low < self.n_min:
+            self.n_min = low
+        self.n_max = max(self.n_max, *sizes)
+        self.examined += len(graphs)
         self.seconds += seconds
-        if ok:
-            self.passes += 1
-        else:
-            self.counterexamples.append({"n": n, "graph6": graph6_encode(g), "detail": detail})
+        fails = [(n, g, detail) for n, g, (ok, detail) in zip(sizes, graphs, outcomes) if not ok]
+        self.passes += len(graphs) - len(fails)
+        self.counterexamples += [{"n": n, "graph6": graph6_encode(g), "detail": detail} for n, g, detail in fails]
 
     def merge(self, other: VerificationReport) -> VerificationReport:
         """The report over both streams; counterexamples sorted by (n, graph6)."""
@@ -228,14 +235,23 @@ class BatteryResult(_Report):
 
     ``seconds`` is the wall time of the run that produced the result; a
     merge adds the parts' times, and ``verify_all`` reports its own.
+    ``facts_seconds`` is the time spent computing the ``facts`` records,
+    summed over blocks and worker processes like a report's ``seconds``.
     """
 
-    __slots__ = ("reports", "counting", "seconds")
+    __slots__ = ("reports", "counting", "seconds", "facts_seconds")
 
-    def __init__(self, reports: list[VerificationReport], counting: dict[int, dict[str, int]], seconds: float) -> None:
+    def __init__(
+        self,
+        reports: list[VerificationReport],
+        counting: dict[int, dict[str, int]],
+        seconds: float,
+        facts_seconds: float = 0.0,
+    ) -> None:
         self.reports = reports
         self.counting = counting
         self.seconds = seconds
+        self.facts_seconds = facts_seconds
 
     @staticmethod
     def empty() -> BatteryResult:
@@ -258,6 +274,7 @@ class BatteryResult(_Report):
             [mine.merge(theirs) for mine, theirs in zip(self.reports, other.reports)],
             counting,
             self.seconds + other.seconds,
+            self.facts_seconds + other.facts_seconds,
         )
 
     def counterexample_total(self) -> int:
@@ -268,31 +285,38 @@ class BatteryResult(_Report):
             "reports": [r.to_json() for r in self.reports],
             "counting": {str(n): row for n, row in sorted(self.counting.items())},
             "seconds": round(self.seconds, 3),
+            "facts_seconds": round(self.facts_seconds, 3),
         }
 
 
-def _check_graph(g: Graph, theorems: tuple[Theorem, ...], part: BatteryResult) -> None:
-    """Count g in ``part``'s table, and record each entry of ``theorems`` that applies in its report."""
-    clock = time.perf_counter
-    f = facts(g)
-    row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
-    maximal = f.cert is not None and f.cert.maximal
-    for key, val in zip(COUNTS, (1, f.two_sc, f.minimal, maximal, f.two_sc and f.triangle_free)):
-        row[key] += val
-    for theorem, rep in zip(theorems, part.reports):
-        if theorem.applies(f):
-            start = clock()
-            ok, detail = theorem.check(f)
-            rep.record(g, ok, detail, clock() - start)
+# Graphs per block of ``_run_chunk``: each block's facts records are
+# held at once, and each theorem's checks over it are timed together.
+BLOCK = 256
 
 
 def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> BatteryResult:
-    """The battery table ``theorems`` over one stream of graphs."""
-    start = time.perf_counter()
+    """The battery table ``theorems`` over one stream of graphs, taken in blocks of ``BLOCK``."""
+    clock = time.perf_counter
+    start = clock()
     part = BatteryResult([VerificationReport(t.name) for t in theorems], {}, 0.0)
-    for g in graphs:
-        _check_graph(g, theorems, part)
-    part.seconds = time.perf_counter() - start
+    stream = iter(graphs)
+    while block := list(islice(stream, BLOCK)):
+        begin = clock()
+        records = [facts(g) for g in block]
+        part.facts_seconds += clock() - begin
+        for f in records:
+            row = part.counting.setdefault(len(f.g.adj), dict.fromkeys(COUNTS, 0))
+            maximal = f.cert is not None and f.cert.maximal
+            for key, val in zip(COUNTS, (1, f.two_sc, f.minimal, maximal, f.two_sc and f.triangle_free)):
+                row[key] += val
+        for theorem, rep in zip(theorems, part.reports):
+            _, applies, check = theorem
+            chosen = [f for f in records if applies(f)]
+            if chosen:
+                begin = clock()
+                outcomes = [check(f) for f in chosen]
+                rep.record([f.g for f in chosen], outcomes, clock() - begin)
+    part.seconds = clock() - start
     return part
 
 
@@ -355,7 +379,7 @@ def _ran(rep: VerificationReport) -> str:
 
 
 def render_table(result: BatteryResult) -> str:
-    """Human-readable summary of the reports and the counting table.
+    """Human-readable summary of the reports, the counting table and the facts prelude's time.
 
     Names every theorem that stopped below the table's largest n, so the
     summary lines claim only the ranges that were checked.
@@ -373,7 +397,7 @@ def render_table(result: BatteryResult) -> str:
             f"{n:>2}  {row['graphs']:>6}  {row['two_sc']:>6}  {row['edge_minimal']:>7}  "
             f"{row['edge_maximal']:>7}  {row['triangle_free_two_sc']:>12}"
         )
-    lines.append("")
+    lines += ["", f"facts prelude: {result.facts_seconds:.3f} s"]
     top = max(result.counting, default=0)
     short = [rep for rep in result.reports if rep.n_max < top]
     if short:

@@ -19,7 +19,7 @@ import io as _io
 from binascii import a2b_base64, b2a_base64
 from typing import IO, Iterable, Iterator
 
-from .core import Graph, GraphError, MAX_VERTICES, columns_to_masks, masks_to_columns
+from .core import Graph, GraphError, MAX_VERTICES, _decoded, columns_to_masks, masks_to_columns
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -91,7 +91,7 @@ def graph6_decode(record: str) -> Graph:
     pad = 6 * (len(body) + fill) - nbits
     if stream & ((1 << pad) - 1):
         raise FormatError("nonzero padding bits in graph6 record")
-    return Graph(columns_to_masks(stream >> pad, n))
+    return _decoded(columns_to_masks(stream >> pad, n))
 
 
 def read_graph6(handle: IO[str]) -> Iterator[Graph]:

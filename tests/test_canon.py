@@ -11,6 +11,7 @@ from twosc.canon import (
     _cells,
     _decode,
     _maximal_code,
+    _maximum_cliques,
     _ranks,
     _twins_before,
     are_isomorphic,
@@ -125,6 +126,43 @@ def _canonical_order_wide(adj: Sequence[int], n: int) -> tuple[int, ...]:
             states.setdefault((mask, new_pats), (order, mask, new_pats))
         pool = list(states.values())
     return pool[0][0]
+
+
+def reference_maximum_cliques(adj: Sequence[int], within: int) -> list[int]:
+    """The branch and bound that the colouring bound replaced: members in ascending order, pruned by count."""
+    found: list[int] = []
+    size = 0
+
+    def grow(clique: int, k: int, cand: int) -> None:
+        nonlocal found, size
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            sub = cand & adj[low.bit_length() - 1]
+            if not sub:
+                if k + 1 > size:
+                    size, found = k + 1, [clique | low]
+                elif k + 1 == size:
+                    found.append(clique | low)
+            elif k + 1 + sub.bit_count() >= size:
+                grow(clique | low, k + 1, sub)
+            if k + cand.bit_count() < size:
+                return
+
+    grow(0, 0, within)
+    return found
+
+
+def test_maximum_cliques_match_reference():
+    rng = random.Random(2003)
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        p = rng.random()
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        within = rng.getrandbits(n) or 1 << rng.randrange(n)
+        cliques = _maximum_cliques(g.adj, within)
+        assert len(set(cliques)) == len(cliques)
+        assert sorted(cliques) == sorted(reference_maximum_cliques(g.adj, within))
 
 
 def _minus_edge(g: Graph, u: int, v: int) -> Graph:
@@ -267,12 +305,13 @@ def test_partition_code_decodes_to_the_canonical_form_above_eight(g):
 @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64])
 def test_partition_code_at_every_lane_width(n):
     # the search runs in lanes of 8, 16, 32 or 64 bits: both ends of
-    # each, on seeded random graphs and on a cycle, whose one cell makes
-    # the search seed edges and split lazy cells
+    # each, on seeded random graphs, on a cycle, whose one cell makes
+    # the search seed edges and split lazy cells, and on its complement,
+    # whose one cell has exponentially many maximal cliques
     rng = random.Random(n)
     pairs = list(itertools.combinations(range(n), 2))
     randoms = [Graph.from_edges(n, [e for e in pairs if rng.random() < p]) for p in (0.0, 0.1, 0.5, 0.9, 1.0)]
-    for g in randoms + [cycle_graph(n)]:
+    for g in randoms + [cycle_graph(n), complement(cycle_graph(n))]:
         code = partition_code(g.adj)
         assert partition_code(_shuffled(g, rng).adj) == code
         assert partition_code(_decode(code, n)) == code

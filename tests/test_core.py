@@ -13,6 +13,8 @@ from twosc.core import (
     GraphError,
     LoopError,
     VertexLimitError,
+    _decoded,
+    columns_to_masks,
     common_neighbours,
     complement,
     connected_components,
@@ -389,6 +391,17 @@ class TestGraphValue:
     def test_validation_matches_reference(self, adj):
         # the same exception class and message, and the first bad vertex or pair
         assert raised(Graph, adj) == raised(reference_validate, adj)
+
+    @pytest.mark.parametrize("n", range(MAX_VERTICES + 1))
+    def test_decoded_masks_need_no_validation(self, n):
+        # the invariant _decoded rests on: every column stream decodes to
+        # masks that Graph accepts, and to the same value
+        rng = random.Random(n)
+        nbits = n * (n - 1) // 2
+        for stream in (0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(20))):
+            masks = columns_to_masks(stream, n)
+            g = _decoded(masks)
+            assert Graph(masks) == g and type(g.adj) is tuple and vars(g) == {"adj": masks}
 
     def test_immutable_value(self):
         assert_immutable_value(petersen_graph, "adj")

@@ -9,7 +9,18 @@ from twosc import gcb, harness
 from twosc.core import Graph, has_triangle
 from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
 from twosc.graphs import petersen_graph
-from twosc.harness import COUNTS, THEOREMS, BatteryResult, VerificationReport, _run_chunk, render_table, verify_all
+from twosc.harness import (
+    BLOCK,
+    COUNTS,
+    THEOREMS,
+    BatteryResult,
+    Theorem,
+    VerificationReport,
+    _run_chunk,
+    facts,
+    render_table,
+    verify_all,
+)
 from twosc.io import graph6_decode, graph6_encode, write_graph6
 
 from conftest import run_python
@@ -39,6 +50,7 @@ BATTERY_9_DIGEST = "e4a87ac31709e1aa0f1414085cab7567fb780dfe90e1f3e591f742779520
 def strip_times(doc):
     doc = json.loads(json.dumps(doc))
     doc.pop("seconds", None)
+    doc.pop("facts_seconds", None)
     for rep in doc["reports"]:
         rep.pop("seconds", None)
     return doc
@@ -73,6 +85,51 @@ def test_chunk_results_merge_associatively():
     right = strip_times(a.merge(b.merge(c)).to_json())
     assert left == right == strip_times(verify_all(6).to_json())
     assert strip_times(BatteryResult.empty().merge(a).to_json()) == strip_times(a.to_json())
+
+
+def reference_chunk(theorems, graphs):
+    """The per-graph loop that the blocks replace: each graph's facts, its counts, then each theorem that applies."""
+    part = BatteryResult([VerificationReport(t.name) for t in theorems], {}, 0.0)
+    for g in graphs:
+        f = facts(g)
+        row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
+        maximal = f.cert is not None and f.cert.maximal
+        for key, val in zip(COUNTS, (1, f.two_sc, f.minimal, maximal, f.two_sc and f.triangle_free)):
+            row[key] += val
+        for theorem, rep in zip(theorems, part.reports):
+            if theorem.applies(f):
+                ok, detail = theorem.check(f)
+                rep.n_min = g.n if not rep.examined else min(rep.n_min, g.n)
+                rep.n_max = max(rep.n_max, g.n)
+                rep.examined += 1
+                if ok:
+                    rep.passes += 1
+                else:
+                    rep.counterexamples.append({"n": g.n, "graph6": graph6_encode(g), "detail": detail})
+    return part
+
+
+def test_blocks_match_the_per_graph_loop():
+    # 996 graphs, largest first, so blocks lower n_min; the sandwich
+    # check fails on the last two 2SC graphs of the first block and on
+    # the first 2SC graph of the second
+    graphs = connected_up_to(7)[::-1]
+    assert len(graphs) > 3 * BLOCK
+    two_sc = [i for i, g in enumerate(graphs) if g.two_sc]
+    first = [i for i in two_sc if i < BLOCK]
+    failing = {graphs[first[-2]], graphs[first[-1]], graphs[min(i for i in two_sc if i >= BLOCK)]}
+    sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
+
+    def check(f):
+        return (False, {"planted": True}) if f.g in failing else sandwich.check(f)
+
+    table = tuple(Theorem(t.name, t.applies, check) if t is sandwich else t for t in THEOREMS)
+    blocks = _run_chunk(table, iter(graphs))
+    reference = reference_chunk(table, graphs)
+    assert strip_times(blocks.to_json()) == strip_times(reference.to_json())
+    rep = blocks.reports[THEOREMS.index(sandwich)]
+    assert [c["graph6"] for c in rep.counterexamples] == [graph6_encode(g) for g in graphs if g in failing]
+    assert rep.examined == len(two_sc) and (rep.n_min, rep.n_max) == (4, 7)
 
 
 def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
@@ -194,23 +251,29 @@ def test_full_battery_json_pinned_up_to_eight():
 @pytest.mark.slow
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM, and ru_maxrss in KiB")
 def test_full_battery_up_to_nine_in_little_memory(tmp_path):
+    # the command line's n <= 9 battery, as a user runs it: exit 0, and
     # every process's peak stays far below the 160 MB that holding the
     # n <= 9 classes as Graph lists took.  Linux keeps the peak of the
     # process that started an interpreter in that interpreter's
     # RUSAGE_SELF, so its own peak is read as VmHWM, which starts anew
     # at exec; its shares' peaks are RUSAGE_CHILDREN
     out = run_python(tmp_path, """
+        import contextlib
+        import io
         import json
         import resource
-        from twosc.harness import verify_all
+        from twosc.cli import main
 
-        doc = verify_all(9, workers=2).to_json()
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(["verify", "--n-max", "9", "--workers", "2", "--format", "json"])
         with open("/proc/self/status") as status:
             own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
         peaks = [own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]
-        print(json.dumps([doc, peaks]))
+        print(json.dumps([code, json.loads(printed.getvalue()), peaks]))
     """, timeout=300)
-    doc, peaks = json.loads(out)
+    code, doc, peaks = json.loads(out)
+    assert code == 0
     assert battery_digest(doc) == BATTERY_9_DIGEST
     assert doc["counting"]["9"] == {
         "graphs": 261080, "two_sc": 79173, "edge_minimal": 102, "edge_maximal": 7, "triangle_free_two_sc": 15,
@@ -264,10 +327,9 @@ def test_render_table_names_what_it_skipped():
     six = BatteryResult.empty()
     six.counting[6] = dict.fromkeys(COUNTS, 0)
     trip = next(r for r in six.reports if r.theorem == "gcb_round_trip")
-    for g in connected_classes(6):
-        six.counting[6]["graphs"] += 1
-        if g.two_sc and not has_triangle(g):
-            trip.record(g, True, None, 0.0)
+    six.counting[6]["graphs"] = len(connected_classes(6))
+    trips = [g for g in connected_classes(6) if g.two_sc and not has_triangle(g)]
+    trip.record(trips, [(True, None)] * len(trips), 0.0)
     lines = render_table(verify_all(5).merge(six)).splitlines()
     skipped = next(line for line in lines if line.startswith("checked below n = 6 only: "))
     for theorem in THEOREMS:
@@ -319,8 +381,8 @@ def test_report_seconds_time_each_check():
             assert rep.seconds >= 0.0
             if rep.examined == 0:
                 assert rep.seconds == 0.0
-        assert any(rep.seconds > 0.0 for rep in result.reports)
-        assert sum(rep.seconds for rep in result.reports) <= result.seconds
+        assert any(rep.seconds > 0.0 for rep in result.reports) and result.facts_seconds > 0.0
+        assert sum(rep.seconds for rep in result.reports) + result.facts_seconds <= result.seconds
 
 
 def test_reports_are_plain_values():
@@ -330,7 +392,7 @@ def test_reports_are_plain_values():
         "VerificationReport(theorem='t', n_min=0, n_max=0, examined=0, passes=0, counterexamples=[], seconds=0.0)"
     )
     g = petersen_graph()
-    a.record(g, False, {"forward": False}, 0.0004)
+    a.record([g], [(False, {"forward": False})], 0.0004)
     assert a != b
     assert list(a.to_json().items()) == [
         ("theorem", "t"), ("n_min", 10), ("n_max", 10), ("examined", 1), ("passes", 0),
@@ -343,10 +405,10 @@ def test_reports_are_plain_values():
     result = _run_chunk(THEOREMS, connected_up_to(5))
     copy = pickle.loads(pickle.dumps(result))
     assert copy is not result and copy == result and copy.to_json() == result.to_json()
-    assert repr(BatteryResult([], {}, 0.0)) == "BatteryResult(reports=[], counting={}, seconds=0.0)"
+    assert repr(BatteryResult([], {}, 0.0)) == "BatteryResult(reports=[], counting={}, seconds=0.0, facts_seconds=0.0)"
 
 
 def test_experiments_empty_in_range():
     # the reduction-order and zero-l experiments are gone from the report
     doc = verify_all(6).to_json()
-    assert set(doc) == {"reports", "counting", "seconds"}
+    assert set(doc) == {"reports", "counting", "seconds", "facts_seconds"}

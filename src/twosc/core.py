@@ -20,11 +20,42 @@ matrix is symmetric (a far pair (u, v) with v < u would put (v, u) in
 the earlier row v).  ``CommonNeighbours.pairs`` reads the pairs of any
 field in that order; the first removable edge of ``is_edge_minimal`` is
 found the same way.
+
+The battery reads many small graphs, so ``kernel_block`` runs the kernel
+once for a run of graphs that share one lane width w <= 16.  Graph i's
+packed rows fill slot i, bits i * w * w .. (i + 1) * w * w - 1 of one
+int, with its lanes past n left 0, so each slot holds what ``_pack``
+makes of that graph.  ``pack_slots`` builds the int with one ``struct``
+call, little-endian; the per-slot verdict words of a matrix come back
+with one ``struct.unpack``, and a chosen slot's fields as byte slices of
+the matrices.  Step k of the n steps ands column k of
+every slot, each set bit filled across its lane by one shift and one
+subtraction, with row k of every slot, broadcast across its slot by
+log2(w) shift-or doublings; multiplying by a constant of w * w bits
+would broadcast in one operation, but costs more than linear time in the
+run's length.  The transpose's swaps and the diagonal are the single
+matrix's masks repeated in every slot.  Per graph, packing included,
+in runs of 256 seeded G(n, 1/2) graphs against ``common_neighbours`` one
+graph at a time (best of 7, CPython 3.11, 2 vCPUs; the wider rows
+measured with the lanes mask built without ``_LANE_BYTES``):
+
+====  ==========  ==========  =============
+n     lane width  block pass  one at a time
+====  ==========  ==========  =============
+8     8           0.4 us      2.7 us
+16    16          1.5 us      4.7 us
+24    32          7.9 us      6.9 us
+40    64          67 us       19 us
+====  ==========  ==========  =============
+
+So runs hold graphs with n <= ``BLOCK_MAX_N`` = 16 only, a choice made
+from n alone, and wider graphs keep the per-graph kernel.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
@@ -311,6 +342,182 @@ def common_neighbours(adj: Sequence[int]) -> CommonNeighbours:
     return CommonNeighbours(n, w, x, one, many, lanes & ~(near | one), one & ~(near | many))
 
 
+# ------------------------------------------------------------- block pass
+#
+# The layout, the broadcast and the cutoff are in the module docstring.
+
+BLOCK_MAX_N = 16
+
+# per lane width w <= 16, the bytes of a slot's lanes mask for n = 0..w:
+# rows 0..n-1 holding columns 0..n-1
+_LANE_BYTES = {w: tuple(_ROWS[w].pack(*[(1 << n) - 1] * n, *[0] * (w - n)) for n in range(w + 1)) for w in (8, 16)}
+
+
+class _SlotMasks(NamedTuple):
+    """A single matrix's masks repeated in every slot of a run."""
+
+    ones: int  # bit 0 of every lane
+    first: int  # lane 0 of every slot
+    diagonal: int
+    low: int  # the low w - 1 bits of every lane
+    swaps: tuple[tuple[int, int], ...]  # the transpose's (shift, mask) pairs
+
+
+@lru_cache(maxsize=None)
+def _slot_masks(w: int, slots: int) -> _SlotMasks:
+    size = w * w
+    each = _every(size, slots * size)
+    ones = _every(w, slots * size)
+    return _SlotMasks(
+        ones, each * ((1 << w) - 1), each * _DIAGONAL[w], ones * ((1 << w - 1) - 1),
+        tuple((s, each * m) for s, m in _SWAPS[w]),
+    )
+
+
+def _masks(w: int, count: int) -> _SlotMasks:
+    """The masks for a run of ``count`` slots of width w.
+
+    Cached for power-of-two lengths; masks longer than the run are
+    harmless under ``&``.
+    """
+    return _slot_masks(w, 1 << max(count - 1, 0).bit_length())
+
+
+def lane_groups(sizes: Iterable[int]) -> dict[int, list[int]]:
+    """The positions of the graphs with these vertex counts, by lane width, ascending within each."""
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(sizes):
+        groups.setdefault(_lane_width(n), []).append(i)
+    return groups
+
+
+def pack_slots(rows: Sequence[Sequence[int]], w: int) -> int:
+    """Graph i's rows in slot i, lane v holding row v.
+
+    Raises struct.error unless each graph has at most w rows, each an int
+    in 0..2**w - 1.
+    """
+    flat: list[int] = []
+    pad = [0] * w
+    for adj in rows:
+        flat += adj
+        flat += pad[len(adj):]
+    return int.from_bytes(struct.pack(f"<{len(rows) * w}{_LANE_FORMATS[w]}", *flat), "little")
+
+
+class KernelBlock(NamedTuple):
+    """The common-neighbour kernels of a run of graphs of one lane width w <= ``BLOCK_MAX_N``.
+
+    Each matrix field holds in slot i what the same field of
+    ``common_neighbours`` holds for graph i, whose vertex count is
+    ``sizes[i]``; ``lanes`` holds in slot i the pairs (u, v) with u, v
+    below ``sizes[i]``.
+    """
+
+    w: int
+    sizes: tuple[int, ...]
+    lanes: int
+    adjacency: int
+    one: int
+    many: int
+    far: int
+    crit: int
+
+    def words(self, matrix: int) -> tuple[int, ...]:
+        """One word per slot of a block matrix, nonzero exactly when the slot is.
+
+        The word is the slot itself at w = 8, and its four quarters or-ed
+        at w = 16.
+        """
+        count, quarters = len(self.sizes), self.w * self.w >> 6
+        step = self.w * self.w >> 1
+        while step >= 64:
+            matrix |= matrix >> step
+            step >>= 1
+        words = struct.unpack(f"<{count * quarters}Q", matrix.to_bytes(count * quarters << 3, "little"))
+        return words[::quarters]
+
+    def transpose(self, matrix: int) -> int:
+        """Every slot of a block matrix transposed."""
+        for s, m in _masks(self.w, len(self.sizes)).swaps:
+            t = (matrix ^ matrix >> s) & m
+            matrix ^= t | t << s
+        return matrix
+
+    def malformed(self, matrix: int) -> int:
+        """The bits of a block matrix that no graph with the slots' sizes has.
+
+        Those are the bits outside the lanes, on the diagonal, or without
+        their mirror.
+        """
+        diagonal = _masks(self.w, len(self.sizes)).diagonal
+        return matrix & ~self.lanes | matrix & diagonal | matrix ^ self.transpose(matrix)
+
+    def two_sc(self) -> list[bool]:
+        """Each graph's local test: n >= 4, every degree in [2, n - 2], and no far pair."""
+        w, lanes, x = self.w, self.lanes, self.adjacency
+        masks = _masks(w, len(self.sizes))
+        ones, low = masks.ones, masks.low
+        # a degree above n - 2 leaves the lane of non-neighbours empty,
+        # so its high bit stays clear when its low bits are carried into
+        # it.  The lower bound follows: a vertex of degree 0 makes far
+        # pairs, and the one neighbour of a vertex of degree 1 must be
+        # the common neighbour of every pair it forms, so has degree n - 1
+        apart = lanes & ~(x | masks.diagonal)
+        filled = ((apart & low) + low | apart) >> w - 1 & ones
+        return [n >= 4 and not word for n, word in zip(self.sizes, self.words(self.far | lanes & ones & ~filled))]
+
+    def deletable(self) -> int:
+        """``CommonNeighbours.deletable`` of every slot, as a block matrix."""
+        w, x, crit = self.w, self.adjacency, self.crit
+        masks = _masks(w, len(self.sizes))
+        meets = 0
+        for k in range(max(self.sizes, default=0)):
+            row = crit >> k * w & masks.first
+            if row:
+                meets |= _filled_column(x, k, masks.ones, w) & _broadcast(row, w)
+        return x & self.one & ~(meets | self.transpose(meets))
+
+    def commons(self, chosen: Iterable[int]) -> list[CommonNeighbours]:
+        """The ``CommonNeighbours`` of the chosen slots, equal to ``common_neighbours`` of their graphs."""
+        w, count, size = self.w, len(self.sizes), self.w * self.w >> 3
+        data = [m.to_bytes(count * size, "little") for m in (self.adjacency, self.one, self.many, self.far, self.crit)]
+        return [
+            CommonNeighbours(self.sizes[i], w, *(int.from_bytes(d[i * size:(i + 1) * size], "little") for d in data))
+            for i in chosen
+        ]
+
+
+def _filled_column(x: int, k: int, ones: int, w: int) -> int:
+    """Column k of every slot, each set bit filled across its lane."""
+    c = x >> k & ones
+    return (c << w) - c
+
+
+def _broadcast(row: int, w: int) -> int:
+    """Lane 0 of every slot copied into every lane of its slot."""
+    s = w
+    while s < w * w:
+        row |= row << s
+        s <<= 1
+    return row
+
+
+def kernel_block(x: int, sizes: Sequence[int], w: int) -> KernelBlock:
+    """The kernels of the graphs packed in x by ``pack_slots``, with vertex counts ``sizes``: n steps for the run."""
+    masks = _masks(w, len(sizes))
+    ones, first = masks.ones, masks.first
+    one = many = 0
+    for k in range(max(sizes, default=0)):
+        t = _filled_column(x, k, ones, w) & _broadcast(x >> k * w & first, w)
+        many |= one & t
+        one |= t
+    lane_bytes = _LANE_BYTES[w]
+    lanes = int.from_bytes(b"".join([lane_bytes[n] for n in sizes]), "little")
+    near = x | masks.diagonal
+    return KernelBlock(w, tuple(sizes), lanes, x, one, many, lanes & ~(near | one), one & ~(near | many))
+
+
 class _memo:
     """A computed attribute that fills the instance dict on its first read.
 
@@ -319,7 +526,8 @@ class _memo:
     does the same, but takes a lock on each first read on CPython 3.10
     and 3.11; the attributes here are pure functions of a frozen value,
     so two threads that race on a first read compute the same answer and
-    no lock is needed.
+    no lock is needed.  A block pass may fill a memo ahead of its first
+    read (``_remember``), with the value the read would compute.
     """
 
     def __init__(self, func: Callable[[Any], Any]) -> None:
@@ -332,6 +540,11 @@ class _memo:
             return self
         value = vars(obj)[self.name] = self.func(obj)
         return value
+
+
+def _remember(obj: Any, **memos: Any) -> None:
+    """Fill ``_memo`` attributes of obj with values computed elsewhere, each equal to what its first read would give."""
+    vars(obj).update(memos)
 
 
 def _first_bad_mask(adj: Sequence[int]) -> GraphError:
@@ -496,11 +709,14 @@ class Graph(_Frozen):
 
 
 def _decoded(masks: tuple[int, ...]) -> Graph:
-    """The ``Graph`` on masks that ``columns_to_masks`` returned, built without ``Graph.__init__``'s validation.
+    """The ``Graph`` on masks valid by construction, built without ``Graph.__init__``'s validation.
 
     For every stream and n <= 64, ``columns_to_masks`` gives row v only
     vertices below v and then mirrors the rows, so its tuple is in
     range, loop-free and symmetric: the value ``Graph(masks)`` builds.
+    The greedy sandwich builders of ``recognition`` toggle pairs u < v of
+    a valid graph in both rows at once, which keeps those properties; the
+    battery's ``sandwich_existence`` re-derives them for every output.
     """
     g = object.__new__(Graph)
     object.__setattr__(g, "adj", masks)

@@ -11,20 +11,26 @@ and replay.  Worker processes take shares of the parents or of the file
 through ``enumeration._split``, and the parts' results merge as values.
 
 Each share takes its stream in blocks of ``BLOCK`` graphs: it computes
-the block's facts records, counts them into the table, then runs each
-theorem over the block's records it applies to between one pair of
+the block's facts records, counts them into the table, then hands each
+theorem's check the block's records it applies to, between one pair of
 clock reads.  So a theorem's seconds are timed per block, and still
-cover only its own checks.
+cover only its own checks.  ``facts`` reads the 2SC test, triangles and
+edge-minimality of a block's graphs with n <= ``core.BLOCK_MAX_N`` from
+one block pass of the common-neighbour kernel per lane width
+(``core.kernel_block``), and ``sandwich_existence`` re-derives its
+greedy graphs' properties from block passes over them; the other checks
+take the block one graph at a time.
 """
 
 from __future__ import annotations
 
+import struct
 import time
 from functools import reduce
 from itertools import islice
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .core import Graph, has_triangle
+from .core import BLOCK_MAX_N, Graph, GraphError, _remember, has_triangle, kernel_block, lane_groups, pack_slots
 from .enumeration import GENERATOR_MAX, RangeError, _connected_from, _split, _usable_cpus, graph_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
@@ -54,11 +60,40 @@ class Facts(NamedTuple):
     cert: MaximalityCertificate | None
 
 
-def facts(g: Graph) -> Facts:
-    """The facts record of g, which every theorem and the counting row read."""
+def facts(graphs: Sequence[Graph]) -> list[Facts]:
+    """The facts records of a block of graphs, in order, which every theorem and the counting row read.
+
+    Graphs with n <= ``BLOCK_MAX_N`` are read in one block pass per lane
+    width: the 2SC test, triangle-freeness (no edge with a common
+    neighbour) and edge-minimality (no deletable edge) come from its
+    verdict words, and each 2SC graph's ``two_sc`` and ``common`` memos
+    are filled with its slot's values.  Wider graphs read their own kernel.
+    """
+    made: dict[int, Facts] = {}
+    for w, where in lane_groups(len(g.adj) for g in graphs).items():
+        run = [graphs[i] for i in where]
+        made.update(zip(where, _block_facts(run, w) if w <= BLOCK_MAX_N else map(_graph_facts, run)))
+    return [made[i] for i in range(len(graphs))]
+
+
+def _graph_facts(g: Graph) -> Facts:
     two_sc = g.two_sc
     minimal = two_sc and is_edge_minimal(g).minimal
     return Facts(g, two_sc, not has_triangle(g), minimal, complement_star_certificate(g) if two_sc else None)
+
+
+def _block_facts(run: list[Graph], w: int) -> list[Facts]:
+    block = kernel_block(pack_slots([g.adj for g in run], w), [len(g.adj) for g in run], w)
+    two_sc = block.two_sc()
+    triangles = block.words(block.adjacency & block.one)
+    deletable = block.words(block.deletable())
+    chosen = [i for i, flag in enumerate(two_sc) if flag]
+    for i, common in zip(chosen, block.commons(chosen)):
+        _remember(run[i], two_sc=True, common=common)
+    return [
+        Facts(g, flag, not tri, flag and not edges, complement_star_certificate(g) if flag else None)
+        for g, flag, tri, edges in zip(run, two_sc, triangles, deletable)
+    ]
 
 
 # A check's verdict and, on a failure, the detail its record keeps.
@@ -66,11 +101,15 @@ Outcome = tuple[bool, dict[str, Any] | None]
 
 
 class Theorem(NamedTuple):
-    """One theorem: ``check`` runs on each graph that ``applies`` admits; both are module-level, so a table pickles."""
+    """One theorem: ``check`` takes a block's records that ``applies`` admits and returns their outcomes, in order.
+
+    Both are module-level, so a table pickles.  A check that reads one
+    graph at a time is an ``_EachGraph`` over its per-graph function.
+    """
 
     name: str
     applies: Callable[[Facts], bool]
-    check: Callable[[Facts], Outcome]
+    check: Callable[[Sequence[Facts]], list[Outcome]]
 
 
 def _any_graph(f: Facts) -> bool:
@@ -128,23 +167,99 @@ def _triangle_classification(f: Facts) -> Outcome:
     return ok, None if ok else {"classified": cls.minimal, "definition": f.minimal, "trace_ok": trace_ok}
 
 
-def _sandwich_existence(f: Facts) -> Outcome:
-    g = f.g
-    sub = greedy_edge_minimal(g)
-    sup = greedy_edge_maximal(g)
-    sub_ok = all(not s & ~m for s, m in zip(sub.adj, g.adj)) and sub.two_sc and is_edge_minimal(sub).minimal
-    sup_ok = all(not m & ~s for s, m in zip(sup.adj, g.adj)) and sup.two_sc and edge_maximal_by_definition(sup)
-    ok = sub_ok and sup_ok
-    return ok, None if ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok}
+class _EachGraph:
+    """A check over a block that runs a per-graph check on each record in turn; pickles by the function's name."""
+
+    def __init__(self, check: Callable[[Facts], Outcome]) -> None:
+        self.check = check
+
+    def __call__(self, records: Sequence[Facts]) -> list[Outcome]:
+        return [self.check(f) for f in records]
+
+
+def _sandwich_existence(records: Sequence[Facts]) -> list[Outcome]:
+    """The greedy subgraph and supergraph of each graph, checked again from their masks alone.
+
+    Their ``Graph`` values are built without validation, so well-formedness
+    is derived here: each must have the graph's n masks, in range, with no
+    loop and equal to its transpose.  Then sub is inside g and g inside
+    sup, sub is 2SC with no deletable edge, and sup is 2SC and edge-maximal
+    by definition.  Runs of n <= ``BLOCK_MAX_N`` read all of it from block
+    passes; wider graphs, and a run holding anything ``pack_slots``
+    rejects, one graph at a time.
+    """
+    graphs = [f.g for f in records]
+    subs = [greedy_edge_minimal(g) for g in graphs]
+    sups = [greedy_edge_maximal(g) for g in graphs]
+    verdicts: dict[int, tuple[bool, bool]] = {}
+    for w, where in lane_groups(len(g.adj) for g in graphs).items():
+        verdicts.update(zip(where, _run_sandwich([(graphs[i], subs[i], sups[i]) for i in where], w)))
+    pairs = [verdicts[i] for i in range(len(graphs))]
+    return [(a and b, None if a and b else {"subgraph_ok": a, "supergraph_ok": b}) for a, b in pairs]
+
+
+def _run_sandwich(run: list[tuple[Graph, Graph, Graph]], w: int) -> list[tuple[bool, bool]]:
+    """Block passes when n <= ``BLOCK_MAX_N`` and every greedy graph packs into a slot.
+
+    Otherwise one graph at a time.
+    """
+    if w <= BLOCK_MAX_N and all(len(sub.adj) == len(g.adj) == len(sup.adj) for g, sub, sup in run):
+        try:
+            return _block_sandwich(run, w)
+        except struct.error:
+            pass
+    return [_graph_sandwich(*triple) for triple in run]
+
+
+def _block_sandwich(run: list[tuple[Graph, Graph, Graph]], w: int) -> list[tuple[bool, bool]]:
+    sizes = [len(g.adj) for g, _, _ in run]
+    x, sub, sup = (pack_slots([triple[k].adj for triple in run], w) for k in range(3))
+    lower, upper = kernel_block(sub, sizes, w), kernel_block(sup, sizes, w)
+    sub_bad = lower.words(lower.malformed(sub) | sub & ~x | lower.deletable())
+    sup_bad = upper.words(upper.malformed(sup) | x & ~sup)
+    verdicts = []
+    for (_, _, big), lo_bad, lo_2sc, up_bad, up_2sc in zip(run, sub_bad, lower.two_sc(), sup_bad, upper.two_sc()):
+        sup_ok = not up_bad and up_2sc
+        if sup_ok:
+            _remember(big, two_sc=True)
+            sup_ok = edge_maximal_by_definition(big)
+        verdicts.append((not lo_bad and lo_2sc, sup_ok))
+    return verdicts
+
+
+def _graph_sandwich(g: Graph, sub: Graph, sup: Graph) -> tuple[bool, bool]:
+    lower, upper = _validated(sub, len(g.adj)), _validated(sup, len(g.adj))
+    sub_ok = (
+        lower is not None
+        and all(not s & ~m for s, m in zip(lower.adj, g.adj))
+        and lower.two_sc
+        and is_edge_minimal(lower).minimal
+    )
+    sup_ok = (
+        upper is not None
+        and all(not m & ~s for s, m in zip(upper.adj, g.adj))
+        and upper.two_sc
+        and edge_maximal_by_definition(upper)
+    )
+    return sub_ok, sup_ok
+
+
+def _validated(h: Graph, n: int) -> Graph | None:
+    """The ``Graph`` on h's masks after ``Graph.__init__``'s checks, or None when they fail or it has no n vertices."""
+    try:
+        checked = Graph(h.adj)
+    except GraphError:
+        return None
+    return checked if len(checked.adj) == n else None
 
 
 THEOREMS = (
-    Theorem("recognition_matches_metric", _any_graph, _recognition_matches_metric),
-    Theorem("edge_maximal_complement_stars", _two_sc, _edge_maximal_complement_stars),
-    Theorem("bipartite_minimal_proposition", _any_graph, _bipartite_minimal_proposition),
-    Theorem("triangle_free_minimality", _two_sc, _triangle_free_minimality),
-    Theorem("gcb_round_trip", _triangle_free_two_sc, _gcb_round_trip),
-    Theorem("triangle_classification", _two_sc_with_triangles, _triangle_classification),
+    Theorem("recognition_matches_metric", _any_graph, _EachGraph(_recognition_matches_metric)),
+    Theorem("edge_maximal_complement_stars", _two_sc, _EachGraph(_edge_maximal_complement_stars)),
+    Theorem("bipartite_minimal_proposition", _any_graph, _EachGraph(_bipartite_minimal_proposition)),
+    Theorem("triangle_free_minimality", _two_sc, _EachGraph(_triangle_free_minimality)),
+    Theorem("gcb_round_trip", _triangle_free_two_sc, _EachGraph(_gcb_round_trip)),
+    Theorem("triangle_classification", _two_sc_with_triangles, _EachGraph(_triangle_classification)),
     Theorem("sandwich_existence", _two_sc, _sandwich_existence),
 )
 
@@ -215,7 +330,7 @@ class VerificationReport(_Report):
         """The report over both streams; counterexamples sorted by (n, graph6)."""
         return VerificationReport(
             self.theorem,
-            min(self.n_min or other.n_min, other.n_min or self.n_min),
+            min((r.n_min for r in (self, other) if r.examined), default=0),
             max(self.n_max, other.n_max),
             self.examined + other.examined,
             self.passes + other.passes,
@@ -302,7 +417,7 @@ def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> Batter
     stream = iter(graphs)
     while block := list(islice(stream, BLOCK)):
         begin = clock()
-        records = [facts(g) for g in block]
+        records = facts(block)
         part.facts_seconds += clock() - begin
         for f in records:
             row = part.counting.setdefault(len(f.g.adj), dict.fromkeys(COUNTS, 0))
@@ -314,7 +429,7 @@ def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> Batter
             chosen = [f for f in records if applies(f)]
             if chosen:
                 begin = clock()
-                outcomes = [check(f) for f in chosen]
+                outcomes = check(chosen)
                 rep.record([f.g for f in chosen], outcomes, clock() - begin)
     part.seconds = clock() - start
     return part

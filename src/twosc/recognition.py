@@ -75,7 +75,7 @@ from __future__ import annotations
 
 from typing import Any, NamedTuple, Sequence
 
-from .core import Graph, GraphError, bits, complement_masks, component_masks
+from .core import Graph, GraphError, _decoded, bits, complement_masks, component_masks
 from .core import first_bad_degree
 from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
 
@@ -382,7 +382,9 @@ def greedy_edge_minimal(g: Graph) -> Graph:
     rule of ``edit_keeps_two_sc``: the endpoints keep a common neighbor,
     and neither is the only common neighbor of the other and a third
     vertex.  Row u's edges to higher vertices are g's until u's turn, so
-    the pass walks each row's upper mask.
+    the pass walks each row's upper mask.  Each deletion clears a pair
+    u < v in both rows, so the result is built without a second
+    validation (``core._decoded``).
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
@@ -395,7 +397,7 @@ def greedy_edge_minimal(g: Graph) -> Graph:
                 adj[u] ^= low
                 adj[v] ^= 1 << u
             upper ^= low
-    return Graph(tuple(adj))
+    return _decoded(tuple(adj))
 
 
 def greedy_edge_maximal(g: Graph) -> Graph:
@@ -411,7 +413,8 @@ def greedy_edge_maximal(g: Graph) -> Graph:
     addition is decided by the two endpoint degrees alone, and only pairs
     of open vertices (degree < n - 2) are tried: each open u, ascending,
     takes the open non-neighbours above it, ascending, until u closes.
-    O(n + the number of additions).
+    O(n + the number of additions).  Each addition sets a pair u < v in
+    both rows, so the result is built without a second validation.
     """
     _require_two_sc(g)
     adj, n = list(g.adj), g.n
@@ -436,4 +439,4 @@ def greedy_edge_maximal(g: Graph) -> Graph:
                 opened ^= low
             degree += 1
             free ^= low
-    return Graph(tuple(adj))
+    return _decoded(tuple(adj))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from twosc.core import (
+    BLOCK_MAX_N,
     MAX_VERTICES,
     EdgeAbsentError,
     EdgePresentError,
@@ -14,19 +15,27 @@ from twosc.core import (
     LoopError,
     VertexLimitError,
     _decoded,
+    _lane_width,
+    _remember,
     columns_to_masks,
     common_neighbours,
     complement,
+    conditions_ok,
     connected_components,
     distance_profile,
     edit,
+    has_triangle,
     is_connected,
     is_independent,
     is_star,
+    kernel_block,
+    lane_groups,
+    pack_slots,
     triangles,
 )
 from twosc.canon import are_isomorphic
 from twosc.enumeration import graph_classes
+from twosc.recognition import is_edge_minimal
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -507,3 +516,91 @@ class TestCommonNeighbours:
         g = petersen_graph()
         assert g.common is g.common
         assert "common" not in vars(petersen_graph())
+
+
+def assert_block_matches_each_graph(gs) -> None:
+    """One block pass over gs, all of one lane width, against the per-graph kernel and predicates."""
+    w = _lane_width(max(g.n for g in gs))
+    assert all(_lane_width(g.n) == w for g in gs) and w <= 16
+    block = kernel_block(pack_slots([g.adj for g in gs], w), [g.n for g in gs], w)
+    two_sc = block.two_sc()
+    triangle_free = [not word for word in block.words(block.adjacency & block.one)]
+    minimal = [not word for word in block.words(block.deletable())]
+    commons = block.commons(range(len(gs)))
+    assert len(two_sc) == len(triangle_free) == len(minimal) == len(commons) == len(gs)
+    for i, g in enumerate(gs):
+        assert commons[i]._asdict() == common_neighbours(g.adj)._asdict(), (i, g)
+        assert two_sc[i] == conditions_ok(g.adj, g.n), (i, g)
+        assert triangle_free[i] == (not has_triangle(g)), (i, g)
+        if two_sc[i]:
+            assert minimal[i] == is_edge_minimal(g).minimal, (i, g)
+    # a memo filled from the block equals the one a fresh value computes
+    for i, g in enumerate(gs):
+        if two_sc[i]:
+            copy = _decoded(g.adj)
+            _remember(copy, two_sc=True, common=commons[i])
+            fresh = Graph(g.adj)
+            assert (copy.two_sc, copy.common) == (fresh.two_sc, fresh.common)
+
+
+class TestKernelBlock:
+    @pytest.mark.parametrize("n", range(BLOCK_MAX_N + 1))
+    def test_random_graphs_at_each_size(self, n):
+        rng = random.Random(n)
+        assert_block_matches_each_graph([random_graph(rng, n, p) for p in DENSITIES for _ in range(8)])
+
+    def test_every_class_up_to_six(self):
+        assert_block_matches_each_graph([Graph(())] + [g for n in range(1, 7) for g in graph_classes(n)])
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257])
+    @pytest.mark.parametrize("sizes", [range(0, 9), range(9, 17)], ids=["w8", "w16"])
+    def test_block_lengths_with_mixed_sizes(self, count, sizes):
+        rng = random.Random(count * 100 + sizes[0])
+        ns = list(sizes)
+        gs = [random_graph(rng, ns[i % len(ns)], rng.choice(DENSITIES[1:4])) for i in range(count)]
+        assert_block_matches_each_graph(gs)
+
+    def test_two_sc_graphs_in_one_block(self):
+        # about half of G(n, 0.6) at n = 12..16 is 2SC, so the minimality
+        # words are read on many slots
+        rng = random.Random(7)
+        gs = [random_graph(rng, rng.randint(12, 16), 0.6) for _ in range(300)]
+        assert sum(g.two_sc for g in gs) > 50
+        assert_block_matches_each_graph(gs)
+
+    @pytest.mark.parametrize("sizes", [range(4, 8), range(9, 16)], ids=["w8", "w16"])
+    def test_malformed_names_each_fault_in_its_slot(self, sizes):
+        # a symmetric pair outside the lanes, a loop, and a one-sided
+        # pair, each in its own slot of an otherwise valid block
+        rng = random.Random(sizes[0])
+        gs = [random_graph(rng, n, 0.5) for n in sizes for _ in range(3)]
+        w = _lane_width(max(sizes))
+        x = pack_slots([g.adj for g in gs], w)
+        block = kernel_block(x, [g.n for g in gs], w)
+        assert not any(block.words(block.malformed(x)))
+
+        def bit(slot, u, v):
+            return 1 << slot * w * w + u * w + v
+
+        n0, n2 = gs[0].n, gs[8].n
+        faults = {
+            0: bit(0, 0, n0) | bit(0, n0, 0),
+            4: bit(4, 1, 1),
+            8: bit(8, 0, n2 - 1) if not gs[8].adj[0] >> n2 - 1 & 1 else bit(8, n2 - 1, 0),
+        }
+        spoiled = x
+        for fault in faults.values():
+            spoiled ^= fault
+        words = block.words(block.malformed(spoiled))
+        assert [i for i, word in enumerate(words) if word] == sorted(faults)
+
+    def test_lane_groups_keep_positions_in_order(self):
+        assert lane_groups([9, 0, 8, 17, 16, 40, 1]) == {16: [0, 4], 8: [1, 2, 6], 32: [3], 64: [5]}
+
+    def test_pack_slots_rejects_what_a_slot_cannot_hold(self):
+        import struct
+
+        assert pack_slots([(1, 0), ()], 8) == 1 and pack_slots([(), (2, 1)], 8) == (2 | 1 << 8) << 64
+        for bad in ([(256,)], [(-1,)], [("x",)], [(0,) * 9], [(0,) * 17]):
+            with pytest.raises(struct.error):
+                pack_slots(bad, 8)

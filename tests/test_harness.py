@@ -1,19 +1,21 @@
 import hashlib
 import json
 import pickle
+import random
 import sys
 
 import pytest
 
 from twosc import gcb, harness
-from twosc.core import Graph, has_triangle
+from twosc.core import Graph, _decoded, complement, has_triangle
 from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
-from twosc.graphs import petersen_graph
+from twosc.graphs import complete_graph, cycle_graph, petersen_graph
 from twosc.harness import (
     BLOCK,
     COUNTS,
     THEOREMS,
     BatteryResult,
+    Facts,
     Theorem,
     VerificationReport,
     _run_chunk,
@@ -22,6 +24,13 @@ from twosc.harness import (
     verify_all,
 )
 from twosc.io import graph6_decode, graph6_encode, write_graph6
+from twosc.recognition import (
+    complement_star_certificate,
+    edge_maximal_by_definition,
+    greedy_edge_maximal,
+    greedy_edge_minimal,
+    is_edge_minimal,
+)
 
 from conftest import run_python
 
@@ -87,18 +96,37 @@ def test_chunk_results_merge_associatively():
     assert strip_times(BatteryResult.empty().merge(a).to_json()) == strip_times(a.to_json())
 
 
+def reference_facts(g):
+    """The per-graph facts record that the block pass replaced, on a fresh value of g."""
+    g = Graph(g.adj)
+    two_sc = g.two_sc
+    minimal = two_sc and is_edge_minimal(g).minimal
+    return Facts(g, two_sc, not has_triangle(g), minimal, complement_star_certificate(g) if two_sc else None)
+
+
+def reference_sandwich(f):
+    """The per-graph sandwich check that the block passes replaced, on validated copies of the greedy graphs."""
+    g = f.g
+    sub = Graph(greedy_edge_minimal(g).adj)
+    sup = Graph(greedy_edge_maximal(g).adj)
+    sub_ok = all(not s & ~m for s, m in zip(sub.adj, g.adj)) and sub.two_sc and is_edge_minimal(sub).minimal
+    sup_ok = all(not m & ~s for s, m in zip(sup.adj, g.adj)) and sup.two_sc and edge_maximal_by_definition(sup)
+    ok = sub_ok and sup_ok
+    return ok, None if ok else {"subgraph_ok": sub_ok, "supergraph_ok": sup_ok}
+
+
 def reference_chunk(theorems, graphs):
     """The per-graph loop that the blocks replace: each graph's facts, its counts, then each theorem that applies."""
     part = BatteryResult([VerificationReport(t.name) for t in theorems], {}, 0.0)
     for g in graphs:
-        f = facts(g)
+        f = facts([g])[0]
         row = part.counting.setdefault(g.n, dict.fromkeys(COUNTS, 0))
         maximal = f.cert is not None and f.cert.maximal
         for key, val in zip(COUNTS, (1, f.two_sc, f.minimal, maximal, f.two_sc and f.triangle_free)):
             row[key] += val
         for theorem, rep in zip(theorems, part.reports):
             if theorem.applies(f):
-                ok, detail = theorem.check(f)
+                [(ok, detail)] = theorem.check([f])
                 rep.n_min = g.n if not rep.examined else min(rep.n_min, g.n)
                 rep.n_max = max(rep.n_max, g.n)
                 rep.examined += 1
@@ -120,8 +148,9 @@ def test_blocks_match_the_per_graph_loop():
     failing = {graphs[first[-2]], graphs[first[-1]], graphs[min(i for i in two_sc if i >= BLOCK)]}
     sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
 
-    def check(f):
-        return (False, {"planted": True}) if f.g in failing else sandwich.check(f)
+    def check(records):
+        outcomes = sandwich.check(records)
+        return [(False, {"planted": True}) if f.g in failing else o for f, o in zip(records, outcomes)]
 
     table = tuple(Theorem(t.name, t.applies, check) if t is sandwich else t for t in THEOREMS)
     blocks = _run_chunk(table, iter(graphs))
@@ -130,6 +159,138 @@ def test_blocks_match_the_per_graph_loop():
     rep = blocks.reports[THEOREMS.index(sandwich)]
     assert [c["graph6"] for c in rep.counterexamples] == [graph6_encode(g) for g in graphs if g in failing]
     assert rep.examined == len(two_sc) and (rep.n_min, rep.n_max) == (4, 7)
+
+
+def test_block_facts_match_the_per_graph_records():
+    # every connected class with n <= 8, in one stream's blocks; the
+    # memos a block fills equal those a fresh value computes
+    graphs = connected_up_to(8)
+    for start in range(0, len(graphs), BLOCK):
+        block = graphs[start:start + BLOCK]
+        for g, f in zip(block, facts(block)):
+            expected = reference_facts(g)
+            assert f.g is g and f[1:] == expected[1:], g
+            if f.two_sc:
+                assert vars(g)["two_sc"] is True and vars(g)["common"] == expected.g.common
+
+
+def test_block_sandwich_matches_the_per_graph_check():
+    graphs = connected_up_to(8)
+    sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
+    checked = 0
+    for start in range(0, len(graphs), BLOCK):
+        chosen = [f for f in facts(graphs[start:start + BLOCK]) if f.two_sc]
+        assert sandwich.check(chosen) == [reference_sandwich(f) for f in chosen]
+        checked += len(chosen)
+    assert checked == sum(verify_all(8).counting[n]["two_sc"] for n in range(1, 9))
+
+
+def mirror_broken(g, adj):
+    """adj with its first edge (u, v), u < v, kept only in row u."""
+    u = next(u for u, m in enumerate(adj) if m >> u + 1)
+    v = (adj[u] >> u + 1 & -(adj[u] >> u + 1)).bit_length() + u
+    return adj[:v] + (adj[v] & ~(1 << u),) + adj[v + 1:]
+
+
+def with_loop(g, adj):
+    """adj with a loop at vertex 0."""
+    return (adj[0] | 1,) + adj[1:]
+
+
+def graph_itself(g, adj):
+    """g's own masks, when they differ from adj."""
+    return g.adj if g.adj != adj else None
+
+
+def relabelled(g, adj):
+    """adj with its labels reversed, when that leaves it neither inside g nor around it."""
+    moved = Graph(adj).relabel(range(len(adj) - 1, -1, -1)).adj
+    inside = all(not s & ~m for s, m in zip(moved, g.adj))
+    around = all(not m & ~s for s, m in zip(moved, g.adj))
+    return None if inside or around else moved
+
+
+def edgeless(g, adj):
+    """No edges on g's vertices: a well-formed subgraph of g that is not 2SC."""
+    return (0,) * len(adj)
+
+
+def complete_graph_masks(g, adj):
+    """The complete graph on g's vertices: a supergraph of g that is not 2SC."""
+    return complete_graph(len(adj)).adj
+
+
+def two_sc_graphs_on_seventeen():
+    """co-C17 and seeded G(17, 1/2) graphs that are 2SC: the per-graph path."""
+    rng = random.Random(17)
+    out = [complement(cycle_graph(17))]
+    while len(out) < 4:
+        g = Graph.from_edges(17, [(u, v) for u in range(17) for v in range(u + 1, 17) if rng.random() < 0.5])
+        if g.two_sc:
+            out.append(g)
+    return out
+
+
+SPOILERS = [
+    ("greedy_edge_minimal", mirror_broken),
+    ("greedy_edge_minimal", with_loop),
+    ("greedy_edge_minimal", graph_itself),
+    ("greedy_edge_minimal", relabelled),
+    ("greedy_edge_minimal", edgeless),
+    ("greedy_edge_maximal", mirror_broken),
+    ("greedy_edge_maximal", with_loop),
+    ("greedy_edge_maximal", graph_itself),
+    ("greedy_edge_maximal", relabelled),
+    ("greedy_edge_maximal", complete_graph_masks),
+]
+
+
+@pytest.mark.parametrize("path", ["block", "per_graph"])
+@pytest.mark.parametrize("name, spoil", SPOILERS, ids=[f"{n[7:]}-{s.__name__}" for n, s in SPOILERS])
+def test_sandwich_rederives_what_it_checks(monkeypatch, name, spoil, path):
+    # the greedy graphs are built without Graph.__init__, so a malformed
+    # output, a subgraph that is not minimal or not inside g, and a
+    # supergraph that is not 2SC or misses an edge of g each fail the
+    # check for that graph alone, in a block pass (n <= 6) and one graph
+    # at a time (n = 17)
+    graphs = [g for g in connected_up_to(6) if g.two_sc] if path == "block" else two_sc_graphs_on_seventeen()
+    greedy = {"greedy_edge_minimal": greedy_edge_minimal, "greedy_edge_maximal": greedy_edge_maximal}[name]
+    spoiled = next(g for g in graphs[len(graphs) // 2:] + graphs if spoil(g, greedy(g).adj) is not None)
+
+    def broken(g):
+        out = greedy(g)
+        return _decoded(spoil(g, out.adj)) if g is spoiled else out
+
+    monkeypatch.setattr(harness, name, broken)
+    sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
+    side = "subgraph" if name == "greedy_edge_minimal" else "supergraph"
+    detail = {"subgraph_ok": side != "subgraph", "supergraph_ok": side != "supergraph"}
+    assert sandwich.check(facts(graphs)) == [(False, detail) if g is spoiled else (True, None) for g in graphs]
+
+
+def test_sandwich_rejects_a_subgraph_of_the_wrong_size_or_kind(monkeypatch):
+    graphs = [g for g in connected_up_to(6) if g.two_sc]
+    spoiled = {graphs[0]: (), graphs[1]: graphs[1].adj + (0,), graphs[2]: (-1,) + graphs[2].adj[1:],
+               graphs[3]: (1 << 9,) + graphs[3].adj[1:], graphs[4]: ("x",) + graphs[4].adj[1:]}
+
+    def broken(g):
+        return _decoded(spoiled[g]) if g in spoiled else greedy_edge_minimal(g)
+
+    monkeypatch.setattr(harness, "greedy_edge_minimal", broken)
+    sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
+    detail = {"subgraph_ok": False, "supergraph_ok": True}
+    assert sandwich.check(facts(graphs)) == [(False, detail) if g in spoiled else (True, None) for g in graphs]
+
+
+def test_zero_vertex_records_merge_the_same_at_any_worker_count(tmp_path):
+    # graph6 "?" is K0: n_min is 0 in the share that examines it, which
+    # the merge must keep rather than read as "nothing examined"
+    path = tmp_path / "graphs.g6"
+    path.write_text("?\nCF\nC~\n")
+    one, two = (strip_times(verify_all(8, source="file", path=str(path), workers=k).to_json()) for k in (1, 2))
+    assert one == two
+    rep = next(r for r in one["reports"] if r["theorem"] == "recognition_matches_metric")
+    assert (rep["n_min"], rep["n_max"], rep["examined"]) == (0, 4, 3)
 
 
 def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):

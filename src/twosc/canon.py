@@ -16,7 +16,7 @@ Isomorphic graphs admit the same orders up to relabelling, so the
 maximal code is a complete invariant, and it determines its graph:
 after a leading 1 bit, level j holds j bits, the adjacency of position
 j to positions 0..j-1 (``_decode``).  So the code is the canonical
-form: ``canonical_masks`` is ``_decode(partition_code(g))``, and two
+form: ``canonical_masks`` decodes ``partition_code(g)``, and two
 graphs are isomorphic iff they have the same code.  The bits below the
 leading 1 are the upper triangle column by column, most significant
 first, which is exactly how graph6 lays out a record's body (McKay's
@@ -79,9 +79,10 @@ exploding into factorially many states:
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
-from .core import _ONES, Graph, GraphError, _decoded, _lane_width, _pack, bits, columns_to_masks
+from .core import _ONES, COLUMN_RUN, Graph, GraphError, _decoded, _lane_width, _pack, bits, columns_to_masks
 
 
 class _Members(dict):
@@ -359,21 +360,25 @@ def partition_code(adj: Sequence[int]) -> int:
     return _maximal_code(adj, n, _cells(_ranks(adj, n)), _twins_before(adj))[0]
 
 
-def _decode(code: int, n: int) -> tuple[int, ...]:
-    """The adjacency masks, in code order, of the graph a code determines.
+def _decode(codes: Iterable[int], n: int) -> Iterator[tuple[int, ...]]:
+    """The adjacency masks, in code order, of the graph each code on n vertices determines.
 
-    The inverse of ``partition_code``: it returns ``canonical_masks``.
-    Below its leading 1 bit the code is the column stream of a graph6
-    record's body, so ``columns_to_masks`` reads both.
+    The inverse of ``partition_code``: it gives ``canonical_masks``.
+    Below its leading 1 bit a code is the column stream of a graph6
+    record's body, so ``columns_to_masks`` reads both: each code goes
+    whole into its own slot, and the decoder ignores the leading 1 above
+    the stream.  One pass decodes each run of ``COLUMN_RUN`` codes.
     """
-    nbits = n * (n - 1) // 2
-    return columns_to_masks(code ^ 1 << nbits, n)
+    size = _lane_width(n) ** 2 >> 3
+    codes = iter(codes)
+    while run := list(islice(codes, COLUMN_RUN)):
+        yield from columns_to_masks(b"".join([code.to_bytes(size, "big") for code in run]), n)
 
 
 def canonical_masks(adj: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency masks of the canonical form, ``_decode(partition_code(adj))``; () for n = 0."""
+    """Adjacency masks of the canonical form, decoded from ``partition_code(adj)``; () for n = 0."""
     n = len(adj)
-    return _decode(partition_code(adj), n) if n else ()
+    return next(_decode((partition_code(adj),), n)) if n else ()
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -50,6 +50,32 @@ n     lane width  block pass  one at a time
 
 So runs hold graphs with n <= ``BLOCK_MAX_N`` = 16 only, a choice made
 from n alone, and wider graphs keep the per-graph kernel.
+
+Column streams are decoded in runs too, by the one decoder,
+``columns_to_masks``.  A column stream is the upper triangle column by
+column, adj(u, v) for v = 1..n-1 and u = 0..v-1, first bit most
+significant: the body of a graph6 record, and ``canon.partition_code``
+below its leading 1 bit.  Every stream of a run has one n, and sits
+big-endian in its own w * w-bit slot, the layout of ``pack_slots``.
+One ``bytes.translate`` through ``_REVERSED`` reverses the bits of
+every byte, so the little-endian int of the run holds each slot's
+stream reversed at the top, and one shift moves it to the bottom: column
+v at bit v(v - 1)/2, bit u of the column standing for adj(u, v).
+Column v moves into lane v, d_v = v * w - v(v - 1)/2 bits up, and d_v
+grows with v, so the moves go one bit of d_v at a time, from the
+highest, as masked shifts of every column whose d_v has that bit; the
+columns never overlap on the way (the expand of *Hacker's Delight*,
+ch. 7), and that takes at most 12 steps where a shift per column takes
+up to 63.  The steps are built once per lane width for all w columns,
+and n columns take those of the bits of d_{n-1}.  One slot transpose
+mirrors the rows, and one ``Struct.iter_unpack`` returns the first n
+lanes of every slot.  The graph6 reader and the generator decode
+``COLUMN_RUN`` = 256 streams a pass, and a single record is a run of
+one.  Per stream, against the one-stream decoder it replaced (best of
+7, CPython 3.11, 2 vCPUs): 0.20 against 2.56 us at n = 8, 0.56 against
+3.12 us at n = 9 and 0.86 against 4.49 us at n = 16 in runs of 256;
+3.6 against 3.4 us at n = 9 and 22.6 against 23.0 us at n = 64 in a
+run of one.
 """
 
 from __future__ import annotations
@@ -59,6 +85,7 @@ from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
+COLUMN_RUN = 256  # column streams decoded per pass by the graph6 reader and the generator
 
 
 class GraphError(ValueError):
@@ -214,25 +241,6 @@ def _reverse(x: int, nbits: int) -> int:
     return int.from_bytes(x.to_bytes(size, "little").translate(_REVERSED), "big") >> (size << 3) - nbits
 
 
-# Column v of the upper triangle: its offset in a column stream read
-# from the least significant bit, and its width v.
-_COLUMNS = tuple((v * (v - 1) >> 1, (1 << v) - 1) for v in range(MAX_VERTICES))
-
-
-def columns_to_masks(stream: int, n: int) -> tuple[int, ...]:
-    """The neighbor masks whose upper triangle, column by column, is ``stream``.
-
-    ``stream`` holds the n(n - 1)/2 bits adj(u, v), u < v, for v = 1..n-1
-    and within each column u = 0..v-1, the first bit most significant:
-    the body of a graph6 record, and ``partition_code`` without its
-    leading 1 bit.
-    """
-    # reversed, the stream is column after column from the least
-    # significant bit, and bit u of column v is adj(u, v)
-    low = _reverse(stream, n * (n - 1) >> 1)
-    return symmetric_masks([low >> at & m for at, m in _COLUMNS[:n]])
-
-
 def symmetric_masks(rows: Sequence[int]) -> tuple[int, ...]:
     """The neighbor masks with an edge uv wherever row u holds v or row v holds u (n <= 64 rows over 0..n-1)."""
     x = _pack(rows)
@@ -248,12 +256,16 @@ def relabel_masks(adj: Sequence[int], order: Sequence[int]) -> list[int]:
     return [cols[v] for v in order]
 
 
+# per v, the bits of the vertices below v: column v of the upper triangle
+_BELOW = tuple((1 << v) - 1 for v in range(MAX_VERTICES))
+
+
 def masks_to_columns(adj: Sequence[int]) -> int:
     """The upper triangle of ``adj``, column by column: the inverse of ``columns_to_masks``."""
     n = len(adj)
     low = 0
     for v in range(n - 1, 0, -1):
-        low = low << v | adj[v] & _COLUMNS[v][1]
+        low = low << v | adj[v] & _BELOW[v]
     return _reverse(low, n * (n - 1) >> 1)
 
 
@@ -518,16 +530,97 @@ def kernel_block(x: int, sizes: Sequence[int], w: int) -> KernelBlock:
     return KernelBlock(w, tuple(sizes), lanes, x, one, many, lanes & ~(near | one), one & ~(near | many))
 
 
+# ------------------------------------------------------- column streams
+#
+# The layout and the decoder's steps are in the module docstring.
+
+
+@lru_cache(maxsize=None)
+def _column_moves(w: int, slots: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """What ``columns_to_masks`` needs for the w columns of lane width w in a run of ``slots`` slots.
+
+    That is the (shift, mask) pair of each bit of the columns' moves,
+    highest first, and the slot transpose's (shift, mask) pairs.
+    """
+    each = _every(w * w, slots * w * w)
+    # column v starts at bit v(v - 1)/2 and moves up by d_v = v * w - v(v - 1)/2
+    start = [v * (v - 1) >> 1 for v in range(w)]
+    move = [v * w - start[v] for v in range(w)]
+    moves = []
+    for b in reversed(range(move[-1].bit_length())):
+        # before the step for bit b, column v has moved by the bits of d_v above b
+        m = 0
+        for v in range(1, w):
+            if move[v] >> b & 1:
+                m |= (1 << v) - 1 << start[v] + (move[v] >> b + 1 << b + 1)
+        moves.append((1 << b, each * m))
+    return tuple(moves), _masks(w, slots).swaps
+
+
+def _column_shape(n: int) -> tuple[int, bytes, int, struct.Struct]:
+    """Per n, the length of a stream, one little-endian slot with its bits set, the steps its columns move, and one slot's struct.
+
+    d_v grows with v, so the n columns take the steps of the bits of
+    d_{n-1}, the last of ``_column_moves``; the struct reads lanes 0..n-1
+    of a slot and skips the rest.
+    """
+    w = _lane_width(n)
+    nbits = n * (n - 1) >> 1
+    last = max(n - 1, 0)
+    steps = last * w - (last * (last - 1) >> 1)
+    slot = struct.Struct(f"<{n}{_LANE_FORMATS[w]}{(w - n) * w >> 3}x")
+    return nbits, ((1 << nbits) - 1).to_bytes(w * w >> 3, "little"), steps.bit_length(), slot
+
+
+_COLUMN_SHAPES = tuple(_column_shape(n) for n in range(MAX_VERTICES + 1))
+
+
+def columns_to_masks(data: bytes, n: int, fill: int = 0) -> list[tuple[int, ...]]:
+    """The neighbor masks of each graph on n <= 64 vertices whose column stream is in ``data``.
+
+    ``data`` holds one slot of w * w / 8 bytes per graph, w being
+    ``_lane_width(n)``.  A slot holds its column stream big-endian above
+    ``fill`` low bits, and any bits above the stream are ignored.  The
+    stream is the n(n - 1)/2 bits adj(u, v), u < v, for v = 1..n-1 and
+    within each column u = 0..v-1, the first bit most significant: the
+    body of a graph6 record, and ``partition_code`` below its leading 1
+    bit.  One pass decodes the whole run.
+    """
+    w = _lane_width(n)
+    size = w * w
+    count = len(data) * 8 // size
+    if not count:
+        return []
+    nbits, stream, steps, slot = _COLUMN_SHAPES[n]
+    moves, swaps = _column_moves(w, 1 << (count - 1).bit_length())
+    # reversed, each slot holds its stream column after column from the
+    # least significant bit, and bit u of column v is adj(u, v)
+    x = int.from_bytes(data.translate(_REVERSED), "little") >> size - fill - nbits & int.from_bytes(stream * count, "little")
+    for s, m in moves[len(moves) - steps:]:
+        t = x & m
+        x ^= t ^ t << s
+    # lane v now holds the neighbours of v below v; or-ing in the
+    # transpose adds those above
+    y = x
+    for s, m in swaps:
+        t = (y ^ y >> s) & m
+        y ^= t | t << s
+    return list(slot.iter_unpack((x | y).to_bytes(count * size >> 3, "little")))
+
+
 class _memo:
     """A computed attribute that fills the instance dict on its first read.
 
-    A non-data descriptor, so every later read finds the value in
-    ``vars(obj)`` and never calls it again.  ``functools.cached_property``
+    A non-data descriptor, so every later read finds the value in the
+    instance dict and never calls it again.  ``functools.cached_property``
     does the same, but takes a lock on each first read on CPython 3.10
     and 3.11; the attributes here are pure functions of a frozen value,
     so two threads that race on a first read compute the same answer and
     no lock is needed.  A block pass may fill a memo ahead of its first
-    read (``_remember``), with the value the read would compute.
+    read (``_remember``), with the value the read would compute.  Both
+    write through ``object.__setattr__``: on CPython 3.11 it keeps the
+    instance's compact attribute storage, where writing into ``vars(obj)``
+    turns it into a full dict, about 64 bytes more per graph.
     """
 
     def __init__(self, func: Callable[[Any], Any]) -> None:
@@ -538,13 +631,15 @@ class _memo:
     def __get__(self, obj: Any, owner: type | None = None) -> Any:
         if obj is None:
             return self
-        value = vars(obj)[self.name] = self.func(obj)
+        value = self.func(obj)
+        object.__setattr__(obj, self.name, value)
         return value
 
 
 def _remember(obj: Any, **memos: Any) -> None:
     """Fill ``_memo`` attributes of obj with values computed elsewhere, each equal to what its first read would give."""
-    vars(obj).update(memos)
+    for name, value in memos.items():
+        object.__setattr__(obj, name, value)
 
 
 def _first_bad_mask(adj: Sequence[int]) -> GraphError:
@@ -711,9 +806,11 @@ class Graph(_Frozen):
 def _decoded(masks: tuple[int, ...]) -> Graph:
     """The ``Graph`` on masks valid by construction, built without ``Graph.__init__``'s validation.
 
-    For every stream and n <= 64, ``columns_to_masks`` gives row v only
-    vertices below v and then mirrors the rows, so its tuple is in
-    range, loop-free and symmetric: the value ``Graph(masks)`` builds.
+    For every run of slots and n <= 64, ``columns_to_masks`` keeps only
+    each slot's n(n - 1)/2 stream bits and moves column v into lane v
+    below bit v, then ors in the slot's transpose, so each tuple it
+    returns is in range, loop-free and symmetric: the value
+    ``Graph(masks)`` builds.
     The greedy sandwich builders of ``recognition`` toggle pairs u < v of
     a valid graph in both rows at once, which keeps those properties; the
     battery's ``sandwich_existence`` re-derives them for every output.

@@ -81,7 +81,8 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .canon import _cells, _decode, _maximal_code, _members, _rank_shift, _ranks, _twins_before
@@ -127,13 +128,18 @@ def _level(parents: Sequence[tuple[int, ...]], n: int, shares: int) -> tuple[Gra
 
 def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
     """The sorted representatives of the classes whose canonical parent is among these."""
-    return [_decoded(masks) for masks in sorted(_decode(code, n) for code in _codes(n, parents))]
+    return [_decoded(masks) for masks in sorted(_decode(_codes(n, parents), n))]
 
 
 def _connected_from(pairs: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[Graph]:
-    """For each (n, parent) pair, the connected classes on n vertices whose canonical parent it is, as they come."""
-    classes = (_decode(code, n) for n, parent in pairs for code in _codes(n, (parent,)))
-    return (_decoded(masks) for masks in classes if len(component_masks(masks, len(masks))) == 1)
+    """For each (n, parent) pair, the connected classes on n vertices whose canonical parent it is, as they come.
+
+    The codes of consecutive pairs with one n are decoded in runs.
+    """
+    for n, group in groupby(pairs, itemgetter(0)):
+        for masks in _decode((code for _, parent in group for code in _codes(n, (parent,))), n):
+            if len(component_masks(masks, n)) == 1:
+                yield _decoded(masks)
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> Iterator[int]:

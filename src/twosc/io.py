@@ -11,15 +11,26 @@ is the column stream of ``core.columns_to_masks`` and
 of the canonical form after a leading 1 bit.  So the body of the
 record of ``canonical_graph(g)`` is the bits of ``partition_code(g)``
 below its leading 1, padded, and one decoder reads both.
+
+The reader decodes a run of records per pass.  It takes a file in
+blocks of ``COLUMN_RUN`` lines, checks the bytes of a block's records
+together and each record's size header and length.  Each block's
+records with one n form a run: their bodies, each topped up with zero
+digits to whole base64 groups, go through one ``a2b_base64``, the
+padding bits of the whole run are checked with one mask, and each
+record's bytes go into the low end of its slot for
+``columns_to_masks``.  ``graph6_decode`` checks its record the same
+way and decodes it as a run of one.
 """
 
 from __future__ import annotations
 
 import io as _io
 from binascii import a2b_base64, b2a_base64
+from itertools import islice
 from typing import IO, Iterable, Iterator
 
-from .core import Graph, GraphError, MAX_VERTICES, _decoded, columns_to_masks, masks_to_columns
+from .core import COLUMN_RUN, MAX_VERTICES, Graph, GraphError, _decoded, _lane_width, columns_to_masks, masks_to_columns
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -56,54 +67,122 @@ def graph6_encode(g: Graph) -> str:
     return head + b2a_base64(data, newline=False)[:(nbits + 5) // 6].translate(_FROM_BASE64).decode("ascii")
 
 
+# the body length of a record on n vertices: six bits a character
+_LENGTHS = tuple((n * (n - 1) // 2 + 5) // 6 for n in range(MAX_VERTICES + 1))
+_GRAPH6_BYTES = bytes(range(63, 127))
+
+
+def _printable(text: str) -> bool:
+    """Whether every character of text is a graph6 byte, 63..126."""
+    return text.isascii() and not text.encode("ascii").translate(None, _GRAPH6_BYTES)
+
+
+def _runs(texts: list[str]) -> tuple[dict[int, tuple[list[int], list[str]]], int, str | None]:
+    """Stripped records' bodies by n, as (positions, bodies), up to the first malformed record.
+
+    Also the position of that record, len(texts) if there is none, and
+    its ``FormatError`` message or None.  An optional '>>graph6<<'
+    header is dropped from each record; the records' bytes are checked
+    together, and one by one only to find the first bad one.
+    """
+    texts = [text.removeprefix(GRAPH6_HEADER) for text in texts]
+    stop = len(texts)
+    if not _printable("".join(texts)):
+        stop = next(i for i, text in enumerate(texts) if not _printable(text))
+    runs: dict[int, tuple[list[int], list[str]]] = {}
+    for i in range(stop):
+        text = texts[i]
+        if not text:
+            return runs, i, "empty graph6 record"
+        if text[0] == "~":  # long-form size
+            if len(text) < 4:
+                return runs, i, "truncated graph6 size header"
+            if text[1] == "~":
+                return runs, i, "graph6 records beyond 258047 vertices are not supported"
+            n = ord(text[1]) - 63 << 12 | ord(text[2]) - 63 << 6 | ord(text[3]) - 63
+            body = text[4:]
+        else:
+            n = ord(text[0]) - 63
+            body = text[1:]
+        if n > MAX_VERTICES:
+            return runs, i, f"{n} vertices exceeds the {MAX_VERTICES}-vertex core"
+        if len(body) != _LENGTHS[n]:
+            return runs, i, f"graph6 body has {len(body)} characters, expected {_LENGTHS[n]}"
+        where, bodies = runs.setdefault(n, ([], []))
+        where.append(i)
+        bodies.append(body)
+    return runs, stop, None if stop == len(texts) else "graph6 record contains bytes outside 63..126"
+
+
+def _shape(n: int) -> tuple[str, int, int, bytes, bytes]:
+    """How a body on n vertices decodes.
+
+    That is the zero digits that top it up to whole base64 groups, the
+    bytes it decodes to (its stride), the padding bits at the low end of
+    those, a stride with those bits set, and the zero bytes above a
+    stride in its slot.
+    """
+    fill = -_LENGTHS[n] % 4
+    stride = (_LENGTHS[n] + fill) * 3 // 4
+    pad = 8 * stride - n * (n - 1) // 2
+    return "?" * fill, stride, pad, ((1 << pad) - 1).to_bytes(stride, "big"), bytes((_lane_width(n) ** 2 >> 3) - stride)
+
+
+_SHAPES = tuple(_shape(n) for n in range(MAX_VERTICES + 1))
+_PADDING = "nonzero padding bits in graph6 record"
+
+
+def _decode_run(bodies: list[str], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """The masks of checked bodies with one n, and the position of the first with nonzero padding (len(bodies) if none).
+
+    Each body is topped up with zero digits to whole base64 groups of
+    four, so one ``a2b_base64`` decodes the run into equal strides of
+    bytes, the column stream above its padding bits; each stride goes
+    into the low end of its slot for ``columns_to_masks``.
+    """
+    fill, stride, pad, padding, zeros = _SHAPES[n]
+    count = len(bodies)
+    data = a2b_base64((fill.join(bodies) + fill).encode("ascii").translate(_TO_BASE64))
+    bad = int.from_bytes(data, "big") & int.from_bytes(padding * count, "big")
+    first = count - 1 - (bad.bit_length() - 1) // (8 * stride) if bad else count
+    slots = zeros + zeros.join([data[i * stride:(i + 1) * stride] for i in range(count)])
+    return columns_to_masks(slots, n, pad), first
+
+
 def graph6_decode(record: str) -> Graph:
     """Parse one graph6 record (an optional '>>graph6<<' header is stripped)."""
-    s = record.strip()
-    if s.startswith(GRAPH6_HEADER):
-        s = s[len(GRAPH6_HEADER):]
-    if not s:
-        raise FormatError("empty graph6 record")
-    try:
-        data = s.encode("ascii")
-    except UnicodeEncodeError:
-        data = None
-    if data is None or min(data) < 63 or max(data) > 126:
-        raise FormatError("graph6 record contains bytes outside 63..126")
-    if data[0] == 126:  # '~' long-form size
-        if len(data) < 4:
-            raise FormatError("truncated graph6 size header")
-        if data[1] == 126:
-            raise FormatError("graph6 records beyond 258047 vertices are not supported")
-        n = data[1] - 63 << 12 | data[2] - 63 << 6 | data[3] - 63
-        body = data[4:]
-    else:
-        n = data[0] - 63
-        body = data[1:]
-    if n > MAX_VERTICES:
-        raise FormatError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex core")
-    nbits = n * (n - 1) // 2
-    if len(body) != (nbits + 5) // 6:
-        raise FormatError(f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}")
-    # whole base64 groups of four digits; the padding bits, and the fill
-    # digits' bits, are the low ``pad`` bits
-    fill = -len(body) % 4
-    stream = int.from_bytes(a2b_base64(body.translate(_TO_BASE64) + b"A" * fill), "big")
-    pad = 6 * (len(body) + fill) - nbits
-    if stream & ((1 << pad) - 1):
-        raise FormatError("nonzero padding bits in graph6 record")
-    return _decoded(columns_to_masks(stream >> pad, n))
+    runs, _, error = _runs([record.strip()])
+    if error is not None:
+        raise FormatError(error)
+    ((n, (_, bodies)),) = runs.items()
+    (masks,), first = _decode_run(bodies, n)
+    if first == 0:
+        raise FormatError(_PADDING)
+    return _decoded(masks)
 
 
 def read_graph6(handle: IO[str]) -> Iterator[Graph]:
-    """Yield graphs from newline-separated graph6 records, in file order."""
-    for lineno, line in enumerate(handle, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            yield graph6_decode(text)
-        except FormatError as exc:
-            raise FormatError(str(exc), line=lineno) from None
+    """Yield graphs from newline-separated graph6 records, in file order.
+
+    The records are read in blocks of ``COLUMN_RUN`` lines, and each
+    block's records with one n are decoded in one run.  Every graph
+    before a malformed record is yielded before its ``FormatError``,
+    which names the record's line.
+    """
+    lines = enumerate(handle, start=1)
+    while chunk := list(islice(lines, COLUMN_RUN)):
+        block = [(lineno, text) for lineno, line in chunk if (text := line.strip())]
+        runs, stop, error = _runs([text for _, text in block])
+        graphs = [None] * stop
+        for n, (where, bodies) in runs.items():
+            run, first = _decode_run(bodies, n)
+            for i, masks in zip(where, run):
+                graphs[i] = _decoded(masks)
+            if first < len(where) and where[first] < stop:
+                stop, error = where[first], _PADDING
+        yield from graphs[:stop]
+        if error is not None:
+            raise FormatError(error, line=block[stop][0])
 
 
 def ingest_graph6(path: str) -> Iterator[Graph]:

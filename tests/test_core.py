@@ -17,6 +17,7 @@ from twosc.core import (
     _decoded,
     _lane_width,
     _remember,
+    _reverse,
     columns_to_masks,
     common_neighbours,
     complement,
@@ -31,6 +32,7 @@ from twosc.core import (
     kernel_block,
     lane_groups,
     pack_slots,
+    symmetric_masks,
     triangles,
 )
 from twosc.canon import are_isomorphic
@@ -407,8 +409,8 @@ class TestGraphValue:
         # masks that Graph accepts, and to the same value
         rng = random.Random(n)
         nbits = n * (n - 1) // 2
-        for stream in (0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(20))):
-            masks = columns_to_masks(stream, n)
+        streams = [0, (1 << nbits) - 1, *(rng.getrandbits(nbits) for _ in range(20))]
+        for masks in columns_to_masks(column_slots(streams, n), n):
             g = _decoded(masks)
             assert Graph(masks) == g and type(g.adj) is tuple and vars(g) == {"adj": masks}
 
@@ -604,3 +606,43 @@ class TestKernelBlock:
         for bad in ([(256,)], [(-1,)], [("x",)], [(0,) * 9], [(0,) * 17]):
             with pytest.raises(struct.error):
                 pack_slots(bad, 8)
+
+
+# The one-stream decoder the run decoder replaced: the reference.
+def reference_columns_to_masks(stream: int, n: int) -> tuple[int, ...]:
+    low = _reverse(stream, n * (n - 1) >> 1)
+    return symmetric_masks([low >> (v * (v - 1) >> 1) & (1 << v) - 1 for v in range(n)])
+
+
+def column_slots(streams, n, fill=0, high=0):
+    """Each stream big-endian in its own slot above ``fill`` low bits, all set, with ``high`` above it."""
+    size = _lane_width(n) ** 2 >> 3
+    nbits = n * (n - 1) >> 1
+    return b"".join([((high << nbits | s) << fill | (1 << fill) - 1).to_bytes(size, "big") for s in streams])
+
+
+class TestColumnDecoder:
+    @pytest.mark.parametrize("n", range(MAX_VERTICES + 1))
+    def test_runs_match_the_one_stream_reference(self, n):
+        rng = random.Random(n)
+        nbits = n * (n - 1) // 2
+        streams = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(40)]
+        want = {s: reference_columns_to_masks(s, n) for s in streams}
+        for count in (1, 255, 256, 257):
+            run = [streams[i % len(streams)] for i in range(count)]
+            got = columns_to_masks(column_slots(run, n), n)
+            assert got == [want[s] for s in run], (n, count)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 8, 9, 16, 17, 33, 63, 64])
+    def test_bits_below_fill_and_above_the_stream_are_ignored(self, n):
+        rng = random.Random(100 + n)
+        nbits = n * (n - 1) // 2
+        size = _lane_width(n) ** 2
+        streams = [0, (1 << nbits) - 1] + [rng.getrandbits(nbits) for _ in range(20)]
+        want = [reference_columns_to_masks(s, n) for s in streams]
+        for fill in (0, 1, 5, 23):
+            for high in (1, (1 << size - nbits - fill) - 1):
+                assert columns_to_masks(column_slots(streams, n, fill, high), n, fill) == want, (n, fill, high)
+
+    def test_empty_run(self):
+        assert columns_to_masks(b"", 8) == columns_to_masks(b"", 64) == []

@@ -1,8 +1,12 @@
+import io
+import random
+
 import hypothesis.strategies as st
 import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 
+import twosc.io
 from twosc.core import MAX_VERTICES, Graph
 from twosc.io import (
     FormatError,
@@ -15,7 +19,7 @@ from twosc.io import (
     read_graph6,
     write_graph6,
 )
-from twosc.graphs import capped_k33, complete_bipartite, cycle_graph, empty_graph, petersen_graph
+from twosc.graphs import capped_k33, complete_bipartite, cycle_graph, empty_graph, path_graph, petersen_graph
 
 from conftest import graphs
 
@@ -97,10 +101,18 @@ def decoded(decode, record):
 # Every FormatError of the reader, each at least once: empty, byte below
 # 63, byte above 126, non-ASCII, truncated long header, the long form
 # beyond 258047, too many vertices, wrong body length, nonzero padding.
+# A record of each kind the reader rejects: a byte outside 63..126, a
+# wrong length, nonzero padding, more than 64 vertices.
+BAD_RECORDS = ["G?" + chr(0x21) + "???", "G????", "Gq???@", "~?@A" + "?" * 347]
+
 MALFORMED = [
     "", "   ", ">>graph6<<", "C>", "C ?", "C" + chr(127), "Cé", "C\u2603", "~", "~??", "~~??????",
     "~?A@", "C", "Cww", "@A", "Dw", "A`", "B~", "D~~", "I~~~~~~~~",
 ]
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -206,10 +218,71 @@ class TestGraph6Streams:
         assert err.value.line == 2
 
     def test_blank_lines_skipped(self):
-        import io
-
         text = "\n" + graph6_encode(cycle_graph(4)) + "\n\n"
         assert list(read_graph6(io.StringIO(text))) == [cycle_graph(4)]
+
+    @pytest.mark.parametrize("before, blank", [(0, 300), (1, 300), (1, 600), (256, 256)])
+    def test_blocks_of_blank_lines_skipped(self, before, blank):
+        # whole blocks of blank and whitespace-only lines before a record
+        lines = [graph6_encode(cycle_graph(4))] * before + [("", "  ", "\t")[i % 3] for i in range(blank)]
+        lines.append(graph6_encode(path_graph(5)))
+        assert list(read_graph6(io.StringIO("\n".join(lines) + "\n"))) == [cycle_graph(4)] * before + [path_graph(5)]
+
+    @pytest.mark.parametrize("count", [1, 255, 256, 257, 700])
+    def test_mixed_files_read_as_record_by_record(self, count):
+        # short and long size forms, headers and blank lines, with runs of
+        # one n broken up inside each block
+        rng = random.Random(count)
+        lines = []
+        for i in range(count):
+            n = rng.choice([0, 1, 2, 5, 8, 8, 8, 9, 16, 17, 40, 62, 63, 64])
+            record = graph6_encode(random_graph(rng, n))
+            lines.append((">>graph6<<" if i % 7 == 3 else "") + record)
+            if i % 11 == 5:
+                lines.append("")
+        text = "\n".join(lines) + "\n"
+        want = [graph6_decode(line) for line in lines if line]
+        assert list(read_graph6(io.StringIO(text))) == want
+
+    @pytest.mark.parametrize("bad", BAD_RECORDS)
+    @pytest.mark.parametrize("at", [0, 100, 255, 256, 300])
+    def test_a_bad_record_after_every_earlier_graph(self, tmp_path, bad, at):
+        # every graph before the bad record comes out in file order, then
+        # the FormatError that graph6_decode raises, with the record's line
+        rng = random.Random(at)
+        records = [graph6_encode(random_graph(rng, rng.choice([7, 8, 8, 9, 20]))) for _ in range(400)]
+        records[at] = bad
+        path = tmp_path / "bad.g6"
+        path.write_text("\n".join(records) + "\n")
+        with pytest.raises(FormatError) as want:
+            graph6_decode(bad)
+        got = []
+        with pytest.raises(FormatError) as err:
+            for g in ingest_graph6(str(path)):
+                got.append(g)
+        assert got == [graph6_decode(r) for r in records[:at]]
+        assert err.value.line == at + 1
+        assert str(err.value) == f"line {at + 1}: {want.value}"
+
+    def test_a_closed_reader_leaves_no_open_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "many.g6"
+        path.write_text("\n".join([graph6_encode(cycle_graph(5))] * 600 + ["D"]) + "\n")
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(twosc.io, "open", recording_open, raising=False)
+        early = ingest_graph6(str(path))
+        assert next(early) == cycle_graph(5)
+        early.close()
+        dropped = ingest_graph6(str(path))
+        next(dropped)
+        del dropped
+        with pytest.raises(FormatError):
+            list(ingest_graph6(str(path)))
+        assert len(handles) == 3 and all(handle.closed for handle in handles)
 
 
 class TestEdgeList:

@@ -74,6 +74,56 @@ def test_flag_survives_a_pickle_round_trip():
     assert "two_sc" not in vars(unread) and unread.two_sc
 
 
+def test_unpickling_restores_memos_without_validating(monkeypatch):
+    g = petersen_graph()
+    flag, kernel = g.two_sc, g.common
+    data = pickle.dumps(g)
+
+    def refuse(self, adj):
+        raise AssertionError("unpickling validated again")
+
+    monkeypatch.setattr(Graph, "__init__", refuse)
+    copy = pickle.loads(data)
+    assert vars(copy) == {"adj": g.adj, "two_sc": flag, "common": kernel}
+    assert copy == g and hash(copy) == hash(g)
+
+
+MEMO_WRITES = """
+import tracemalloc
+from twosc.core import _decoded, _remember
+from twosc.graphs import petersen_graph
+
+# a class adds an attribute name to its instances' shared keys only
+# while it has made few instances, so the memo names are written first
+first = petersen_graph()
+kernel = first.common
+count = 10_000
+small = [_decoded((0,)) for _ in range(count)]  # two_sc is False: no kernel to allocate
+remembered = [_decoded(first.adj) for _ in range(count)]
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+for g in small:
+    g.two_sc
+for g in remembered:
+    _remember(g, two_sc=True, common=kernel)
+grown = tracemalloc.get_traced_memory()[0] - before
+tracemalloc.stop()
+assert all(vars(g) == {"adj": (0,), "two_sc": False} for g in small)
+assert all(g.two_sc and g.common is kernel for g in remembered)
+print(grown / count)
+"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="CPython's compact instance storage")
+def test_memo_writes_keep_compact_storage():
+    # writing a memo into vars(g) would turn each value's compact
+    # attribute storage into a full dict, about 64 bytes a graph on 3.11;
+    # a fresh interpreter, since the shared keys depend on what ran before
+    run = subprocess.run([sys.executable, "-c", MEMO_WRITES], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 16
+
+
 def test_one_local_test_per_value(monkeypatch):
     calls, kernels = [], []
 

@@ -352,6 +352,14 @@ def partition_code(adj: Sequence[int]) -> int:
     too.  Raises ``GraphError`` on the empty graph, and ``Graph``'s
     typed ``GraphError`` on masks that are no simple graph on 1..64
     vertices.
+
+    On symmetric input the search is slow: it holds one state per
+    automorphism that twins and collapse do not prune, since collapse
+    merges only states with the same vertex set.  One call each
+    (CPython 3.11, 2 vCPUs): the hypercube Q5 takes 0.50 s, Paley(41)
+    0.91 s, Paley(61) 4.3 s and the hypercube Q6 36.2 s, whose levels
+    grow to |Aut(Q6)| = 46,080 states.  ``canonical_graph`` and
+    ``are_isomorphic`` run this search.
     """
     adj = Graph(adj).adj
     n = len(adj)

@@ -7,49 +7,56 @@ target; readers of external files reject anything larger.
 
 The 2-self-centered test, the critical triples, edge-minimality and the
 far pairs of the coverings are all questions about common neighbours,
-so they are read from one kernel, ``common_neighbours``: the Boolean
-square of the packed adjacency matrix with a count that saturates at 2,
-computed in n shift-and-multiply steps, at most once per ``Graph``
-(``Graph.common``).  Its ``far`` matrix holds the non-adjacent pairs
-without a common neighbour, and the local test's report names the first
-one in scan order (u ascending, then v > u).  Bit v of lane u is bit
-u * w + v, so ascending bits are that scan order, and the lowest set bit
-of ``far`` is the first pair: it lies in the first row holding a far
-pair, at its smallest column, which is above the diagonal because the
-matrix is symmetric (a far pair (u, v) with v < u would put (v, u) in
-the earlier row v).  ``CommonNeighbours.pairs`` reads the pairs of any
-field in that order; the first removable edge of ``is_edge_minimal`` is
+so they are read from one kernel type, ``CommonNeighbours``: for a run
+of graphs of one lane width w, the Boolean square of each packed
+adjacency matrix with a count that saturates at 2.  Graph i's packed
+rows fill slot i, bits i * w * w .. (i + 1) * w * w - 1 of one int, with
+its lanes past n left 0, so each slot holds what ``_pack`` makes of that
+graph; ``pack_slots`` builds the int with one ``struct`` call,
+little-endian.  A single graph is a run of one (``common_neighbours``),
+computed at most once per ``Graph`` (``Graph.common``).  The kernel's
+2SC test, deletable edges, transpose and malformed bits are written
+once, over slots; each matrix's per-slot verdict words come back with
+one ``struct.unpack``, and ``CommonNeighbours.slots`` takes chosen slots
+out as runs of one, byte slices of the matrices.
+
+The ``far`` matrix holds the non-adjacent pairs without a common
+neighbour, and the local test's report names the first one in scan
+order (u ascending, then v > u).  Bit v of lane u is bit u * w + v, so
+ascending bits are that scan order, and the lowest set bit of ``far`` is
+the first pair: it lies in the first row holding a far pair, at its
+smallest column, which is above the diagonal because the matrix is
+symmetric (a far pair (u, v) with v < u would put (v, u) in the earlier
+row v).  ``CommonNeighbours.pairs`` reads the pairs of a run of one's
+matrix in that order; the first removable edge of ``is_edge_minimal`` is
 found the same way.
 
-The battery reads many small graphs, so ``kernel_block`` runs the kernel
-once for a run of graphs that share one lane width w <= 16.  Graph i's
-packed rows fill slot i, bits i * w * w .. (i + 1) * w * w - 1 of one
-int, with its lanes past n left 0, so each slot holds what ``_pack``
-makes of that graph.  ``pack_slots`` builds the int with one ``struct``
-call, little-endian; the per-slot verdict words of a matrix come back
-with one ``struct.unpack``, and a chosen slot's fields as byte slices of
-the matrices.  Step k of the n steps ands column k of
-every slot, each set bit filled across its lane by one shift and one
-subtraction, with row k of every slot, broadcast across its slot by
-log2(w) shift-or doublings; multiplying by a constant of w * w bits
-would broadcast in one operation, but costs more than linear time in the
-run's length.  The transpose's swaps and the diagonal are the single
-matrix's masks repeated in every slot.  Per graph, packing included,
-in runs of 256 seeded G(n, 1/2) graphs against ``common_neighbours`` one
-graph at a time (best of 7, CPython 3.11, 2 vCPUs; the wider rows
-measured with the lanes mask built without ``_LANE_BYTES``):
+The kernel and its deletable edges take n steps for the run, step k
+being one lane product of column k of a matrix with row k (one helper,
+``_lane_products``), chosen from the run's length.  A run of one
+multiplies column k by row k, which copies the row into the lane of
+every set bit of the column.  In a longer run a multiply would carry
+between slots, so each set bit of column k is filled across its lane by
+multiplying by a full lane, and anded with row k of every slot,
+broadcast across its slot by log2(w) shift-or doublings; multiplying by
+a constant of w * w bits would broadcast in one operation, but costs
+more than linear time in the run's length.  The transpose's swaps and
+the diagonal are the single matrix's masks repeated in every slot.  Per
+graph, packing included, in runs of 256 seeded G(n, 1/2) graphs against
+runs of one (best of 7, CPython 3.11, 2 vCPUs; the wider rows measured
+with the lanes mask built without ``_LANE_BYTES``):
 
-====  ==========  ==========  =============
-n     lane width  block pass  one at a time
-====  ==========  ==========  =============
-8     8           0.4 us      2.7 us
-16    16          1.5 us      4.7 us
-24    32          7.9 us      6.9 us
-40    64          67 us       19 us
-====  ==========  ==========  =============
+====  ==========  ===========  ==========
+n     lane width  run of 256   run of one
+====  ==========  ===========  ==========
+8     8           0.4 us       2.7 us
+16    16          1.5 us       4.7 us
+24    32          7.9 us       6.9 us
+40    64          67 us        19 us
+====  ==========  ===========  ==========
 
-So runs hold graphs with n <= ``BLOCK_MAX_N`` = 16 only, a choice made
-from n alone, and wider graphs keep the per-graph kernel.
+So the battery reads graphs with n <= ``BLOCK_MAX_N`` = 16 in runs, a
+choice made from n alone, and wider graphs as runs of one.
 
 Column streams are decoded in runs too, by the one decoder,
 ``columns_to_masks``.  A column stream is the upper triangle column by
@@ -116,27 +123,14 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def first_bad_degree(adj: Sequence[int], n: int) -> int | None:
-    """The first vertex whose degree lies outside [2, n - 2], or None."""
-    for v in range(n):
-        d = adj[v].bit_count()
-        if d < 2 or d > n - 2:
-            return v
-    return None
-
-
-def conditions_ok(adj: Sequence[int], n: int, kernel: Callable[[], CommonNeighbours] | None = None) -> bool:
-    """Whether the graph is 2-self-centered, by the local test.
+def conditions_ok(adj: Sequence[int], n: int) -> bool:
+    """Whether the graph on the n neighbor masks ``adj`` is 2-self-centered, by the local test.
 
     Radius = diameter = 2 holds exactly when n >= 4, every degree lies in
-    [2, n - 2] and every non-adjacent pair has a common neighbor.  The
-    pair half reads the common-neighbour kernel of ``adj`` only when the
-    degrees pass: ``kernel()`` where the caller keeps that kernel
-    (``Graph.two_sc`` passes its ``Graph.common``), else one computed here.
+    [2, n - 2] and every non-adjacent pair has a common neighbor: the 2SC
+    test of the graph's kernel, a run of one.
     """
-    if n < 4 or first_bad_degree(adj, n) is not None:
-        return False
-    return not (common_neighbours(adj) if kernel is None else kernel()).far
+    return n >= 4 and common_neighbours(adj).two_sc()[0]
 
 
 def check_vertices(n: int, *vertices: int) -> None:
@@ -227,9 +221,9 @@ def _unpack(x: int, n: int) -> tuple[int, ...]:
     return rows.unpack(x.to_bytes(rows.size, "little"))
 
 
-def _transpose(x: int, w: int) -> int:
-    """The transpose of the w x w bit matrix packed in x."""
-    for s, m in _SWAPS[w]:
+def _transpose(x: int, swaps: Sequence[tuple[int, int]]) -> int:
+    """Every w x w bit matrix packed in x transposed, by the (shift, mask) pairs of its run's transpose."""
+    for s, m in swaps:
         t = (x ^ x >> s) & m
         x ^= t | t << s
     return x
@@ -244,7 +238,7 @@ def _reverse(x: int, nbits: int) -> int:
 def symmetric_masks(rows: Sequence[int]) -> tuple[int, ...]:
     """The neighbor masks with an edge uv wherever row u holds v or row v holds u (n <= 64 rows over 0..n-1)."""
     x = _pack(rows)
-    return _unpack(x | _transpose(x, _lane_width(len(rows))), len(rows))
+    return _unpack(x | _transpose(x, _SWAPS[_lane_width(len(rows))]), len(rows))
 
 
 def relabel_masks(adj: Sequence[int], order: Sequence[int]) -> list[int]:
@@ -252,7 +246,7 @@ def relabel_masks(adj: Sequence[int], order: Sequence[int]) -> list[int]:
     n = len(adj)
     # rows in the new order, still indexed by old labels; transposed,
     # row u of that holds the new labels of u's neighbours
-    cols = _unpack(_transpose(_pack([adj[v] for v in order]), _lane_width(n)), n)
+    cols = _unpack(_transpose(_pack([adj[v] for v in order]), _SWAPS[_lane_width(n)]), n)
     return [cols[v] for v in order]
 
 
@@ -272,97 +266,24 @@ def masks_to_columns(adj: Sequence[int]) -> int:
 # ------------------------------------------------ common-neighbour kernel
 #
 # Vertex k is a common neighbour of exactly the pairs inside N(k), so
-# the lane product t = (column k of x) * N(k), which copies N(k) into
+# the lane product of column k of x with N(k), which copies N(k) into
 # the lane of every neighbour of k, is the matrix of the pairs k serves.
-# A pair that is already in ``one`` when t holds it has two common
-# neighbours.  So n shift-and-multiply steps square the adjacency
-# matrix over the Booleans with a count that saturates at 2 (SWAR lane
-# arithmetic; Warren, *Hacker's Delight*, 2nd ed., ch. 7).
+# A pair that is already in ``one`` when the product holds it has two
+# common neighbours.  So n lane products square the adjacency matrix
+# over the Booleans with a count that saturates at 2 (SWAR lane
+# arithmetic; Warren, *Hacker's Delight*, 2nd ed., ch. 7).  The layout,
+# the two forms of the lane product and the cutoff are in the module
+# docstring.
+
+BLOCK_MAX_N = 16
+
+# per lane width w, the bytes of a slot's lanes mask for n = 0..w: rows
+# 0..n-1 holding columns 0..n-1
+_LANE_BYTES = {w: tuple(_ROWS[w].pack(*[(1 << n) - 1] * n, *[0] * (w - n)) for n in range(w + 1)) for w in _LANE_FORMATS}
 
 # lane u holds bits u + 1 .. w - 1, which is (1 << w) - (2 << u); summed
 # over the lanes, that is the ones shifted up a lane minus twice the diagonal
 _UPPER = {w: (_ONES[w] << w) - 2 * _DIAGONAL[w] for w in _LANE_FORMATS}
-
-
-class CommonNeighbours(NamedTuple):
-    """A graph's vertex pairs by how many common neighbours they have.
-
-    Every field but n and w is a symmetric n x n bit matrix packed in
-    lanes of w bits, bit v of lane u standing for the pair (u, v):
-
-    - ``one``: u and v have a common neighbour (on the diagonal: deg u >= 1);
-    - ``many``: they have two or more (on the diagonal: deg u >= 2);
-    - ``far``: u != v are non-adjacent without a common neighbour, that
-      is at distance 3 or more, or unreachable;
-    - ``crit``: u != v are non-adjacent with exactly one common
-      neighbour, a critical pair;
-    - ``adjacency``: the adjacency matrix itself.
-    """
-
-    n: int
-    w: int
-    adjacency: int
-    one: int
-    many: int
-    far: int
-    crit: int
-
-    def rows(self, matrix: int) -> tuple[int, ...]:
-        """The n lanes of one of the fields, as vertex masks."""
-        return _unpack(matrix, self.n)
-
-    def pairs(self, matrix: int) -> Iterator[tuple[int, int]]:
-        """The pairs (u, v), u < v, of one of the fields, ascending."""
-        w = self.w
-        upper = matrix & _UPPER[w]
-        while upper:
-            low = upper & -upper
-            yield divmod(low.bit_length() - 1, w)
-            upper ^= low
-
-    def deletable(self) -> int:
-        """The edges uv whose deletion keeps a 2-self-centered graph so, as a packed matrix.
-
-        The deletion rule of ``recognition.edit_keeps_two_sc``: u and v
-        have a common neighbour, and neither N(u) meets the critical
-        pairs of v nor N(v) those of u.  The meeting is one more lane
-        product per vertex k with critical pairs: (column k) * crit[k]
-        marks every u adjacent to k against the critical partners of k.
-        """
-        w, x = self.w, self.adjacency
-        ones = _ONES[w]
-        meets = 0
-        for k, row in enumerate(self.rows(self.crit)):
-            if row:
-                meets |= (x >> k & ones) * row
-        return x & self.one & ~(meets | _transpose(meets, w))
-
-
-def common_neighbours(adj: Sequence[int]) -> CommonNeighbours:
-    """The common-neighbour kernel of valid neighbor masks: n shift-and-multiply steps."""
-    n = len(adj)
-    w = _lane_width(n)
-    x = _pack(adj)
-    ones = _ONES[w]
-    one = many = 0
-    for k, m in enumerate(adj):
-        t = (x >> k & ones) * m
-        many |= one & t
-        one |= t
-    lanes = (ones >> (w - n) * w) * ((1 << n) - 1)
-    near = x | _DIAGONAL[w]
-    return CommonNeighbours(n, w, x, one, many, lanes & ~(near | one), one & ~(near | many))
-
-
-# ------------------------------------------------------------- block pass
-#
-# The layout, the broadcast and the cutoff are in the module docstring.
-
-BLOCK_MAX_N = 16
-
-# per lane width w <= 16, the bytes of a slot's lanes mask for n = 0..w:
-# rows 0..n-1 holding columns 0..n-1
-_LANE_BYTES = {w: tuple(_ROWS[w].pack(*[(1 << n) - 1] * n, *[0] * (w - n)) for n in range(w + 1)) for w in (8, 16)}
 
 
 class _SlotMasks(NamedTuple):
@@ -375,24 +296,20 @@ class _SlotMasks(NamedTuple):
     swaps: tuple[tuple[int, int], ...]  # the transpose's (shift, mask) pairs
 
 
-@lru_cache(maxsize=None)
-def _slot_masks(w: int, slots: int) -> _SlotMasks:
+@lru_cache(maxsize=16)
+def _masks(w: int, count: int) -> _SlotMasks:
+    """The masks for a run of ``count`` slots of width w.
+
+    A few runs are read at a time (a block's lane groups, its runs of
+    one), so the cache holds a few lengths.
+    """
     size = w * w
-    each = _every(size, slots * size)
-    ones = _every(w, slots * size)
+    each = _every(size, count * size)
+    ones = _every(w, count * size)
     return _SlotMasks(
         ones, each * ((1 << w) - 1), each * _DIAGONAL[w], ones * ((1 << w - 1) - 1),
         tuple((s, each * m) for s, m in _SWAPS[w]),
     )
-
-
-def _masks(w: int, count: int) -> _SlotMasks:
-    """The masks for a run of ``count`` slots of width w.
-
-    Cached for power-of-two lengths; masks longer than the run are
-    harmless under ``&``.
-    """
-    return _slot_masks(w, 1 << max(count - 1, 0).bit_length())
 
 
 def lane_groups(sizes: Iterable[int]) -> dict[int, list[int]]:
@@ -417,13 +334,62 @@ def pack_slots(rows: Sequence[Sequence[int]], w: int) -> int:
     return int.from_bytes(struct.pack(f"<{len(rows) * w}{_LANE_FORMATS[w]}", *flat), "little")
 
 
-class KernelBlock(NamedTuple):
-    """The common-neighbour kernels of a run of graphs of one lane width w <= ``BLOCK_MAX_N``.
+def _lane_products(x: int, matrix: int, sizes: Sequence[int], w: int) -> tuple[int, int]:
+    """The or of the lane products of column k of x with row k of ``matrix``, over k, and the bits two or more of them hold.
 
-    Each matrix field holds in slot i what the same field of
-    ``common_neighbours`` holds for graph i, whose vertex count is
-    ``sizes[i]``; ``lanes`` holds in slot i the pairs (u, v) with u, v
-    below ``sizes[i]``.
+    In each slot, lane u of the product for k holds the slot's row k of
+    ``matrix`` where x holds the pair (u, k), else 0.  A run of one
+    unpacks its rows and multiplies column k by row k, which cannot carry
+    out of a lane.  A longer run multiplies column k by a full lane,
+    filling each of its bits across its lane, and ands that with row k
+    broadcast across its slot.
+    """
+    masks = _masks(w, len(sizes))
+    ones = masks.ones
+    one = many = 0
+    if len(sizes) == 1:
+        for k, row in enumerate(_unpack(matrix, sizes[0])):
+            if row:
+                t = (x >> k & ones) * row
+                many |= one & t
+                one |= t
+        return one, many
+    full, first = (1 << w) - 1, masks.first
+    for k in range(max(sizes, default=0)):
+        row = matrix >> k * w & first
+        if row:
+            t = (x >> k & ones) * full & _broadcast(row, w)
+            many |= one & t
+            one |= t
+    return one, many
+
+
+def _broadcast(row: int, w: int) -> int:
+    """Lane 0 of every slot copied into every lane of its slot, by log2(w) shift-or doublings."""
+    s = w
+    while s < w * w:
+        row |= row << s
+        s <<= 1
+    return row
+
+
+class CommonNeighbours(NamedTuple):
+    """The common-neighbour kernels of a run of graphs of one lane width w.
+
+    Graph i, with ``sizes[i]`` vertices, sits in slot i, as ``pack_slots``
+    lays it out, and a single graph's kernel is a run of one
+    (``common_neighbours``, ``Graph.common``).  Every field but w and
+    sizes holds in each slot a symmetric bit matrix of w-bit lanes, bit v
+    of lane u standing for the pair (u, v) of that slot's graph:
+
+    - ``lanes``: u and v are both below the graph's vertex count;
+    - ``adjacency``: the adjacency matrix itself;
+    - ``one``: u and v have a common neighbour (on the diagonal: deg u >= 1);
+    - ``many``: they have two or more (on the diagonal: deg u >= 2);
+    - ``far``: u != v are non-adjacent without a common neighbour, that
+      is at distance 3 or more, or unreachable;
+    - ``crit``: u != v are non-adjacent with exactly one common
+      neighbour, a critical pair.
     """
 
     w: int
@@ -435,12 +401,37 @@ class KernelBlock(NamedTuple):
     far: int
     crit: int
 
-    def words(self, matrix: int) -> tuple[int, ...]:
-        """One word per slot of a block matrix, nonzero exactly when the slot is.
+    def rows(self, matrix: int) -> tuple[int, ...]:
+        """The lanes of a run of one's matrix, as vertex masks."""
+        return _unpack(matrix, self.sizes[0])
 
-        The word is the slot itself at w = 8, and its four quarters or-ed
-        at w = 16.
+    def pairs(self, matrix: int) -> Iterator[tuple[int, int]]:
+        """The pairs (u, v), u < v, of a run of one's matrix, ascending."""
+        w = self.w
+        upper = matrix & _UPPER[w]
+        while upper:
+            low = upper & -upper
+            yield divmod(low.bit_length() - 1, w)
+            upper ^= low
+
+    def slots(self, chosen: Iterable[int]) -> list[CommonNeighbours]:
+        """The chosen slots, each as a run of one: ``common_neighbours`` of its graph."""
+        w, count, size = self.w, len(self.sizes), self.w * self.w >> 3
+        data = [m.to_bytes(count * size, "little") for m in self[2:]]
+        return [
+            CommonNeighbours(w, (self.sizes[i],), *(int.from_bytes(d[i * size:(i + 1) * size], "little") for d in data))
+            for i in chosen
+        ]
+
+    def words(self, matrix: int) -> tuple[int, ...]:
+        """One word per slot of a matrix, nonzero exactly when the slot is.
+
+        A slot holds w * w / 64 words of 64 bits: one at w = 8, and 4, 16
+        or 64 at w = 16, 32 or 64, which are or-ed into the slot's lowest.
+        A run of one's word is the matrix itself.
         """
+        if len(self.sizes) == 1:
+            return (matrix,)
         count, quarters = len(self.sizes), self.w * self.w >> 6
         step = self.w * self.w >> 1
         while step >= 64:
@@ -450,14 +441,11 @@ class KernelBlock(NamedTuple):
         return words[::quarters]
 
     def transpose(self, matrix: int) -> int:
-        """Every slot of a block matrix transposed."""
-        for s, m in _masks(self.w, len(self.sizes)).swaps:
-            t = (matrix ^ matrix >> s) & m
-            matrix ^= t | t << s
-        return matrix
+        """Every slot of a matrix transposed."""
+        return _transpose(matrix, _masks(self.w, len(self.sizes)).swaps)
 
     def malformed(self, matrix: int) -> int:
-        """The bits of a block matrix that no graph with the slots' sizes has.
+        """The bits of a matrix that no graph with the slots' sizes has.
 
         Those are the bits outside the lanes, on the diagonal, or without
         their mirror.
@@ -466,7 +454,7 @@ class KernelBlock(NamedTuple):
         return matrix & ~self.lanes | matrix & diagonal | matrix ^ self.transpose(matrix)
 
     def two_sc(self) -> list[bool]:
-        """Each graph's local test: n >= 4, every degree in [2, n - 2], and no far pair."""
+        """Each graph's 2SC test: n >= 4, every degree in [2, n - 2], and no far pair."""
         w, lanes, x = self.w, self.lanes, self.adjacency
         masks = _masks(w, len(self.sizes))
         ones, low = masks.ones, masks.low
@@ -480,54 +468,33 @@ class KernelBlock(NamedTuple):
         return [n >= 4 and not word for n, word in zip(self.sizes, self.words(self.far | lanes & ones & ~filled))]
 
     def deletable(self) -> int:
-        """``CommonNeighbours.deletable`` of every slot, as a block matrix."""
-        w, x, crit = self.w, self.adjacency, self.crit
-        masks = _masks(w, len(self.sizes))
-        meets = 0
-        for k in range(max(self.sizes, default=0)):
-            row = crit >> k * w & masks.first
-            if row:
-                meets |= _filled_column(x, k, masks.ones, w) & _broadcast(row, w)
+        """The edges uv whose deletion keeps a 2-self-centered graph so, in every slot.
+
+        The deletion rule of ``recognition.edit_keeps_two_sc``: u and v
+        have a common neighbour, and neither N(u) meets the critical
+        pairs of v nor N(v) those of u.  The meeting is one more lane
+        product per vertex k with critical pairs: column k of the
+        adjacency times row k of ``crit`` marks every u adjacent to k
+        against the critical partners of k.
+        """
+        x = self.adjacency
+        meets = _lane_products(x, self.crit, self.sizes, self.w)[0]
         return x & self.one & ~(meets | self.transpose(meets))
 
-    def commons(self, chosen: Iterable[int]) -> list[CommonNeighbours]:
-        """The ``CommonNeighbours`` of the chosen slots, equal to ``common_neighbours`` of their graphs."""
-        w, count, size = self.w, len(self.sizes), self.w * self.w >> 3
-        data = [m.to_bytes(count * size, "little") for m in (self.adjacency, self.one, self.many, self.far, self.crit)]
-        return [
-            CommonNeighbours(self.sizes[i], w, *(int.from_bytes(d[i * size:(i + 1) * size], "little") for d in data))
-            for i in chosen
-        ]
 
-
-def _filled_column(x: int, k: int, ones: int, w: int) -> int:
-    """Column k of every slot, each set bit filled across its lane."""
-    c = x >> k & ones
-    return (c << w) - c
-
-
-def _broadcast(row: int, w: int) -> int:
-    """Lane 0 of every slot copied into every lane of its slot."""
-    s = w
-    while s < w * w:
-        row |= row << s
-        s <<= 1
-    return row
-
-
-def kernel_block(x: int, sizes: Sequence[int], w: int) -> KernelBlock:
-    """The kernels of the graphs packed in x by ``pack_slots``, with vertex counts ``sizes``: n steps for the run."""
-    masks = _masks(w, len(sizes))
-    ones, first = masks.ones, masks.first
-    one = many = 0
-    for k in range(max(sizes, default=0)):
-        t = _filled_column(x, k, ones, w) & _broadcast(x >> k * w & first, w)
-        many |= one & t
-        one |= t
+def kernel_block(x: int, sizes: Sequence[int], w: int) -> CommonNeighbours:
+    """The kernels of the graphs packed in x by ``pack_slots``, with vertex counts ``sizes``: n lane products for the run."""
+    one, many = _lane_products(x, x, sizes, w)
     lane_bytes = _LANE_BYTES[w]
     lanes = int.from_bytes(b"".join([lane_bytes[n] for n in sizes]), "little")
-    near = x | masks.diagonal
-    return KernelBlock(w, tuple(sizes), lanes, x, one, many, lanes & ~(near | one), one & ~(near | many))
+    near = x | _masks(w, len(sizes)).diagonal
+    return CommonNeighbours(w, tuple(sizes), lanes, x, one, many, lanes & ~(near | one), one & ~(near | many))
+
+
+def common_neighbours(adj: Sequence[int]) -> CommonNeighbours:
+    """The common-neighbour kernel of valid neighbor masks, a run of one."""
+    n = len(adj)
+    return kernel_block(_pack(adj), (n,), _lane_width(n))
 
 
 # ------------------------------------------------------- column streams
@@ -601,11 +568,7 @@ def columns_to_masks(data: bytes, n: int, fill: int = 0) -> list[tuple[int, ...]
         x ^= t ^ t << s
     # lane v now holds the neighbours of v below v; or-ing in the
     # transpose adds those above
-    y = x
-    for s, m in swaps:
-        t = (y ^ y >> s) & m
-        y ^= t | t << s
-    return list(slot.iter_unpack((x | y).to_bytes(count * size >> 3, "little")))
+    return list(slot.iter_unpack((x | _transpose(x, swaps)).to_bytes(count * size >> 3, "little")))
 
 
 class _memo:
@@ -691,9 +654,9 @@ class Graph(_Frozen):
     The empty graph (no vertices) is a legal value; it shows up as the
     core of degenerate generalized complete bipartite specs.
 
-    ``two_sc`` runs ``conditions_ok`` the first time it is read, and
-    ``common`` the common-neighbour kernel; each keeps its answer on the
-    value.  The memo lives in the instance dict and takes no part in
+    ``common`` computes the graph's common-neighbour kernel, a run of
+    one, the first time it is read, and ``two_sc`` reads that kernel's
+    2SC test; each keeps its answer on the value.  The memo lives in the instance dict and takes no part in
     ``==`` or ``hash``, and a pickled graph carries it along without
     being validated again.
     """
@@ -721,19 +684,19 @@ class Graph(_Frozen):
             raise LoopError(f"self-loop at vertex {(loops & -loops).bit_length() // (w + 1)}")
         # a set bit (u, v) without its mirror (v, u); the lowest one is
         # the first such pair in row order
-        onesided = x & ~_transpose(x, w)
+        onesided = x & ~_transpose(x, _SWAPS[w])
         if onesided:
             u, v = divmod((onesided & -onesided).bit_length() - 1, w)
             raise GraphError(f"adjacency not symmetric on pair ({min(u, v)}, {max(u, v)})")
 
     @_memo
     def two_sc(self) -> bool:
-        """Whether the graph is 2-self-centered (radius = diameter = 2)."""
-        return conditions_ok(self.adj, len(self.adj), lambda: self.common)
+        """Whether the graph is 2-self-centered (radius = diameter = 2): the 2SC test of ``common``, read when n >= 4."""
+        return len(self.adj) >= 4 and self.common.two_sc()[0]
 
     @_memo
     def common(self) -> CommonNeighbours:
-        """The graph's pairs by their number of common neighbours (``common_neighbours``)."""
+        """The graph's pairs by their number of common neighbours: its kernel, a run of one (``common_neighbours``)."""
         return common_neighbours(self.adj)
 
     @staticmethod

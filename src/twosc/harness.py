@@ -15,11 +15,12 @@ the block's facts records, counts them into the table, then hands each
 theorem's check the block's records it applies to, between one pair of
 clock reads.  So a theorem's seconds are timed per block, and still
 cover only its own checks.  ``facts`` reads the 2SC test, triangles and
-edge-minimality of a block's graphs with n <= ``core.BLOCK_MAX_N`` from
-one block pass of the common-neighbour kernel per lane width
-(``core.kernel_block``), and ``sandwich_existence`` re-derives its
-greedy graphs' properties from block passes over them; the other checks
-take the block one graph at a time.
+edge-minimality of a block's graphs from the common-neighbour kernels
+of its runs (``core.kernel_block``), and ``sandwich_existence``
+re-derives its greedy graphs' properties from kernels of the same runs
+of greedy graphs.  ``_runs`` chooses the runs in one place: one per lane
+width for graphs with n <= ``core.BLOCK_MAX_N``, and runs of one above
+it.  The other checks take the block one graph at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import reduce
 from itertools import islice
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
-from .core import BLOCK_MAX_N, Graph, GraphError, _remember, has_triangle, kernel_block, lane_groups, pack_slots
+from .core import BLOCK_MAX_N, Graph, _lane_width, _remember, kernel_block, lane_groups, pack_slots
 from .enumeration import GENERATOR_MAX, RangeError, _connected_from, _split, _usable_cpus, graph_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
@@ -42,7 +43,6 @@ from .recognition import (
     greedy_edge_maximal,
     greedy_edge_minimal,
     has_critical_triple,
-    is_edge_minimal,
     metric_two_self_centered,
 )
 from .reduction import classify_edge_minimal_with_triangles, replay_trace
@@ -60,35 +60,42 @@ class Facts(NamedTuple):
     cert: MaximalityCertificate | None
 
 
+def _runs(sizes: Iterable[int]) -> list[list[int]]:
+    """The positions of a block's graphs, in the runs the kernel reads them in.
+
+    One run per lane group when w <= ``BLOCK_MAX_N``, otherwise runs of
+    one: a run of wider graphs costs more per graph than a run of one.
+    """
+    runs: list[list[int]] = []
+    for w, where in lane_groups(sizes).items():
+        runs += [where] if w <= BLOCK_MAX_N else [[i] for i in where]
+    return runs
+
+
 def facts(graphs: Sequence[Graph]) -> list[Facts]:
     """The facts records of a block of graphs, in order, which every theorem and the counting row read.
 
-    Graphs with n <= ``BLOCK_MAX_N`` are read in one block pass per lane
-    width: the 2SC test, triangle-freeness (no edge with a common
-    neighbour) and edge-minimality (no deletable edge) come from its
-    verdict words, and each 2SC graph's ``two_sc`` and ``common`` memos
-    are filled with its slot's values.  Wider graphs read their own kernel.
+    Each run of ``_runs`` is read from one kernel: the 2SC test,
+    triangle-freeness (no edge with a common neighbour) and
+    edge-minimality (no deletable edge) come from its verdict words, and
+    each 2SC graph's ``two_sc`` and ``common`` memos are filled with its
+    slot, a run of one.
     """
     made: dict[int, Facts] = {}
-    for w, where in lane_groups(len(g.adj) for g in graphs).items():
-        run = [graphs[i] for i in where]
-        made.update(zip(where, _block_facts(run, w) if w <= BLOCK_MAX_N else map(_graph_facts, run)))
+    for where in _runs(len(g.adj) for g in graphs):
+        made.update(zip(where, _run_facts([graphs[i] for i in where])))
     return [made[i] for i in range(len(graphs))]
 
 
-def _graph_facts(g: Graph) -> Facts:
-    two_sc = g.two_sc
-    minimal = two_sc and is_edge_minimal(g).minimal
-    return Facts(g, two_sc, not has_triangle(g), minimal, complement_star_certificate(g) if two_sc else None)
-
-
-def _block_facts(run: list[Graph], w: int) -> list[Facts]:
-    block = kernel_block(pack_slots([g.adj for g in run], w), [len(g.adj) for g in run], w)
-    two_sc = block.two_sc()
-    triangles = block.words(block.adjacency & block.one)
-    deletable = block.words(block.deletable())
+def _run_facts(run: list[Graph]) -> list[Facts]:
+    sizes = [len(g.adj) for g in run]
+    w = _lane_width(max(sizes))
+    kernel = kernel_block(pack_slots([g.adj for g in run], w), sizes, w)
+    two_sc = kernel.two_sc()
+    triangles = kernel.words(kernel.adjacency & kernel.one)
+    deletable = kernel.words(kernel.deletable())
     chosen = [i for i, flag in enumerate(two_sc) if flag]
-    for i, common in zip(chosen, block.commons(chosen)):
+    for i, common in zip(chosen, kernel.slots(chosen)):
         _remember(run[i], two_sc=True, common=common)
     return [
         Facts(g, flag, not tri, flag and not edges, complement_star_certificate(g) if flag else None)
@@ -184,73 +191,56 @@ def _sandwich_existence(records: Sequence[Facts]) -> list[Outcome]:
     is derived here: each must have the graph's n masks, in range, with no
     loop and equal to its transpose.  Then sub is inside g and g inside
     sup, sub is 2SC with no deletable edge, and sup is 2SC and edge-maximal
-    by definition.  Runs of n <= ``BLOCK_MAX_N`` read all of it from block
-    passes; wider graphs, and a run holding anything ``pack_slots``
-    rejects, one graph at a time.
+    by definition.  Each run of ``_runs`` reads all of it from kernels of
+    its greedy graphs.
     """
     graphs = [f.g for f in records]
     subs = [greedy_edge_minimal(g) for g in graphs]
     sups = [greedy_edge_maximal(g) for g in graphs]
     verdicts: dict[int, tuple[bool, bool]] = {}
-    for w, where in lane_groups(len(g.adj) for g in graphs).items():
-        verdicts.update(zip(where, _run_sandwich([(graphs[i], subs[i], sups[i]) for i in where], w)))
+    for where in _runs(len(g.adj) for g in graphs):
+        run = [graphs[i] for i in where]
+        verdicts.update(zip(where, _run_sandwich(run, [subs[i] for i in where], [sups[i] for i in where])))
     pairs = [verdicts[i] for i in range(len(graphs))]
     return [(a and b, None if a and b else {"subgraph_ok": a, "supergraph_ok": b}) for a, b in pairs]
 
 
-def _run_sandwich(run: list[tuple[Graph, Graph, Graph]], w: int) -> list[tuple[bool, bool]]:
-    """Block passes when n <= ``BLOCK_MAX_N`` and every greedy graph packs into a slot.
+def _run_sandwich(run: list[Graph], subs: list[Graph], sups: list[Graph]) -> list[tuple[bool, bool]]:
+    """The (subgraph, supergraph) verdicts of a run of graphs with their greedy graphs.
 
-    Otherwise one graph at a time.
+    A run whose greedy graphs ``_packed`` rejects is read again as runs of
+    one, and a graph whose own run it rejects fails that side's check.
     """
-    if w <= BLOCK_MAX_N and all(len(sub.adj) == len(g.adj) == len(sup.adj) for g, sub, sup in run):
-        try:
-            return _block_sandwich(run, w)
-        except struct.error:
-            pass
-    return [_graph_sandwich(*triple) for triple in run]
+    sizes = [len(g.adj) for g in run]
+    w = _lane_width(max(sizes))
+    x, sub, sup = pack_slots([g.adj for g in run], w), _packed(subs, sizes, w), _packed(sups, sizes, w)
+    if len(run) > 1 and (sub is None or sup is None):
+        return [pair for i in range(len(run)) for pair in _run_sandwich(run[i:i + 1], subs[i:i + 1], sups[i:i + 1])]
+    lower_ok = [False]
+    if sub is not None:
+        lower = kernel_block(sub, sizes, w)
+        bad = lower.words(lower.malformed(sub) | sub & ~x | lower.deletable())
+        lower_ok = [not word and flag for word, flag in zip(bad, lower.two_sc())]
+    upper_ok = [False]
+    if sup is not None:
+        upper = kernel_block(sup, sizes, w)
+        bad = upper.words(upper.malformed(sup) | x & ~sup)
+        upper_ok = [not word and flag for word, flag in zip(bad, upper.two_sc())]
+        for i, big in enumerate(sups):
+            if upper_ok[i]:
+                _remember(big, two_sc=True)
+                upper_ok[i] = edge_maximal_by_definition(big)
+    return list(zip(lower_ok, upper_ok))
 
 
-def _block_sandwich(run: list[tuple[Graph, Graph, Graph]], w: int) -> list[tuple[bool, bool]]:
-    sizes = [len(g.adj) for g, _, _ in run]
-    x, sub, sup = (pack_slots([triple[k].adj for triple in run], w) for k in range(3))
-    lower, upper = kernel_block(sub, sizes, w), kernel_block(sup, sizes, w)
-    sub_bad = lower.words(lower.malformed(sub) | sub & ~x | lower.deletable())
-    sup_bad = upper.words(upper.malformed(sup) | x & ~sup)
-    verdicts = []
-    for (_, _, big), lo_bad, lo_2sc, up_bad, up_2sc in zip(run, sub_bad, lower.two_sc(), sup_bad, upper.two_sc()):
-        sup_ok = not up_bad and up_2sc
-        if sup_ok:
-            _remember(big, two_sc=True)
-            sup_ok = edge_maximal_by_definition(big)
-        verdicts.append((not lo_bad and lo_2sc, sup_ok))
-    return verdicts
-
-
-def _graph_sandwich(g: Graph, sub: Graph, sup: Graph) -> tuple[bool, bool]:
-    lower, upper = _validated(sub, len(g.adj)), _validated(sup, len(g.adj))
-    sub_ok = (
-        lower is not None
-        and all(not s & ~m for s, m in zip(lower.adj, g.adj))
-        and lower.two_sc
-        and is_edge_minimal(lower).minimal
-    )
-    sup_ok = (
-        upper is not None
-        and all(not m & ~s for s, m in zip(upper.adj, g.adj))
-        and upper.two_sc
-        and edge_maximal_by_definition(upper)
-    )
-    return sub_ok, sup_ok
-
-
-def _validated(h: Graph, n: int) -> Graph | None:
-    """The ``Graph`` on h's masks after ``Graph.__init__``'s checks, or None when they fail or it has no n vertices."""
-    try:
-        checked = Graph(h.adj)
-    except GraphError:
+def _packed(graphs: list[Graph], sizes: list[int], w: int) -> int | None:
+    """``pack_slots`` of the graphs' masks, or None when it raises or a graph's mask count is not its size."""
+    if any(len(h.adj) != n for h, n in zip(graphs, sizes)):
         return None
-    return checked if len(checked.adj) == n else None
+    try:
+        return pack_slots([h.adj for h in graphs], w)
+    except struct.error:
+        return None
 
 
 THEOREMS = (

@@ -2,27 +2,29 @@
 
 A graph with n vertices has radius = diameter = 2 exactly when every
 degree lies in [2, n-2] and every non-adjacent pair has a common
-neighbor.  That local test, ``conditions_ok`` (defined in ``core``), is
-the production path everywhere.  Each ``Graph`` value runs it at most
-once: ``Graph.two_sc`` caches the answer, and the input guards, the
-battery and the reduction read that flag.
+neighbor.  That local test is the 2SC test of the graph's
+common-neighbour kernel (``core.CommonNeighbours.two_sc``), the
+production path everywhere.  Each ``Graph`` value computes its kernel,
+a run of one, at most once (``Graph.common``), and ``Graph.two_sc``
+caches the test's answer; the input guards, the battery and the
+reduction read that flag.  ``conditions_ok`` runs the same test on raw
+masks.
 
-On a ``Graph`` value, every predicate about common neighbours reads the
-graph's one common-neighbour kernel (``Graph.common``, computed at most
-once per value by ``core.common_neighbours``): the pair half of the
-local test and its first violating pair, the critical triples and
-``has_critical_triple`` (the kernel's critical pairs), and
-``is_edge_minimal`` (its deletable edges).  ``reduction`` reads it for
-the critical endpoints of triangle edges, and ``sbic`` for the far
-pairs.  Code that edits an adjacency list in place (``edit_keeps_two_sc``
-and ``greedy_edge_minimal`` here, the star step and the reduction's
-search in ``reduction``) keeps the scalar walk of ``_partners``: it
-reads only the neighbours of the edited pair, while the kernel would
-have to be recomputed after every edit: a ``greedy_edge_minimal`` that
-did so after each deletion ran 2.4 times slower on the 2-self-centered
-classes with n = 8 and 4.4 times slower at n = 20..24.
-``reduction.critical_partners`` asks about one vertex and one anchor,
-so it reads the same walk.
+On a ``Graph`` value, every predicate about common neighbours reads that
+one kernel: the first violating pair of ``condition_verdict``, the
+critical triples and ``has_critical_triple`` (the kernel's critical
+pairs), and ``is_edge_minimal`` (its deletable edges); only the
+violating vertex is scanned for, by ``first_bad_degree``, when the test
+fails.  ``reduction`` reads it for the critical endpoints of triangle
+edges, and ``sbic`` for the far pairs.  Code that edits an adjacency list
+in place (``edit_keeps_two_sc`` and ``greedy_edge_minimal`` here, the
+star step and the reduction's search in ``reduction``) keeps the scalar
+walk of ``_partners``: it reads only the neighbours of the edited pair,
+while the kernel would have to be recomputed after every edit: a
+``greedy_edge_minimal`` that did so after each deletion ran 2.4 times
+slower on the 2-self-centered classes with n = 8 and 4.4 times slower at
+n = 20..24.  ``reduction.critical_partners`` asks about one vertex and
+one anchor, so it reads the same walk.
 
 The metric definition is kept as the oracle the harness and the tests
 compare the local test against.  ``metric_two_self_centered``
@@ -76,8 +78,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Sequence
 
 from .core import Graph, GraphError, _decoded, bits, complement_masks, component_masks
-from .core import first_bad_degree
-from .core import conditions_ok as conditions_ok  # re-exported: the guards' local test
+from .core import conditions_ok as conditions_ok  # re-exported: the local test on raw masks
 
 
 class NotTwoSelfCenteredError(GraphError):
@@ -100,6 +101,15 @@ class TwoScVerdict(NamedTuple):
             "violating_vertex": self.violating_vertex,
             "violating_pair": list(self.violating_pair) if self.violating_pair else None,
         }
+
+
+def first_bad_degree(adj: Sequence[int], n: int) -> int | None:
+    """The first vertex whose degree lies outside [2, n - 2], or None."""
+    for v in range(n):
+        d = adj[v].bit_count()
+        if d < 2 or d > n - 2:
+            return v
+    return None
 
 
 def condition_verdict(g: Graph) -> TwoScVerdict:

@@ -10,8 +10,8 @@ Both conditions on distances are read from neighbor masks, without
 all-pairs distances: v is at distance >= 3 from u, or unreachable,
 exactly when v is not u, not adjacent to u and shares no neighbor with
 u, which is the ``far`` matrix of the graph's cached common-neighbour
-kernel (``core.common_neighbours``); a set m is within distance 1 of u
-exactly when m meets N[u].
+kernel (``Graph.common``, a run of one); a set m is within distance 1
+of u exactly when m meets N[u].
 
 The escape conditions are masks per set m of a family: the vertices
 *far* from m lie outside N[m], its *escapes* are the union of the other

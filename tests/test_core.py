@@ -21,7 +21,6 @@ from twosc.core import (
     columns_to_masks,
     common_neighbours,
     complement,
-    conditions_ok,
     connected_components,
     distance_profile,
     edit,
@@ -37,7 +36,7 @@ from twosc.core import (
 )
 from twosc.canon import are_isomorphic
 from twosc.enumeration import graph_classes
-from twosc.recognition import is_edge_minimal
+from twosc.recognition import edit_keeps_two_sc, is_edge_minimal
 from twosc.graphs import (
     complete_bipartite,
     complete_graph,
@@ -50,6 +49,7 @@ from twosc.graphs import (
 )
 
 from conftest import assert_immutable_value, graphs
+from test_recognition import ref_conditions_ok, sweep_edge_minimal
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:
@@ -193,7 +193,7 @@ def counted_rows(adj) -> tuple[list[int], ...]:
 
 def assert_kernel_matches_counts(g: Graph) -> None:
     c = common_neighbours(g.adj)
-    assert (c.n, c.rows(c.adjacency)) == (g.n, g.adj)
+    assert (c.sizes, c.rows(c.adjacency)) == ((g.n,), g.adj)
     rows = (c.rows(c.one), c.rows(c.many), c.rows(c.far), c.rows(c.crit))
     assert rows == tuple(tuple(r) for r in counted_rows(g.adj)), g
     for matrix, field in zip((c.far, c.crit), rows[2:]):
@@ -514,6 +514,27 @@ class TestCommonNeighbours:
             for g in graph_classes(n):
                 assert_kernel_matches_counts(g)
 
+    @pytest.mark.parametrize("n", range(17, MAX_VERTICES + 1))
+    def test_runs_of_one_above_the_block_sizes(self, n):
+        # a run of one at lane widths 32 and 64, which the battery reads
+        # one graph at a time: its matrices against the counts, its 2SC
+        # test against the pair scan, and its deletable edges against the
+        # one-edge rule and the deletion sweep's first removable edge, on
+        # at least one 2SC graph
+        rng = random.Random(n)
+        gs = [random_graph(rng, n, p) for p in (0.1, 0.5, 0.8)]
+        while not any(ref_conditions_ok(g.adj, n) for g in gs):
+            gs.append(random_graph(rng, n, 0.5))
+        for g in gs:
+            assert_kernel_matches_counts(g)
+            c = common_neighbours(g.adj)
+            assert c.two_sc() == [ref_conditions_ok(g.adj, n)], g
+            if c.two_sc()[0]:
+                deletable = c.rows(c.deletable())
+                for u, v in g.edges():
+                    assert bool(deletable[u] >> v & 1) == edit_keeps_two_sc(g.adj, n, u, v), (g, u, v)
+                assert is_edge_minimal(g) == sweep_edge_minimal(g), g
+
     def test_computed_once_per_value(self):
         g = petersen_graph()
         assert g.common is g.common
@@ -521,18 +542,18 @@ class TestCommonNeighbours:
 
 
 def assert_block_matches_each_graph(gs) -> None:
-    """One block pass over gs, all of one lane width, against the per-graph kernel and predicates."""
+    """One run over gs, all of one lane width, against runs of one and the predicates."""
     w = _lane_width(max(g.n for g in gs))
     assert all(_lane_width(g.n) == w for g in gs) and w <= 16
     block = kernel_block(pack_slots([g.adj for g in gs], w), [g.n for g in gs], w)
     two_sc = block.two_sc()
     triangle_free = [not word for word in block.words(block.adjacency & block.one)]
     minimal = [not word for word in block.words(block.deletable())]
-    commons = block.commons(range(len(gs)))
-    assert len(two_sc) == len(triangle_free) == len(minimal) == len(commons) == len(gs)
+    slots = block.slots(range(len(gs)))
+    assert len(two_sc) == len(triangle_free) == len(minimal) == len(slots) == len(gs)
     for i, g in enumerate(gs):
-        assert commons[i]._asdict() == common_neighbours(g.adj)._asdict(), (i, g)
-        assert two_sc[i] == conditions_ok(g.adj, g.n), (i, g)
+        assert slots[i]._asdict() == common_neighbours(g.adj)._asdict(), (i, g)
+        assert two_sc[i] == ref_conditions_ok(g.adj, g.n), (i, g)
         assert triangle_free[i] == (not has_triangle(g)), (i, g)
         if two_sc[i]:
             assert minimal[i] == is_edge_minimal(g).minimal, (i, g)
@@ -540,7 +561,7 @@ def assert_block_matches_each_graph(gs) -> None:
     for i, g in enumerate(gs):
         if two_sc[i]:
             copy = _decoded(g.adj)
-            _remember(copy, two_sc=True, common=commons[i])
+            _remember(copy, two_sc=True, common=slots[i])
             fresh = Graph(g.adj)
             assert (copy.two_sc, copy.common) == (fresh.two_sc, fresh.common)
 

@@ -182,7 +182,8 @@ def test_block_sandwich_matches_the_per_graph_check():
         chosen = [f for f in facts(graphs[start:start + BLOCK]) if f.two_sc]
         assert sandwich.check(chosen) == [reference_sandwich(f) for f in chosen]
         checked += len(chosen)
-    assert checked == sum(verify_all(8).counting[n]["two_sc"] for n in range(1, 9))
+    counting = verify_all(8).counting
+    assert checked == sum(counting[n]["two_sc"] for n in range(1, 9))
 
 
 def mirror_broken(g, adj):
@@ -221,10 +222,10 @@ def complete_graph_masks(g, adj):
 
 
 def two_sc_graphs_on_seventeen():
-    """co-C17 and seeded G(17, 1/2) graphs that are 2SC: the per-graph path."""
+    """co-C17 and seeded G(17, 1/2) graphs that are 2SC: each a run of one."""
     rng = random.Random(17)
     out = [complement(cycle_graph(17))]
-    while len(out) < 4:
+    while len(out) < 6:
         g = Graph.from_edges(17, [(u, v) for u in range(17) for v in range(u + 1, 17) if rng.random() < 0.5])
         if g.two_sc:
             out.append(g)
@@ -251,8 +252,8 @@ def test_sandwich_rederives_what_it_checks(monkeypatch, name, spoil, path):
     # the greedy graphs are built without Graph.__init__, so a malformed
     # output, a subgraph that is not minimal or not inside g, and a
     # supergraph that is not 2SC or misses an edge of g each fail the
-    # check for that graph alone, in a block pass (n <= 6) and one graph
-    # at a time (n = 17)
+    # check for that graph alone, in a block run (n <= 6) and per graph,
+    # in runs of one (n = 17)
     graphs = [g for g in connected_up_to(6) if g.two_sc] if path == "block" else two_sc_graphs_on_seventeen()
     greedy = {"greedy_edge_minimal": greedy_edge_minimal, "greedy_edge_maximal": greedy_edge_maximal}[name]
     spoiled = next(g for g in graphs[len(graphs) // 2:] + graphs if spoil(g, greedy(g).adj) is not None)
@@ -269,17 +270,22 @@ def test_sandwich_rederives_what_it_checks(monkeypatch, name, spoil, path):
 
 
 def test_sandwich_rejects_a_subgraph_of_the_wrong_size_or_kind(monkeypatch):
-    graphs = [g for g in connected_up_to(6) if g.two_sc]
-    spoiled = {graphs[0]: (), graphs[1]: graphs[1].adj + (0,), graphs[2]: (-1,) + graphs[2].adj[1:],
-               graphs[3]: (1 << 9,) + graphs[3].adj[1:], graphs[4]: ("x",) + graphs[4].adj[1:]}
-
-    def broken(g):
-        return _decoded(spoiled[g]) if g in spoiled else greedy_edge_minimal(g)
-
-    monkeypatch.setattr(harness, "greedy_edge_minimal", broken)
+    # a short tuple, an extra row, a negative mask, a mask past the lane
+    # width and a non-int: pack_slots rejects the run, or the length check
+    # the graph, and each fails its own check alone, whether it was
+    # packed in a block run (n <= 6) or as a run of one (n = 17)
     sandwich = next(t for t in THEOREMS if t.name == "sandwich_existence")
     detail = {"subgraph_ok": False, "supergraph_ok": True}
-    assert sandwich.check(facts(graphs)) == [(False, detail) if g in spoiled else (True, None) for g in graphs]
+    for graphs, big in (([g for g in connected_up_to(6) if g.two_sc], 1 << 9), (two_sc_graphs_on_seventeen(), 1 << 40)):
+        spoilers = [lambda a: a[:-1], lambda a: a + (0,), lambda a: (-1,) + a[1:], lambda a: (big,) + a[1:],
+                    lambda a: ("x",) + a[1:]]
+        spoiled = {g: spoil(greedy_edge_minimal(g).adj) for g, spoil in zip(graphs, spoilers)}
+
+        def broken(g):
+            return _decoded(spoiled[g]) if g in spoiled else greedy_edge_minimal(g)
+
+        monkeypatch.setattr(harness, "greedy_edge_minimal", broken)
+        assert sandwich.check(facts(graphs)) == [(False, detail) if g in spoiled else (True, None) for g in graphs]
 
 
 def test_zero_vertex_records_merge_the_same_at_any_worker_count(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 import twosc.core
-from twosc.core import Graph, common_neighbours, conditions_ok
+from twosc.core import Graph, conditions_ok, kernel_block
 from twosc.enumeration import graph_classes
 from twosc.gcb import decompose_triangle_free
 from twosc.graphs import complete_graph, cycle_graph, path_graph, petersen_graph, star_graph
@@ -125,24 +125,21 @@ def test_memo_writes_keep_compact_storage():
 
 
 def test_one_local_test_per_value(monkeypatch):
-    calls, kernels = [], []
+    # Graph.two_sc and Graph.common both read the value's one kernel, a
+    # run of one, so the one builder runs once per value
+    built = []
 
-    def counting(adj, n, kernel=None):
-        calls.append(adj)
-        return conditions_ok(adj, n, kernel)
+    def counting(x, sizes, w):
+        built.append(tuple(sizes))
+        return kernel_block(x, sizes, w)
 
-    def counting_kernel(adj):
-        kernels.append(adj)
-        return common_neighbours(adj)
-
-    monkeypatch.setattr(twosc.core, "conditions_ok", counting)
-    monkeypatch.setattr(twosc.core, "common_neighbours", counting_kernel)
+    monkeypatch.setattr(twosc.core, "kernel_block", counting)
     g = petersen_graph()
     for guard in GUARDS:
         guard(g)
+    assert built == [(10,)]
     is_edge_minimal(greedy_edge_minimal(g))
-    assert calls == [g.adj, g.adj]  # g, then the builder's new value
-    assert sum(adj is g.adj for adj in kernels) == 1  # every guard reads g's one kernel
+    assert built == [(10,), (10,)]  # g, then the builder's new value
 
 
 @pytest.mark.parametrize("guard", GUARDS, ids=lambda f: f.__name__)

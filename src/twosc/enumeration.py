@@ -68,8 +68,8 @@ its sorted ``Graph`` list back pickled, which does not validate again.
 The shares' classes are disjoint, so the level is the sort of the
 concatenated runs, which timsort merges in linear time.  Smaller
 levels, and machines with one usable CPU, run one share in the caller
-and start no process.  The battery's shares (``harness.verify_all``)
-stream connected classes from (n, parent) pairs, ``_connected_from``.
+and start no process.  The battery's shares walk the tree of canonical
+parents depth first, ``_connected_walk``, as nauty's ``geng`` splits its work.
 
 The published class counts are pinned here and checked by the test
 suite; connected counts additionally get a record-for-record cross-check
@@ -81,8 +81,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .canon import _cells, _decode, _maximal_code, _members, _rank_shift, _ranks, _twins_before
@@ -131,15 +130,14 @@ def _classes(n: int, parents: Iterable[tuple[int, ...]]) -> list[Graph]:
     return [_decoded(masks) for masks in sorted(_decode(_codes(n, parents), n))]
 
 
-def _connected_from(pairs: Iterable[tuple[int, tuple[int, ...]]]) -> Iterator[Graph]:
-    """For each (n, parent) pair, the connected classes on n vertices whose canonical parent it is, as they come.
-
-    The codes of consecutive pairs with one n are decoded in runs.
-    """
-    for n, group in groupby(pairs, itemgetter(0)):
-        for masks in _decode((code for _, parent in group for code in _codes(n, (parent,))), n):
-            if len(component_masks(masks, n)) == 1:
-                yield _decoded(masks)
+def _connected_walk(classes: Iterable[tuple[int, ...]], s: int, n_max: int) -> Iterator[Graph]:
+    """The connected classes among these and, walked depth first, below those on s vertices up to n_max vertices."""
+    for masks in classes:
+        n = len(masks)
+        if len(component_masks(masks, n)) == 1:
+            yield _decoded(masks)
+        if n == s < n_max:
+            yield from _connected_walk(_decode(_codes(n + 1, (masks,)), n + 1), n + 1, n_max)
 
 
 def _codes(n: int, parents: Iterable[tuple[int, ...]]) -> Iterator[int]:

@@ -7,8 +7,7 @@ generator and for graph6 files, and every graph in it gets every
 theorem.  Failures become counterexample records carrying the graph6
 string so they can be reproduced externally.  The triangle
 classification requires that a minimal graph's reduction trace succeed
-and replay.  Worker processes take shares of the parents or of the file
-through ``enumeration._split``, and the parts' results merge as values.
+and replay.  Shares of the source (``enumeration._split``) merge as values.
 
 Each share takes its stream in blocks of ``BLOCK`` graphs: it computes
 the block's facts records, counts them into the table, then hands each
@@ -32,7 +31,7 @@ from itertools import islice
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .core import BLOCK_MAX_N, Graph, _lane_width, _remember, kernel_block, lane_groups, pack_slots
-from .enumeration import GENERATOR_MAX, RangeError, _connected_from, _split, _usable_cpus, graph_classes
+from .enumeration import GENERATOR_MAX, RangeError, _connected_walk, _split, _usable_cpus, graph_classes
 from .gcb import assemble, decompose_triangle_free, validate_gcb_spec
 from .io import graph6_encode, ingest_graph6
 from .recognition import (
@@ -397,6 +396,9 @@ class BatteryResult(_Report):
 # Graphs per block of ``_run_chunk``: each block's facts records are
 # held at once, and each theorem's checks over it are timed together.
 BLOCK = 256
+# The builtin battery's shares walk below level min(this, n_max - 1): 7 is the
+# first level ``graph_classes`` splits, so the caller's largest level holds 1,044 graphs.
+WALK_ROOT_LEVEL = 7
 
 
 def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> BatteryResult:
@@ -425,9 +427,8 @@ def _run_chunk(theorems: tuple[Theorem, ...], graphs: Iterable[Graph]) -> Batter
     return part
 
 
-def _run_streamed(theorems: tuple[Theorem, ...], pairs: Iterable[tuple[int, tuple[int, ...]]]) -> BatteryResult:
-    """The battery table ``theorems`` over the connected classes streamed from these (n, parent masks) pairs."""
-    return _run_chunk(theorems, _connected_from(pairs))
+def _run_walk(s_and_n_max: tuple[int, int], classes: Iterable[tuple[int, ...]]) -> BatteryResult:
+    return _run_chunk(THEOREMS, _connected_walk(classes, *s_and_n_max))
 
 
 def verify_all(
@@ -444,12 +445,12 @@ def verify_all(
     sources: each graph with at most ``n_max`` vertices runs every
     theorem that applies to it.  ``enumeration._split`` deals the items
     by position to ``workers`` shares, at most one per usable CPU.  The
-    builtin items are (n, parent masks) pairs, n = 2..``n_max``; each
-    share checks the connected classes it streams from its parents, so
-    no ``Graph`` is held or pickled, and the caller checks K1.  A file's
-    graphs reach the shares pickled.  Reports merge associatively, so
-    any worker count gives one result.  Raises ``RangeError`` when
-    ``n_max < 1``, and before any work on a builtin ``n_max > GENERATOR_MAX``.
+    builtin items are the masks of the classes on levels 1..s, s =
+    min(``WALK_ROOT_LEVEL``, n_max - 1) or 1; a share checks the connected
+    ones and those it walks to below level s.  A file's graphs reach the
+    shares pickled.  Reports merge associatively, so any worker count
+    gives one result.  Raises ``RangeError`` when ``n_max < 1``, and
+    before any work on a builtin ``n_max > GENERATOR_MAX``.
 
     ``full_battery_max`` limits nothing.  The benchmark's ``battery-n8``
     passes ``n_max``, and the keyword goes away with ROADMAP item 9's
@@ -463,18 +464,19 @@ def verify_all(
     if source == "builtin":
         if n_max > GENERATOR_MAX:
             raise RangeError(f"generator supports 1..{GENERATOR_MAX} vertices, got n_max = {n_max}")
-        head, work = _run_chunk(THEOREMS, graph_classes(1)), _run_streamed
-        items: Iterable[Any] = ((n, g.adj) for n in range(2, n_max + 1) for g in graph_classes(n - 1))
+        s = max(1, min(WALK_ROOT_LEVEL, n_max - 1))
+        work, arg = _run_walk, (s, n_max)
+        items: Iterable[Any] = (g.adj for n in range(1, s + 1) for g in graph_classes(n))
     elif source == "file":
         if path is None:
             raise ValueError("file source needs a path")
-        head, work = BatteryResult.empty(), _run_chunk
+        work, arg = _run_chunk, THEOREMS
         items = (g for g in ingest_graph6(path) if g.n <= n_max)
     else:
         raise ValueError(f"unknown source {source!r}")
 
     workers = max(1, min(workers, _usable_cpus()))
-    result = reduce(BatteryResult.merge, _split(work, THEOREMS, items, workers), head)
+    result = reduce(BatteryResult.merge, _split(work, arg, items, workers), BatteryResult.empty())
     result.seconds = time.perf_counter() - start
     return result
 

@@ -3,12 +3,14 @@ import json
 import pickle
 import random
 import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from twosc import gcb, harness
+from twosc import enumeration, gcb, harness
 from twosc.core import Graph, _decoded, complement, has_triangle
-from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes
+from twosc.enumeration import GENERATOR_MAX, RangeError, connected_classes, graph_classes
 from twosc.graphs import complete_graph, cycle_graph, petersen_graph
 from twosc.harness import (
     BLOCK,
@@ -319,6 +321,12 @@ def test_wrong_rebuild_is_recorded_not_raised(monkeypatch):
     assert strip_times(BatteryResult.empty().merge(backwards).to_json()) == strip_times(result.to_json())
 
 
+def in_process_split(work, arg, items, count):
+    """Stands in for enumeration._split: works each share's slice of the items in this process."""
+    items = list(items)
+    return [work(arg, items[i::count]) for i in range(count)]
+
+
 def test_pool_never_exceeds_usable_cpus(monkeypatch, tmp_path):
     calls = []
 
@@ -327,7 +335,7 @@ def test_pool_never_exceeds_usable_cpus(monkeypatch, tmp_path):
         streamed = not isinstance(items, list)
         items = list(items)
         calls.append((count, streamed, items))
-        return [work(arg, items[i::count]) for i in range(count)]
+        return in_process_split(work, arg, items, count)
 
     monkeypatch.setattr(harness, "_split", recording_split)
     serial = strip_times(verify_all(5).to_json())
@@ -339,11 +347,10 @@ def test_pool_never_exceeds_usable_cpus(monkeypatch, tmp_path):
     for workers in (0, 5000):
         assert strip_times(verify_all(5, workers=workers).to_json()) == serial
     assert [count for count, _, _ in calls] == [1, 2, 2, 2, 1, 1]
-    # the builtin shares get (n, parent masks) pairs, not graphs
+    # the builtin shares get the masks of the classes on levels 1..4, not graphs
+    dealt = [g.adj for n in range(1, 5) for g in graph_classes(n)]
     for _, _, items in calls:
-        assert items and all(
-            type(n) is int and type(parent) is tuple and all(type(m) is int for m in parent) for n, parent in items
-        )
+        assert items == dealt and all(type(masks) is tuple and all(type(m) is int for m in masks) for masks in items)
     path = tmp_path / "graphs.g6"
     with open(path, "w") as handle:
         write_graph6(connected_up_to(5), handle)
@@ -352,8 +359,8 @@ def test_pool_never_exceeds_usable_cpus(monkeypatch, tmp_path):
 
 
 def test_builtin_battery_holds_no_level(tmp_path):
-    # the caller generates only the parent levels, 1..n_max - 1, and
-    # never the connected classes
+    # the caller generates only the levels it deals, 1..min(7, n_max - 1),
+    # and never the connected classes
     out = run_python(tmp_path, """
         from twosc.enumeration import connected_classes, graph_classes
         from twosc.harness import verify_all
@@ -362,6 +369,44 @@ def test_builtin_battery_holds_no_level(tmp_path):
         print(graph_classes.cache_info().currsize, connected_classes.cache_info().currsize)
     """)
     assert out.split() == ["5", "0"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_builtin_battery_expands_each_parent_once(monkeypatch, workers):
+    # each class on 2..7 vertices comes from its canonical parent once:
+    # in the caller's levels up to 6, or in a share's walk below level 6
+    expanded = Counter()
+    codes = enumeration._codes
+
+    def counting_codes(n, parents):
+        for parent in parents:
+            expanded[n] += 1
+            yield from codes(n, (parent,))
+
+    cold = lru_cache(maxsize=None)(enumeration.graph_classes.__wrapped__)
+    monkeypatch.setattr(enumeration, "graph_classes", cold)
+    monkeypatch.setattr(harness, "graph_classes", cold)
+    monkeypatch.setattr(enumeration, "_codes", counting_codes)
+    monkeypatch.setattr(harness, "_split", in_process_split)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert battery_digest(verify_all(7, workers=workers).to_json()) == BATTERY_7_DIGEST
+    assert [expanded[n] for n in range(2, 8)] == [1, 2, 4, 11, 34, 156]
+    assert sorted(expanded) == list(range(2, 8))
+
+
+def test_walk_below_a_lower_root_level(monkeypatch):
+    # the walk runs three levels deep below level 4, in one share and in
+    # two processes, and K1 is counted once with or without a walk
+    monkeypatch.setattr(harness, "WALK_ROOT_LEVEL", 4)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    assert battery_digest(verify_all(7).to_json()) == BATTERY_7_DIGEST
+    assert battery_digest(verify_all(7, workers=2).to_json()) == BATTERY_7_DIGEST
+    for n_max in (1, 2):
+        for workers in (1, 2):
+            result = verify_all(n_max, workers=workers)
+            assert result.counting[1]["graphs"] == 1
+            assert sorted(result.counting) == list(range(1, n_max + 1))
+            assert all(rep.examined == n_max for rep in result.reports if rep.theorem.startswith("recognition"))
 
 
 def test_builtin_shares_under_spawn(tmp_path):
@@ -430,6 +475,7 @@ def test_full_battery_up_to_nine_in_little_memory(tmp_path):
         import json
         import resource
         from twosc.cli import main
+        from twosc.enumeration import graph_classes
 
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
@@ -437,10 +483,12 @@ def test_full_battery_up_to_nine_in_little_memory(tmp_path):
         with open("/proc/self/status") as status:
             own = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
         peaks = [own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss]
-        print(json.dumps([code, json.loads(printed.getvalue()), peaks]))
+        levels = graph_classes.cache_info().currsize
+        print(json.dumps([code, json.loads(printed.getvalue()), peaks, levels]))
     """, timeout=300)
-    code, doc, peaks = json.loads(out)
+    code, doc, peaks, levels = json.loads(out)
     assert code == 0
+    assert levels == 7  # the caller holds levels 1..7; the shares walk 8 and 9
     assert battery_digest(doc) == BATTERY_9_DIGEST
     assert doc["counting"]["9"] == {
         "graphs": 261080, "two_sc": 79173, "edge_minimal": 102, "edge_maximal": 7, "triangle_free_two_sc": 15,
